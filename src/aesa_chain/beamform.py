@@ -9,12 +9,12 @@ per-channel floor, which keeps conventional and adaptive maps directly
 comparable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, NumericalError
-from .geometry import ArrayGeometry, subarray_steering, subarray_steering_matrix
+from .geometry import ArrayGeometry, subarray_steering
 from .rdproc import RDDatacube
 
 #: diagonal loading above the estimated noise floor, dB
@@ -44,17 +44,24 @@ class TrainingRegion:
 
     def mask(self, shape) -> np.ndarray:
         """Boolean (n_range, n_doppler) mask of included cells."""
-        n_r, n_d = shape
-        m = np.zeros((n_r, n_d), dtype=bool)
-        r0, r1 = np.clip(self.range_span, 0, n_r)
-        d0, d1 = np.clip(self.doppler_span, 0, n_d)
-        m[r0:r1, d0:d1] = True
+        m = np.zeros(shape, dtype=bool)
+        _set_box(m, self.range_span, self.doppler_span, True)
         if self.exclusion is not None:
-            (er0, er1), (ed0, ed1) = self.exclusion
-            er0, er1 = np.clip((er0, er1), 0, n_r)
-            ed0, ed1 = np.clip((ed0, ed1), 0, n_d)
-            m[er0:er1, ed0:ed1] = False
+            _set_box(m, *self.exclusion, False)
         return m
+
+
+def _set_box(mask: np.ndarray, row_span, col_span, value: bool) -> None:
+    """Set a half-open block of a 2-D mask, with both spans clipped to it."""
+    r0, r1 = np.clip(row_span, 0, mask.shape[0])
+    c0, c1 = np.clip(col_span, 0, mask.shape[1])
+    mask[r0:r1, c0:c1] = value
+
+
+def _box_around(row: int, col: int, half_widths) -> tuple:
+    """(row_span, col_span) of the block of given half-widths about a cell."""
+    hr, hc = int(half_widths[0]), int(half_widths[1])
+    return (row - hr, row + hr + 1), (col - hc, col + hc + 1)
 
 
 @dataclass
@@ -264,14 +271,9 @@ def exclusion_mask(shape, detections=(), guard: int = 3,
     ``detections`` is an iterable of objects with ``range_bin`` and
     ``doppler_bin`` attributes; a (2*guard+1)^2 block around each is removed.
     """
-    n_r, n_d = shape
-    m = np.ones((n_r, n_d), dtype=bool)
+    m = np.ones(shape, dtype=bool)
     for det in detections:
-        r0 = max(det.range_bin - guard, 0)
-        r1 = min(det.range_bin + guard + 1, n_r)
-        d0 = max(det.doppler_bin - guard, 0)
-        d1 = min(det.doppler_bin + guard + 1, n_d)
-        m[r0:r1, d0:d1] = False
+        _set_box(m, *_box_around(det.range_bin, det.doppler_bin, (guard, guard)), False)
     if clutter_mask is not None:
         m &= ~clutter_mask
     return m

@@ -13,14 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import load_tree, resolve_config
+from .config import MODES, load_tree, resolve_config
 from .errors import ConfigError, NumericalError
 from .experiments import run_experiment, write_report
 from .version import __version__
 
 log = logging.getLogger("aesa_chain")
-
-MODES = ("t1", "t2", "t3", "t4")
 
 
 def _steer_list(text: str) -> list:

@@ -26,6 +26,18 @@ MODES = ("t1", "t2", "t3", "t4")
 #: maximum steering / target azimuth magnitude, degrees
 SECTOR_HALF_WIDTH_DEG = 22.5
 
+#: scenario key under ``radar`` -> RadarParams field
+_RADAR_FIELDS = {
+    "wavelength_m": "wavelength",
+    "bandwidth_hz": "bandwidth",
+    "pulse_width_s": "pulse_width",
+    "prf_hz": "prf",
+    "n_pulses": "n_pulses",
+    "sample_rate_hz": "sample_rate",
+    "r_min_m": "r_min",
+    "r_max_m": "r_max",
+}
+
 _DEFAULTS = {
     "mode": None,
     "seed": 0,
@@ -33,16 +45,7 @@ _DEFAULTS = {
     "steering_deg": [0.0],
     "radar_heading_deg": 252.0,
     "noise_power": 1.0,
-    "radar": {
-        "wavelength_m": 0.03,
-        "bandwidth_hz": 50.0e6,
-        "pulse_width_s": 2.0e-6,
-        "prf_hz": 2000.0,
-        "n_pulses": 128,
-        "sample_rate_hz": 62.5e6,
-        "r_min_m": 1500.0,
-        "r_max_m": 23500.0,
-    },
+    "radar": {key: getattr(RadarParams(), name) for key, name in _RADAR_FIELDS.items()},
     "targets": [],
     "jammer": {
         "active": False,
@@ -96,30 +99,34 @@ _MUSIC_WINDOW_BY_MODE = {"t1": (4, 4), "t3": (3, 3)}
 
 @dataclass
 class ProcessingParams:
-    window: str = "hann"
-    doppler_oversample: int = 1
-    loading_db: float = 10.0
-    pfa: float = 1.0e-4
-    cfar_train: int = 16
-    cfar_guard: int = 2
-    detection_guard: int = 3
-    music_grid_step_deg: float = 0.05
-    music_window_bins: tuple = (4, 4)
-    music_guard_bins: tuple | None = None
-    music_sources: int | None = None
-    assoc_tolerance_m: float = 1000.0
+    """Resolved ``processing`` section; defaults live in ``_DEFAULTS``."""
+
+    window: str
+    doppler_oversample: int
+    loading_db: float
+    pfa: float
+    cfar_train: int
+    cfar_guard: int
+    detection_guard: int
+    music_grid_step_deg: float
+    music_window_bins: tuple
+    music_guard_bins: tuple | None
+    music_sources: int | None
+    assoc_tolerance_m: float
 
 
 @dataclass
 class IsarParams:
+    """Resolved ``isar`` section; defaults live in ``_DEFAULTS``."""
+
     body: RigidBodyTarget
-    n_dwells: int = 16
-    window_halfwidth_bins: int = 24
-    autofocus_order: int = 3
-    autofocus_grid_points: int = 21
-    autofocus_phase_span_rad: float = 32.0 * np.pi
-    omega_for_scaling_rad_s: float | None = None
-    image_window: str = "hann"
+    n_dwells: int
+    window_halfwidth_bins: int
+    autofocus_order: int
+    autofocus_grid_points: int
+    autofocus_phase_span_rad: float
+    omega_for_scaling_rad_s: float | None
+    image_window: str
 
 
 @dataclass
@@ -191,21 +198,17 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     mode = full["mode"]
     _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}", errors)
     seed = full["seed"]
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer", errors)
+    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+             "seed must be a non-negative integer", errors)
     if errors:
         raise ConfigError("; ".join(errors))
 
     try:
-        radar = RadarParams(
-            wavelength=float(full["radar"]["wavelength_m"]),
-            bandwidth=float(full["radar"]["bandwidth_hz"]),
-            pulse_width=float(full["radar"]["pulse_width_s"]),
-            prf=float(full["radar"]["prf_hz"]),
-            n_pulses=int(full["radar"]["n_pulses"]),
-            sample_rate=float(full["radar"]["sample_rate_hz"]),
-            r_min=float(full["radar"]["r_min_m"]),
-            r_max=float(full["radar"]["r_max_m"]),
-        )
+        # each value takes the type of its RadarParams default
+        radar = RadarParams(**{
+            name: type(_DEFAULTS["radar"][key])(full["radar"][key])
+            for key, name in _RADAR_FIELDS.items()
+        })
     except ValueError as exc:
         raise ConfigError(f"radar: {exc}") from None
 
@@ -234,6 +237,7 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"targets[{i}]: {exc}")
             continue
+        _require(np.isfinite(target.snr_db), f"targets[{i}].snr_db must be finite", errors)
         _require(radar.r_min <= target.range_m <= radar.r_max,
                  f"targets[{i}] range {target.range_m} outside the receive window", errors)
         _require(abs(target.radial_velocity) <= radar.unambiguous_velocity,
@@ -286,6 +290,12 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         assoc_tolerance_m=float(proc_tree["assoc_tolerance_m"]),
     )
     _require(0.0 < processing.pfa < 1.0, "processing.pfa must lie in (0, 1)", errors)
+    _require(processing.doppler_oversample >= 1,
+             "processing.doppler_oversample must be >= 1", errors)
+    _require(processing.cfar_train >= 1, "processing.cfar_train must be >= 1", errors)
+    _require(processing.cfar_guard >= 0, "processing.cfar_guard must be >= 0", errors)
+    _require(all(b >= 0 for b in processing.music_window_bins),
+             "processing.music_window_bins must be non-negative", errors)
     _require(processing.music_grid_step_deg > 0.0,
              "processing.music_grid_step_deg must be positive", errors)
     if processing.music_sources is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import CovarianceEstimate
+from .beamform import CovarianceEstimate, _box_around, _set_box
 from .errors import ConfigError, EstimationError
 from .geometry import ArrayGeometry, subarray_steering_matrix
 from .rdproc import RDDatacube
@@ -91,16 +91,7 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     threshold = alpha * noise
     exceeds = p[i, :] > threshold
 
-    padded = np.pad(p, 1, mode="constant", constant_values=-np.inf)
-    center = padded[1:-1, 1:-1]
-    is_peak = np.ones_like(p, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dd in (-1, 0, 1):
-            if dr == 0 and dd == 0:
-                continue
-            is_peak &= center > padded[1 + dr:padded.shape[0] - 1 + dr,
-                                       1 + dd:padded.shape[1] - 1 + dd]
-
+    is_peak = _local_maxima(p, np.greater)
     hits = np.argwhere(exceeds & is_peak[i, :])
     detections = []
     for row, col in hits:
@@ -118,6 +109,23 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     return detections
 
 
+def _local_maxima(values: np.ndarray, compare) -> np.ndarray:
+    """Cells of a 2-D map that ``compare`` true against all 8 neighbours.
+
+    ``compare`` is ``np.greater`` for strict maxima (a plateau of equal
+    cells yields none) or ``np.greater_equal`` (every plateau cell counts).
+    Cells outside the map compare as ``-inf``.
+    """
+    padded = np.pad(values, 1, mode="constant", constant_values=-np.inf)
+    n_r, n_c = values.shape
+    is_peak = np.ones(values.shape, dtype=bool)
+    for dr in (0, 1, 2):
+        for dc in (0, 1, 2):
+            if (dr, dc) != (1, 1):
+                is_peak &= compare(values, padded[dr:dr + n_r, dc:dc + n_c])
+    return is_peak
+
+
 def select_training_subset(rd: RDDatacube, detection: Detection,
                            window: tuple = (10, 10),
                            guard: tuple | None = None,
@@ -131,19 +139,14 @@ def select_training_subset(rd: RDDatacube, detection: Detection,
     ``EstimationError`` when fewer than ``min_snapshots`` cells remain
     (default twice the channel count).
     """
-    n_ch, n_r, n_d = rd.values.shape
-    wr, wd = int(window[0]), int(window[1])
-    if wr < 0 or wd < 0:
+    n_ch = rd.values.shape[0]
+    if int(window[0]) < 0 or int(window[1]) < 0:
         raise ValueError("window half-widths must be non-negative")
-    r0, r1 = max(detection.range_bin - wr, 0), min(detection.range_bin + wr + 1, n_r)
-    d0, d1 = max(detection.doppler_bin - wd, 0), min(detection.doppler_bin + wd + 1, n_d)
-    mask = np.zeros((n_r, n_d), dtype=bool)
-    mask[r0:r1, d0:d1] = True
+    cell = (detection.range_bin, detection.doppler_bin)
+    mask = np.zeros(rd.values.shape[1:], dtype=bool)
+    _set_box(mask, *_box_around(*cell, window), True)
     if guard is not None:
-        gr, gd = int(guard[0]), int(guard[1])
-        gr0, gr1 = max(detection.range_bin - gr, 0), min(detection.range_bin + gr + 1, n_r)
-        gd0, gd1 = max(detection.doppler_bin - gd, 0), min(detection.doppler_bin + gd + 1, n_d)
-        mask[gr0:gr1, gd0:gd1] = False
+        _set_box(mask, *_box_around(*cell, guard), False)
     if clutter_mask is not None:
         if clutter_mask.shape != mask.shape:
             raise ValueError("clutter mask shape does not match the RD map")
@@ -218,10 +221,11 @@ class PeakSet:
 
 
 def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
+    """Vertex of the parabola through three unit-spaced samples, in [-0.5, 0.5]."""
     denom = y_left - 2.0 * y_mid + y_right
     if denom == 0.0:
         return 0.0
-    return 0.5 * (y_left - y_right) / denom
+    return float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
 
 
 def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakSet:
@@ -245,7 +249,6 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakSet:
     for i in order[:k]:
         step = az[min(i + 1, az.size - 1)] - az[i]
         offset = _parabolic_offset(p[i - 1], p[i], p[i + 1])
-        offset = float(np.clip(offset, -0.5, 0.5))
         peaks.append(PeakEstimate(azimuth_deg=float(az[i] + offset * step),
                                   power=float(p[i])))
     return PeakSet(peaks=peaks, requested=int(k))

@@ -19,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import (BeamscanCurve, apply_beamformer, beamscan,
+from .beamform import (BeamscanCurve, _set_box, apply_beamformer, beamscan,
                        conventional_weights, covariance_from_snapshots,
                        estimate_covariance, exclusion_mask, mvdr_weights,
                        rejection_db, TrainingRegion)
 from .config import ExperimentConfig
-from .detect import (angular_error, cfar_detect, load_tracks, music_spectrum,
-                     pick_peaks, select_training_subset, target_angular_span)
+from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks,
+                     music_spectrum, pick_peaks, select_training_subset,
+                     target_angular_span)
 from .errors import ConfigError
 from .geometry import ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
@@ -90,7 +91,7 @@ def _clutter_mask(cfg: ExperimentConfig, shape) -> np.ndarray | None:
     if not cfg.clutter.enabled:
         return None
     mask = np.zeros(shape, dtype=bool)
-    mask[: min(cfg.clutter.n_range_bins, shape[0]), :] = True
+    _set_box(mask, (0, cfg.clutter.n_range_bins), (0, shape[1]), True)
     return mask
 
 
@@ -123,7 +124,9 @@ def _spectrum_rows(spectrum):
 def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentReport:
     """Run the configured chain test and return its report."""
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
-    report = runner(cfg, emit_raw)
+    report, raw = runner(cfg)
+    if emit_raw:
+        _raw_grids(report, raw)
     report.geometry_rows = geometry_table(_geom(cfg))
     return report
 
@@ -148,40 +151,84 @@ def _raw_grids(report: ExperimentReport, raw) -> None:
             values=raw.values[c], row_axis=fast_axis, col_axis=slow_axis)
 
 
-def _map_axes(rd) -> tuple:
-    row = GridAxis(start=float(rd.range_axis[0]),
-                   step=float(rd.range_axis[1] - rd.range_axis[0]), unit="m")
-    col = GridAxis(start=float(rd.velocity_axis[0]),
-                   step=float(rd.velocity_axis[1] - rd.velocity_axis[0]), unit="m/s")
-    return row, col
+def _axis(values: np.ndarray, unit: str) -> GridAxis:
+    """Grid descriptor of a uniform physical axis."""
+    return GridAxis(start=float(values[0]), step=float(values[1] - values[0]), unit=unit)
 
 
-def _power_db(complex_map: np.ndarray, floor_db: float = -200.0) -> np.ndarray:
+def _joint_db(complex_map: np.ndarray, joint_peak: float,
+              floor_db: float = -200.0) -> np.ndarray:
     power = np.abs(complex_map) ** 2
-    peak = power.max()
-    if peak <= 0.0:
+    ref = joint_peak**2
+    if ref <= 0.0:
         return np.full(complex_map.shape, floor_db)
-    return np.maximum(10.0 * np.log10(np.maximum(power / peak, 10.0 ** (floor_db / 10.0))),
+    return np.maximum(10.0 * np.log10(np.maximum(power / ref, 10.0 ** (floor_db / 10.0))),
                       floor_db)
+
+
+def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
+    """dB range-Doppler grids of one steering, keyed by beamformer kind.
+
+    The maps share one scale: each is normalized to the joint peak of all.
+    """
+    row_axis, col_axis = _axis(rd.range_axis, "m"), _axis(rd.velocity_axis, "m/s")
+    peak = max(np.max(np.abs(m)) for m in maps.values())
+    for kind, m in maps.items():
+        report.grids[f"map_{kind}_steer{steer:+.1f}deg.aesg"] = Grid(
+            values=_joint_db(m, peak), row_axis=row_axis, col_axis=col_axis)
+
+
+def _dwell(cfg: ExperimentConfig) -> tuple:
+    """Simulate the configured dwell; returns (geometry, raw, rd, clutter mask)."""
+    geom = _geom(cfg)
+    raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
+                         cfg.seed, cfg.clutter, geometry=geom)
+    rd = rd_map(raw, window=cfg.processing.window,
+                oversample=cfg.processing.doppler_oversample)
+    return geom, raw, rd, _clutter_mask(cfg, rd.values.shape[1:])
+
+
+def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
+    """CFAR detections on the power of a beamformed range-Doppler map."""
+    proc = cfg.processing
+    return cfar_detect(np.abs(complex_map) ** 2, proc.pfa, proc.cfar_train,
+                       proc.cfar_guard, rd.range_axis, rd.velocity_axis)
+
+
+def _full_map_covariance(cfg: ExperimentConfig, rd, cmask):
+    """Loaded covariance over every non-clutter cell of the map."""
+    shape = rd.values.shape[1:]
+    region = TrainingRegion((0, shape[0]), (0, shape[1]))
+    return estimate_covariance(rd, region, loading_db=cfg.processing.loading_db,
+                               clutter_mask=cmask)
+
+
+def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
+           cmask, default_sources: int) -> tuple:
+    """Subspace direction finding on the cells around a detection.
+
+    Adds ``spectrum.csv`` to the report; returns (covariance, peaks).
+    """
+    proc = cfg.processing
+    n_sources = proc.music_sources or default_sources
+    snaps = select_training_subset(rd, det, window=proc.music_window_bins,
+                                   guard=proc.music_guard_bins,
+                                   clutter_mask=cmask)
+    cov = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
+    spectrum = music_spectrum(cov, geom, _music_grid(cfg), n_sources)
+    report.tables["spectrum.csv"] = _spectrum_rows(spectrum)
+    return cov, pick_peaks(spectrum, n_sources)
 
 
 # ---------------------------------------------------------------------------
 # t1: detection and single-source direction finding
 
 
-def _run_t1(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
-    geom = _geom(cfg)
+def _run_t1(cfg: ExperimentConfig) -> tuple:
+    geom, raw, rd, cmask = _dwell(cfg)
     proc = cfg.processing
-    raw = simulate_dwell(cfg.radar, cfg.targets, None, cfg.noise_power,
-                         cfg.seed, cfg.clutter, geometry=geom)
-    rd = rd_map(raw, window=proc.window, oversample=proc.doppler_oversample)
     steer = cfg.steering_deg[0]
-    weights = conventional_weights(geom, steer)
-    bmap = apply_beamformer(rd, weights)
-    power = np.abs(bmap) ** 2
-    cmask = _clutter_mask(cfg, power.shape)
-    detections = cfar_detect(power, proc.pfa, proc.cfar_train, proc.cfar_guard,
-                             rd.range_axis, rd.velocity_axis)
+    detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(geom, steer)))
     if cmask is not None:
         detections = [d for d in detections if not cmask[d.range_bin, d.doppler_bin]]
 
@@ -196,14 +243,7 @@ def _run_t1(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
         det = detections[0]
         metrics["detection_range_m"] = det.range_m
         metrics["detection_velocity_mps"] = det.radial_velocity
-        n_sources = proc.music_sources or 1
-        snaps = select_training_subset(rd, det, window=proc.music_window_bins,
-                                       guard=proc.music_guard_bins,
-                                       clutter_mask=cmask)
-        cov = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
-        spectrum = music_spectrum(cov, geom, _music_grid(cfg), n_sources)
-        peaks = pick_peaks(spectrum, n_sources)
-        report.tables["spectrum.csv"] = _spectrum_rows(spectrum)
+        cov, peaks = _music(cfg, report, geom, rd, det, cmask, default_sources=1)
         metrics["azimuth_estimate_deg"] = peaks.peaks[0].azimuth_deg
         metrics["music_snapshots"] = cov.snapshot_count
 
@@ -225,23 +265,16 @@ def _run_t1(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
             else:
                 metrics["track_name"] = "unassociated"
 
-    if emit_raw:
-        _raw_grids(report, raw)
-    return report
+    return report, raw
 
 
 # ---------------------------------------------------------------------------
 # t2: jammer cancellation
 
 
-def _run_t2(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
-    geom = _geom(cfg)
+def _run_t2(cfg: ExperimentConfig) -> tuple:
+    geom, raw, rd, cmask = _dwell(cfg)
     proc = cfg.processing
-    raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
-                         cfg.seed, cfg.clutter, geometry=geom)
-    rd = rd_map(raw, window=proc.window, oversample=proc.doppler_oversample)
-    shape = rd.values.shape[1:]
-    cmask = _clutter_mask(cfg, shape)
 
     metrics = {"steering_deg": list(cfg.steering_deg)}
     report = _base_report(cfg, metrics)
@@ -250,43 +283,28 @@ def _run_t2(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
         # Manual jammer flag off: conventional maps only, no rejection study.
         for steer in cfg.steering_deg:
             conv = apply_beamformer(rd, conventional_weights(geom, steer))
-            row_axis, col_axis = _map_axes(rd)
-            report.grids[f"map_conventional_steer{steer:+.1f}deg.aesg"] = Grid(
-                values=_power_db(conv), row_axis=row_axis, col_axis=col_axis)
-        if emit_raw:
-            _raw_grids(report, raw)
-        return report
+            _map_grids(report, rd, steer, {"conventional": conv})
+        return report, raw
 
-    region = TrainingRegion((0, shape[0]), (0, shape[1]))
-    cov0 = estimate_covariance(rd, region, loading_db=proc.loading_db,
-                               clutter_mask=cmask)
+    cov0 = _full_map_covariance(cfg, rd, cmask)
 
     # First pass: detections on the adaptive maps define the guard cells.
     detections = []
     for steer in cfg.steering_deg:
-        amap = apply_beamformer(rd, mvdr_weights(cov0, geom, steer))
-        detections += cfar_detect(np.abs(amap) ** 2, proc.pfa, proc.cfar_train,
-                                  proc.cfar_guard, rd.range_axis, rd.velocity_axis)
-    meas_mask = exclusion_mask(shape, detections, guard=proc.detection_guard,
-                               clutter_mask=cmask)
+        detections += _cfar(cfg, rd, apply_beamformer(rd, mvdr_weights(cov0, geom, steer)))
+    meas_mask = exclusion_mask(rd.values.shape[1:], detections,
+                               guard=proc.detection_guard, clutter_mask=cmask)
 
     # Second pass: final covariance excludes the detection guards.
     snaps = rd.values[:, meas_mask]
     cov = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
 
     rejections = []
-    row_axis, col_axis = _map_axes(rd)
     for steer in cfg.steering_deg:
         conv = apply_beamformer(rd, conventional_weights(geom, steer))
         adap = apply_beamformer(rd, mvdr_weights(cov, geom, steer))
-        rej = rejection_db(conv, adap, meas_mask)
-        rejections.append(rej)
-        # Joint normalization so the two maps of one steering share a scale.
-        peak = max(np.max(np.abs(conv)), np.max(np.abs(adap)))
-        report.grids[f"map_conventional_steer{steer:+.1f}deg.aesg"] = Grid(
-            values=_joint_db(conv, peak), row_axis=row_axis, col_axis=col_axis)
-        report.grids[f"map_mvdr_steer{steer:+.1f}deg.aesg"] = Grid(
-            values=_joint_db(adap, peak), row_axis=row_axis, col_axis=col_axis)
+        rejections.append(rejection_db(conv, adap, meas_mask))
+        _map_grids(report, rd, steer, {"conventional": conv, "mvdr": adap})
 
     grid = np.arange(-SCAN_HALF_WIDTH_DEG, SCAN_HALF_WIDTH_DEG + BEAMSCAN_STEP_DEG / 2,
                      BEAMSCAN_STEP_DEG)
@@ -307,20 +325,7 @@ def _run_t2(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
     )
     report.tables["beamscan.csv"] = _beamscan_rows(scan_conv, scan_mvdr)
     report.tables["detections.csv"] = _detection_rows(detections)
-
-    if emit_raw:
-        _raw_grids(report, raw)
-    return report
-
-
-def _joint_db(complex_map: np.ndarray, joint_peak: float,
-              floor_db: float = -200.0) -> np.ndarray:
-    power = np.abs(complex_map) ** 2
-    ref = joint_peak**2
-    if ref <= 0.0:
-        return np.full(complex_map.shape, floor_db)
-    return np.maximum(10.0 * np.log10(np.maximum(power / ref, 10.0 ** (floor_db / 10.0))),
-                      floor_db)
+    return report, raw
 
 
 def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
@@ -343,14 +348,9 @@ def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
 # t3: masked-target recovery and two-source direction finding
 
 
-def _run_t3(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
-    geom = _geom(cfg)
+def _run_t3(cfg: ExperimentConfig) -> tuple:
+    geom, raw, rd, cmask = _dwell(cfg)
     proc = cfg.processing
-    raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
-                         cfg.seed, cfg.clutter, geometry=geom)
-    rd = rd_map(raw, window=proc.window, oversample=proc.doppler_oversample)
-    shape = rd.values.shape[1:]
-    cmask = _clutter_mask(cfg, shape)
     steer = cfg.steering_deg[0]
 
     target = cfg.targets[0]
@@ -360,16 +360,12 @@ def _run_t3(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
     true_dbin = (true_dbin_unshifted * proc.doppler_oversample + nfft // 2) % nfft
 
     conv = apply_beamformer(rd, conventional_weights(geom, steer))
-    conv_dets = cfar_detect(np.abs(conv) ** 2, proc.pfa, proc.cfar_train,
-                            proc.cfar_guard, rd.range_axis, rd.velocity_axis)
+    conv_dets = _cfar(cfg, rd, conv)
     conv_hit = any(_detection_matches(d, true_rbin, true_dbin) for d in conv_dets)
 
-    region = TrainingRegion((0, shape[0]), (0, shape[1]))
-    cov = estimate_covariance(rd, region, loading_db=proc.loading_db,
-                              clutter_mask=cmask)
+    cov = _full_map_covariance(cfg, rd, cmask)
     adap = apply_beamformer(rd, mvdr_weights(cov, geom, steer))
-    adap_dets = cfar_detect(np.abs(adap) ** 2, proc.pfa, proc.cfar_train,
-                            proc.cfar_guard, rd.range_axis, rd.velocity_axis)
+    adap_dets = _cfar(cfg, rd, adap)
     matching = [d for d in adap_dets if _detection_matches(d, true_rbin, true_dbin)]
     adap_hit = bool(matching)
 
@@ -387,15 +383,8 @@ def _run_t3(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
     report.tables["detections_mvdr.csv"] = _detection_rows(adap_dets)
 
     if adap_hit:
-        det = matching[0]
-        n_sources = proc.music_sources or 2
-        snaps = select_training_subset(rd, det, window=proc.music_window_bins,
-                                       guard=proc.music_guard_bins,
-                                       clutter_mask=cmask)
-        cov_m = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
-        spectrum = music_spectrum(cov_m, geom, _music_grid(cfg), n_sources)
-        peaks = pick_peaks(spectrum, n_sources)
-        report.tables["spectrum.csv"] = _spectrum_rows(spectrum)
+        _cov, peaks = _music(cfg, report, geom, rd, matching[0], cmask,
+                             default_sources=2)
         metrics["music_peaks_deg"] = peaks.azimuths
         metrics["music_complete"] = peaks.complete
 
@@ -414,23 +403,15 @@ def _run_t3(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
                 metrics["target_error_deg"] = angular_error(tgt_peak.azimuth_deg,
                                                             target.azimuth_deg)
 
-    row_axis, col_axis = _map_axes(rd)
-    peak = max(np.max(np.abs(conv)), np.max(np.abs(adap)))
-    report.grids[f"map_conventional_steer{steer:+.1f}deg.aesg"] = Grid(
-        values=_joint_db(conv, peak), row_axis=row_axis, col_axis=col_axis)
-    report.grids[f"map_mvdr_steer{steer:+.1f}deg.aesg"] = Grid(
-        values=_joint_db(adap, peak), row_axis=row_axis, col_axis=col_axis)
-
-    if emit_raw:
-        _raw_grids(report, raw)
-    return report
+    _map_grids(report, rd, steer, {"conventional": conv, "mvdr": adap})
+    return report, raw
 
 
 # ---------------------------------------------------------------------------
 # t4: inverse-synthetic imaging
 
 
-def _run_t4(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
+def _run_t4(cfg: ExperimentConfig) -> tuple:
     geom = _geom(cfg)
     proc = cfg.processing
     isar_cfg = cfg.isar
@@ -443,10 +424,9 @@ def _run_t4(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
 
     rd0 = doppler_process(compressed[0], window=proc.window,
                           oversample=proc.doppler_oversample)
-    power = np.abs(apply_beamformer(rd0, weights)) ** 2
+    bmap = apply_beamformer(rd0, weights)
     try:
-        dets = cfar_detect(power, proc.pfa, proc.cfar_train, proc.cfar_guard,
-                           rd0.range_axis, rd0.velocity_axis)
+        dets = _cfar(cfg, rd0, bmap)
     except ConfigError:
         # Window too large for the short imaging swath; fall back to the
         # strongest range bin.
@@ -454,7 +434,7 @@ def _run_t4(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
     if dets:
         center_bin = dets[0].range_bin
     else:
-        center_bin = int(np.argmax(power.max(axis=1)))
+        center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
 
     n_bins = compressed[0].values.shape[1]
     hw = isar_cfg.window_halfwidth_bins
@@ -480,8 +460,7 @@ def _run_t4(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
         "autofocus_improved": focus.improved,
         "phase_coefficients": list(focus.polynomial.coefficients),
         "rotation_rate_for_scaling": float(omega),
-        "cross_range_bin_m": float(image.cross_range_axis_m[1]
-                                   - image.cross_range_axis_m[0]),
+        "cross_range_bin_m": _axis(image.cross_range_axis_m, "m").step,
         "n_image_peaks": len(peaks),
         "alignment_shift_rms_bins": float(np.sqrt(np.mean(shifts**2))),
     }
@@ -495,19 +474,10 @@ def _run_t4(cfg: ExperimentConfig, emit_raw: bool) -> ExperimentReport:
         ("slow_index", "shift_bins"),
         [(k, f"{s:.6f}") for k, s in enumerate(shifts)],
     )
-    row_axis = GridAxis(start=float(image.range_axis[0]),
-                        step=float(image.range_axis[1] - image.range_axis[0]),
-                        unit="m")
-    col_axis = GridAxis(start=float(image.cross_range_axis_m[0]),
-                        step=float(image.cross_range_axis_m[1]
-                                   - image.cross_range_axis_m[0]),
-                        unit="m")
     report.grids["isar_image.aesg"] = Grid(values=image.magnitude,
-                                           row_axis=row_axis, col_axis=col_axis)
-
-    if emit_raw:
-        _raw_grids(report, dwells[0])
-    return report
+                                           row_axis=_axis(image.range_axis, "m"),
+                                           col_axis=_axis(image.cross_range_axis_m, "m"))
+    return report, dwells[0]
 
 
 def _image_peaks(image, max_peaks: int = 10, floor_db: float = -25.0) -> list:
@@ -516,15 +486,7 @@ def _image_peaks(image, max_peaks: int = 10, floor_db: float = -25.0) -> list:
     peak = m.max()
     if peak <= 0.0:
         return []
-    padded = np.pad(m, 1, mode="constant", constant_values=-1.0)
-    center = padded[1:-1, 1:-1]
-    is_peak = np.ones_like(m, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dd in (-1, 0, 1):
-            if dr == 0 and dd == 0:
-                continue
-            is_peak &= center >= padded[1 + dr:padded.shape[0] - 1 + dr,
-                                        1 + dd:padded.shape[1] - 1 + dd]
+    is_peak = _local_maxima(m, np.greater_equal)
     is_peak &= m > peak * 10.0 ** (floor_db / 20.0)
     coords = np.argwhere(is_peak)
     order = np.argsort(m[is_peak])[::-1][:max_peaks]

@@ -54,9 +54,17 @@ def _pack_axis(axis: GridAxis) -> bytes:
     return struct.pack("<ddH", float(axis.start), float(axis.step), len(unit)) + unit
 
 
-def _unpack_axis(buf: bytes, offset: int):
+def _require_header(path, buf: bytes, end: int) -> None:
+    if len(buf) < end:
+        raise ValueError(f"{path}: truncated grid header: need at least {end} bytes, "
+                         f"file has {len(buf)}")
+
+
+def _unpack_axis(path, buf: bytes, offset: int):
+    _require_header(path, buf, offset + struct.calcsize("<ddH"))
     start, step, n = struct.unpack_from("<ddH", buf, offset)
     offset += struct.calcsize("<ddH")
+    _require_header(path, buf, offset + n)
     unit = buf[offset:offset + n].decode("utf-8")
     return GridAxis(start=start, step=step, unit=unit), offset + n
 
@@ -87,23 +95,25 @@ def read_grid(path) -> Grid:
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"{path}: not a grid file (bad magic)")
+    offset = 4 + struct.calcsize("<HBII")
+    _require_header(path, buf, offset)
     version, kind, rows, cols = struct.unpack_from("<HBII", buf, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported grid version {version}")
-    offset = 4 + struct.calcsize("<HBII")
-    row_axis, offset = _unpack_axis(buf, offset)
-    col_axis, offset = _unpack_axis(buf, offset)
+    if kind not in (0, 1):
+        raise ValueError(f"{path}: unknown payload kind {kind}")
+    row_axis, offset = _unpack_axis(path, buf, offset)
+    col_axis, offset = _unpack_axis(path, buf, offset)
+    count = rows * cols * (1 + kind)
+    if len(buf) - offset != 4 * count:
+        raise ValueError(f"{path}: a {rows} x {cols} grid needs {4 * count} payload "
+                         f"bytes, found {len(buf) - offset}")
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     if kind == 0:
-        count = rows * cols
-        flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
         values = flat.reshape(rows, cols).copy()
-    elif kind == 1:
-        count = rows * cols * 2
-        flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    else:
         pairs = flat.reshape(rows, cols, 2)
         values = (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex64)
-    else:
-        raise ValueError(f"{path}: unknown payload kind {kind}")
     return Grid(values=values, row_axis=row_axis, col_axis=col_axis)
 
 

@@ -10,12 +10,13 @@ rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .beamform import apply_beamformer
+from .detect import _parabolic_offset
 from .rdproc import _window_samples
 
 #: slow-time samples below which imaging quality degrades noticeably
@@ -107,11 +108,7 @@ def _fractional_peak(corr: np.ndarray) -> float:
                       stacklevel=3)
     else:
         pick = ties[0]
-    left = corr[(pick - 1) % n]
-    right = corr[(pick + 1) % n]
-    denom = left - 2.0 * corr[pick] + right
-    frac = 0.0 if denom == 0.0 else 0.5 * (left - right) / denom
-    frac = float(np.clip(frac, -0.5, 0.5))
+    frac = _parabolic_offset(corr[(pick - 1) % n], corr[pick], corr[(pick + 1) % n])
     lag = pick if pick <= n // 2 else pick - n
     return float(lag + frac)
 
@@ -230,9 +227,7 @@ class AutofocusResult:
 
 
 def _focused_contrast(values: np.ndarray, t: np.ndarray, coeffs: np.ndarray) -> float:
-    phase = np.zeros_like(t)
-    for n, c in enumerate(coeffs, start=2):
-        phase += c * t**n
+    phase = PhasePolynomial(coefficients=tuple(coeffs)).phase(t)
     corrected = values * np.exp(-1j * phase)[:, None]
     image = np.abs(np.fft.fft(corrected, axis=0)) / np.sqrt(values.shape[0])
     return image_contrast(image)

@@ -20,7 +20,6 @@ the radar, so the range profile drifts toward larger range).
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -235,6 +234,20 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _complex_noise(rng: np.random.Generator, shape, power: float) -> np.ndarray:
+    """Circular complex Gaussian samples of variance ``power``.
+
+    One draw fills the real parts, then the imaginary parts, so the stream
+    matches two consecutive real draws of ``shape``.  The complex result is
+    built in place to hold one complex temporary, not three.
+    """
+    z = rng.standard_normal((2,) + tuple(shape))
+    w = 1j * z[1]
+    w += z[0]
+    w *= np.sqrt(power / 2.0)
+    return w
+
+
 def _channel_gain(geom: ArrayGeometry, azimuth_deg: float) -> float:
     """Common modulus of the subarray steering entries at one azimuth."""
     return float(np.abs(subarray_steering(geom, azimuth_deg)[0]))
@@ -314,8 +327,7 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         sv = subarray_steering(geom, jammer.azimuth_deg)
         g = np.abs(sv[0])
         scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / g
-        wave = rng.normal(size=(n_fast, n_p)) + 1j * rng.normal(size=(n_fast, n_p))
-        wave *= np.sqrt(0.5)
+        wave = _complex_noise(rng, (n_fast, n_p), 1.0)
         cube += scale * sv[:, None, None] * wave[None, :, :]
 
     if clutter is not None and clutter.enabled:
@@ -333,8 +345,7 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
             cube += amp * sv[:, None, None] * env[None, :, None]
 
     if noise:
-        w = rng.normal(size=(n_ch, n_fast, n_p)) + 1j * rng.normal(size=(n_ch, n_fast, n_p))
-        cube += np.sqrt(noise_power / 2.0) * w
+        cube += _complex_noise(rng, cube.shape, noise_power)
 
     return RawDatacube(values=cube, params=params, seed=int(seed))
 
@@ -384,8 +395,6 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             phase = np.exp(-1j * 4.0 * np.pi * ranges[i] / params.wavelength)
             cube += amp * sv[:, None, None] * (env * phase[None, :])[None, :, :]
         if noise:
-            rng = _rng(seed + d)
-            w = rng.normal(size=(n_ch, n_fast, n_p)) + 1j * rng.normal(size=(n_ch, n_fast, n_p))
-            cube += np.sqrt(noise_power / 2.0) * w
+            cube += _complex_noise(_rng(seed + d), cube.shape, noise_power)
         dwells.append(RawDatacube(values=cube, params=params, seed=int(seed + d)))
     return dwells

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from aesa_chain import ConfigError, load_config, load_tree, resolve_config
+from aesa_chain import (ConfigError, RadarParams, load_config, load_tree,
+                        resolve_config)
 from aesa_chain.config import config_hash, dump_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -33,6 +34,7 @@ def test_minimal_tree_takes_defaults():
     assert cfg.radar_heading_deg == 252.0
     assert cfg.radar.prf == 2000.0 and cfg.radar.n_pulses == 128
     assert cfg.radar.r_min == 1500.0 and cfg.radar.r_max == 23500.0
+    assert cfg.radar == RadarParams()
     assert cfg.jammer is None and not cfg.clutter.enabled
     assert cfg.processing.window == "hann" and cfg.processing.pfa == 1.0e-4
     assert cfg.targets[0].radial_velocity == 0.0
@@ -66,6 +68,8 @@ def test_mode_jammer_consistency():
         resolve_config({"mode": "t9"})
     with pytest.raises(ConfigError, match="seed"):
         resolve_config(t1_tree(seed=-1))
+    with pytest.raises(ConfigError, match="seed"):
+        resolve_config(t1_tree(seed=True))
 
 
 def test_target_window_and_aliasing_checks():
@@ -155,3 +159,10 @@ def test_numeric_bounds():
         resolve_config(t1_tree(processing={"music_sources": 6}))
     with pytest.raises(ConfigError, match="radar:"):
         resolve_config(t1_tree(radar={"sample_rate_hz": 1.0e6}))
+    for key, value in (("doppler_oversample", 0), ("cfar_train", 0),
+                       ("cfar_guard", -1), ("music_window_bins", [4, -1])):
+        with pytest.raises(ConfigError, match=f"processing.{key}"):
+            resolve_config(t1_tree(processing={key: value}))
+    nan_snr = [{"range_m": 5000.0, "azimuth_deg": 5.0, "snr_db": float("nan")}]
+    with pytest.raises(ConfigError, match=r"targets\[0\].snr_db"):
+        resolve_config(t1_tree(targets=nan_snr))

@@ -7,6 +7,7 @@ from aesa_chain import (ArrayGeometry, ConfigError, CovarianceEstimate,
                         cfar_detect, load_tracks, music_spectrum, pick_peaks,
                         rd_map, select_training_subset, simulate_dwell,
                         subarray_steering, target_angular_span)
+from aesa_chain.detect import _local_maxima
 
 from helpers import cfar_oracle, music_spectrum_oracle
 
@@ -61,6 +62,16 @@ def test_cfar_requires_strict_local_maximum():
     p = np.ones((100, 4))
     p[50, 1] = p[50, 2] = 1e6  # tied neighbours mask each other
     assert cfar_detect(p, pfa=1e-4) == []
+
+
+def test_local_maxima_plateau_and_border():
+    plateau = np.array([[1.0, 7.0, 7.0, 2.0]])
+    assert not _local_maxima(plateau, np.greater).any()
+    assert _local_maxima(plateau, np.greater_equal).tolist() == [[False, True, True, False]]
+    # cells beyond the border are -inf, so a negative corner still counts
+    corner = np.array([[-3.0, -5.0], [-5.0, -6.0]])
+    for compare in (np.greater, np.greater_equal):
+        assert _local_maxima(corner, compare).tolist() == [[True, False], [False, False]]
 
 
 def test_cfar_annotation_and_validation():

@@ -63,6 +63,23 @@ def test_read_rejects_corrupt_files(tmp_path):
         write_grid(tmp_path / "x.aesg", np.zeros(4), *AXES)
 
 
+def test_read_rejects_wrong_lengths(tmp_path):
+    path = write_grid(tmp_path / "v.aesg", np.ones((3, 4)), *AXES)
+    buf = path.read_bytes()
+    header = len(buf) - 3 * 4 * 4
+    cases = (
+        (buf[:-5], r"needs 48 payload bytes, found 43"),
+        (buf + b"\0\0", r"needs 48 payload bytes, found 50"),
+        (buf[:10], r"truncated grid header: need at least 15 bytes, file has 10"),
+        (buf[:header - 1], r"truncated grid header"),
+    )
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message) as err:
+            read_grid(path)
+        assert str(path) in str(err.value)
+
+
 def test_write_csv_fixed_newlines(tmp_path):
     path = write_csv(tmp_path / "t.csv", ("a", "b"), [(1, 2.5), ("x", -3)])
     raw = path.read_bytes()

@@ -1,11 +1,17 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from aesa_chain import load_config, run_experiment, write_report
+import aesa_chain
+from aesa_chain import load_config, read_grid, run_experiment, write_report
 from aesa_chain.cli import _steer_list, main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_t1(tmp_path, **extra):
@@ -18,6 +24,19 @@ def small_t1(tmp_path, **extra):
         "steering_deg": [5.0],
     }
     tree.update(extra)
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    return path
+
+
+def small_t2(tmp_path):
+    tree = {
+        "mode": "t2",
+        "seed": 4,
+        "radar": {"n_pulses": 64, "r_max_m": 3000.0},
+        "jammer": {"active": True, "azimuth_deg": 21.4, "jnr_db": 40.0},
+        "steering_deg": [-10.0, 0.0, 10.0],
+    }
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(tree))
     return path
@@ -92,6 +111,10 @@ def test_exit_codes(tmp_path, caplog):
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     # no --out and no out_dir in the scenario
     assert main(["run", "--scenario", str(small_t1(tmp_path))]) == 2
+    # a value that would only fail mid-run is a configuration error
+    zero_train = small_t1(tmp_path, processing={"cfar_train": 0})
+    assert main(["run", "--scenario", str(zero_train), "--out", str(tmp_path / "o")]) == 2
+    assert "processing.cfar_train" in caplog.text
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -135,3 +158,37 @@ def test_write_report_returns_paths(tmp_path):
     written = write_report(report, tmp_path / "direct")
     assert all(p.exists() for p in written)
     assert (tmp_path / "direct" / "summary.txt") in written
+
+
+def test_t2_without_adaptive_writes_conventional_maps_only(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(small_t2(tmp_path)), "--out", str(out),
+               "--adaptive", "off"])
+    assert rc == 0
+    assert read_summary(out)["adaptive"] == "false"
+    assert sorted(p.name for p in out.glob("map_*.aesg")) == sorted(
+        f"map_conventional_steer{s:+.1f}deg.aesg" for s in (-10.0, 0.0, 10.0))
+    for path in out.glob("map_*.aesg"):
+        assert read_grid(path).values.max() == 0.0
+
+
+def test_outputs_independent_of_blas_thread_count(tmp_path):
+    # one interpreter per thread setting: BLAS reads these only at load time
+    script = ("import sys; from aesa_chain.cli import main\n"
+              "for name in ('t2', 't3', 't4'):\n"
+              "    assert main(['run', '--scenario', f'{sys.argv[1]}/{name}.yaml',\n"
+              "                 '--out', f'{sys.argv[2]}/{name}']) == 0\n")
+    src = str(Path(aesa_chain.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR),
+                        str(tmp_path / threads)],
+                       env=env, check=True, capture_output=True, timeout=300)
+    for name in ("t2", "t3", "t4"):
+        one, two = tmp_path / "1" / name, tmp_path / "2" / name
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(one, two, names, shallow=False)
+        assert mismatch == [] and errors == [], name
