@@ -91,7 +91,13 @@ _DEFAULTS = {
     "out_dir": None,
 }
 
-_TARGET_KEYS = {"range_m", "radial_velocity_mps", "azimuth_deg", "snr_db"}
+#: scenario key under ``targets[i]`` -> PointTarget field
+_TARGET_FIELDS = {
+    "range_m": "range_m",
+    "radial_velocity_mps": "radial_velocity",
+    "azimuth_deg": "azimuth_deg",
+    "snr_db": "snr_db",
+}
 
 #: per-mode default MUSIC window half-widths (range, doppler)
 _MUSIC_WINDOW_BY_MODE = {"t1": (4, 4), "t3": (3, 3)}
@@ -153,14 +159,16 @@ class ExperimentConfig:
         return config_hash(self.tree)
 
 
-def _walk_unknown(tree, schema, prefix, unknown):
+def _walk_schema(tree, schema, prefix, unknown, errors):
+    """Collect unknown keys, and sections that are not mappings, by dotted path."""
     for key, value in tree.items():
         if key not in schema:
             unknown.append(prefix + key)
-            continue
-        ref = schema[key]
-        if isinstance(ref, dict) and isinstance(value, dict):
-            _walk_unknown(value, ref, prefix + key + ".", unknown)
+        elif isinstance(schema[key], dict):
+            if isinstance(value, dict):
+                _walk_schema(value, schema[key], prefix + key + ".", unknown, errors)
+            else:
+                errors.append(f"{prefix}{key} must be a mapping, got {value!r}")
 
 
 def _merge(defaults, overrides):
@@ -182,18 +190,25 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     """Validate a raw configuration tree and build the typed config."""
     if not isinstance(tree, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown = []
-    _walk_unknown(tree, _DEFAULTS, "", unknown)
-    for i, tgt in enumerate(tree.get("targets") or []):
-        if isinstance(tgt, dict):
-            for key in tgt:
-                if key not in _TARGET_KEYS:
-                    unknown.append(f"targets[{i}].{key}")
+    unknown, errors = [], []
+    _walk_schema(tree, _DEFAULTS, "", unknown, errors)
+    target_list = tree.get("targets", [])
+    if not isinstance(target_list, list):
+        errors.append(f"targets must be a list, got {target_list!r}")
+        target_list = []
+    for i, tgt in enumerate(target_list):
+        if not isinstance(tgt, dict):
+            errors.append(f"targets[{i}] must be a mapping, got {tgt!r}")
+            continue
+        for key in tgt:
+            if key not in _TARGET_FIELDS:
+                unknown.append(f"targets[{i}].{key}")
     if unknown:
-        raise ConfigError("unknown configuration keys: " + ", ".join(sorted(unknown)))
+        errors.insert(0, "unknown configuration keys: " + ", ".join(sorted(unknown)))
+    if errors:
+        raise ConfigError("; ".join(errors))
 
     full = _merge(_DEFAULTS, tree)
-    errors = []
 
     mode = full["mode"]
     _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}", errors)
@@ -209,7 +224,7 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
             name: type(_DEFAULTS["radar"][key])(full["radar"][key])
             for key, name in _RADAR_FIELDS.items()
         })
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"radar: {exc}") from None
 
     noise_power = float(full["noise_power"])
@@ -221,23 +236,28 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     _require(isinstance(steering, list) and len(steering) >= 1,
              "steering_deg must be a non-empty list", errors)
     if isinstance(steering, list):
-        for s in steering:
-            _require(abs(float(s)) <= SECTOR_HALF_WIDTH_DEG,
+        for i, s in enumerate(steering):
+            try:
+                angle = float(s)
+            except (TypeError, ValueError):
+                errors.append(f"steering_deg[{i}] must be a number, got {s!r}")
+                continue
+            _require(abs(angle) <= SECTOR_HALF_WIDTH_DEG,
                      f"steering angle {s} outside +/-{SECTOR_HALF_WIDTH_DEG} deg", errors)
 
     targets = []
     for i, tgt in enumerate(full["targets"]):
         try:
-            target = PointTarget(
-                range_m=float(tgt["range_m"]),
-                radial_velocity=float(tgt.get("radial_velocity_mps", 0.0)),
-                azimuth_deg=float(tgt["azimuth_deg"]),
-                snr_db=float(tgt["snr_db"]),
-            )
+            values = {key: float(tgt.get(key, 0.0) if key == "radial_velocity_mps" else tgt[key])
+                      for key in _TARGET_FIELDS}
+            nonfinite = [f"targets[{i}].{key}" for key, v in values.items() if not np.isfinite(v)]
+            if nonfinite:
+                errors.append(", ".join(nonfinite) + " must be finite")
+                continue
+            target = PointTarget(**{_TARGET_FIELDS[key]: v for key, v in values.items()})
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"targets[{i}]: {exc}")
             continue
-        _require(np.isfinite(target.snr_db), f"targets[{i}].snr_db must be finite", errors)
         _require(radar.r_min <= target.range_m <= radar.r_max,
                  f"targets[{i}] range {target.range_m} outside the receive window", errors)
         _require(abs(target.radial_velocity) <= radar.unambiguous_velocity,
@@ -247,18 +267,21 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
 
     jam_tree = full["jammer"]
     jammer = None
-    if jam_tree.get("active", False):
-        jammer = JammerSource(
-            azimuth_deg=float(jam_tree["azimuth_deg"]),
-            jnr_db=float(jam_tree["jnr_db"]),
-            active=True,
-        )
+    if jam_tree["active"]:
+        try:
+            jammer = JammerSource(
+                azimuth_deg=float(jam_tree["azimuth_deg"]),
+                jnr_db=float(jam_tree["jnr_db"]),
+                active=True,
+            )
+        except (TypeError, ValueError) as exc:
+            errors.append(f"jammer: {exc}")
     if mode in ("t2", "t3"):
-        _require(jammer is not None, f"mode {mode} requires jammer.active = true", errors)
+        _require(jam_tree["active"], f"mode {mode} requires jammer.active = true", errors)
     if mode in ("t1", "t4"):
-        _require(jammer is None, f"mode {mode} requires jammer.active = false", errors)
+        _require(not jam_tree["active"], f"mode {mode} requires jammer.active = false", errors)
     if mode in ("t1", "t3"):
-        _require(len(targets) >= 1, f"mode {mode} requires at least one target", errors)
+        _require(len(full["targets"]) >= 1, f"mode {mode} requires at least one target", errors)
 
     try:
         clutter = ClutterBand(
@@ -266,7 +289,7 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
             n_range_bins=int(full["clutter"]["n_range_bins"]),
             mean_power=float(full["clutter"]["mean_power"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         errors.append(f"clutter: {exc}")
         clutter = ClutterBand()
 

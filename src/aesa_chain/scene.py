@@ -8,6 +8,12 @@ receiver noise is IID complex Gaussian per channel and sample.  An optional
 clutter band adds slow-time-constant returns with exponentially distributed
 power over the first range bins of the receive window.
 
+Each point echo and clutter bin is accumulated only over the fast-time
+samples where its pulse envelope is non-zero.  Outside that support a dense
+add would contribute exactly zero, so for finite inputs (the scene
+dataclasses reject non-finite ones) the cube is bit-identical to adding every
+return over the whole cube.  Receiver noise is added into the cube in place.
+
 Randomness flows through counter-based Philox generators so that a
 (scenario, seed) pair is bit-reproducible.  Dwell ``d`` of a coherent
 sequence uses key ``seed + d``; a single dwell uses key ``seed``.
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, subarray_steering
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry, _check_angle, subarray_steering
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,9 @@ class PointTarget:
     snr_db: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.range_m, self.radial_velocity,
+                                   self.azimuth_deg, self.snr_db))):
+            raise ValueError("target range, velocity, azimuth and snr_db must be finite")
         if abs(self.azimuth_deg) > 22.5:
             raise ValueError("target azimuth outside the +/-22.5 deg sector")
 
@@ -139,8 +148,10 @@ class JammerSource:
     active: bool = True
 
     def __post_init__(self):
-        if self.active and not np.isfinite(self.jnr_db):
-            raise ValueError("active jammer requires a finite jnr_db")
+        if self.active:
+            if not np.isfinite(self.jnr_db):
+                raise ValueError("active jammer requires a finite jnr_db")
+            _check_angle("jammer azimuth", self.azimuth_deg)
 
 
 @dataclass(frozen=True)
@@ -156,8 +167,8 @@ class ClutterBand:
     mean_power: float = 100.0
 
     def __post_init__(self):
-        if self.enabled and (self.n_range_bins < 1 or self.mean_power <= 0.0):
-            raise ValueError("enabled clutter needs n_range_bins >= 1 and mean_power > 0")
+        if self.enabled and (self.n_range_bins < 1 or not 0.0 < self.mean_power < np.inf):
+            raise ValueError("enabled clutter needs n_range_bins >= 1 and a finite mean_power > 0")
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,10 @@ class RigidBodyTarget:
         )
         if len(self.scatterers) < 1:
             raise ValueError("rigid body needs at least one scatterer")
+        if not (np.all(np.isfinite((self.center_range_m, self.azimuth_deg, self.rotation_rate,
+                                    self.translational_velocity)))
+                and np.all(np.isfinite(self.scatterers))):
+            raise ValueError("rigid body motion, azimuth and scatterers must be finite")
         if abs(self.azimuth_deg) > 22.5:
             raise ValueError("body azimuth outside the +/-22.5 deg sector")
 
@@ -234,18 +249,26 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _complex_noise(rng: np.random.Generator, shape, power: float) -> np.ndarray:
-    """Circular complex Gaussian samples of variance ``power``.
+def _add_noise(rng: np.random.Generator, out: np.ndarray, power: float) -> None:
+    """Add circular complex Gaussian samples of variance ``power`` to ``out``.
 
-    One draw fills the real parts, then the imaginary parts, so the stream
-    matches two consecutive real draws of ``shape``.  The complex result is
-    built in place to hold one complex temporary, not three.
+    The real parts are drawn first, then the imaginary parts, so the stream
+    matches one ``standard_normal((2,) + out.shape)`` draw.  Each part is
+    scaled and added in place through one real buffer of ``out.shape``, with
+    the same roundings as adding the complex sample ``(z0 + j z1) * scale``.
     """
-    z = rng.standard_normal((2,) + tuple(shape))
-    w = 1j * z[1]
-    w += z[0]
-    w *= np.sqrt(power / 2.0)
-    return w
+    scale = np.sqrt(power / 2.0)
+    z = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=z)
+        z *= scale
+        part += z
+
+
+def _support(env: np.ndarray) -> slice:
+    """Fast-time slice holding every non-zero sample of a pulse envelope."""
+    nonzero = np.flatnonzero(env)
+    return slice(nonzero[0], nonzero[-1] + 1)
 
 
 def _channel_gain(geom: ArrayGeometry, azimuth_deg: float) -> float:
@@ -319,7 +342,8 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength) * t_slow)
         amp = target_amplitude(params, tgt.snr_db, noise_power, geom, tgt.azimuth_deg)
         sv = subarray_steering(geom, tgt.azimuth_deg)
-        cube += amp * sv[:, None, None] * env[None, :, None] * doppler[None, None, :]
+        on = _support(env)
+        cube[:, on, :] += amp * sv[:, None, None] * env[None, on, None] * doppler[None, None, :]
 
     rng = _rng(seed)
 
@@ -327,7 +351,8 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         sv = subarray_steering(geom, jammer.azimuth_deg)
         g = np.abs(sv[0])
         scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / g
-        wave = _complex_noise(rng, (n_fast, n_p), 1.0)
+        wave = np.zeros((n_fast, n_p), dtype=complex)
+        _add_noise(rng, wave, 1.0)
         cube += scale * sv[:, None, None] * wave[None, :, :]
 
     if clutter is not None and clutter.enabled:
@@ -342,10 +367,11 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
             amp /= np.abs(sv[0])
             tau = 2.0 * (params.r_min + b * params.range_bin_m) / SPEED_OF_LIGHT
             env = _pulse_envelope(params, t_fast - tau)
-            cube += amp * sv[:, None, None] * env[None, :, None]
+            on = _support(env)
+            cube[:, on, :] += amp * sv[:, None, None] * env[None, on, None]
 
     if noise:
-        cube += _complex_noise(rng, cube.shape, noise_power)
+        _add_noise(rng, cube, noise_power)
 
     return RawDatacube(values=cube, params=params, seed=int(seed))
 
@@ -395,6 +421,6 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             phase = np.exp(-1j * 4.0 * np.pi * ranges[i] / params.wavelength)
             cube += amp * sv[:, None, None] * (env * phase[None, :])[None, :, :]
         if noise:
-            cube += _complex_noise(_rng(seed + d), cube.shape, noise_power)
+            _add_noise(_rng(seed + d), cube, noise_power)
         dwells.append(RawDatacube(values=cube, params=params, seed=int(seed + d)))
     return dwells

@@ -163,3 +163,54 @@ def compress_oracle(params, channel, replica):
     for p in range(channel.shape[1]):
         out[:, p] = np.correlate(channel[:, p], replica, mode="valid")
     return out
+
+
+def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
+                       clutter=None, noise=True):
+    """``simulate_dwell`` as a dense accumulation over the whole cube.
+
+    Every echo and clutter bin is added at every fast-time sample, zeros
+    outside its pulse included, and the noise is built as the complex array
+    ``(z0 + j z1) * s`` before it is added.  The envelope, steering,
+    calibration and generator are the package's own, in the same order, so
+    the result must equal the simulator's byte for byte.
+    """
+    from aesa_chain.geometry import SPEED_OF_LIGHT, ArrayGeometry, subarray_steering
+    from aesa_chain.scene import _pulse_envelope, _rng, target_amplitude
+
+    geom = ArrayGeometry.demonstrator(params.wavelength)
+    shape = (geom.n_subarrays, params.n_fast, params.n_pulses)
+    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
+    t_slow = np.arange(params.n_pulses) / params.prf
+
+    def complex_noise(rng, shape, power):
+        z = rng.standard_normal((2,) + shape)
+        return (1j * z[1] + z[0]) * np.sqrt(power / 2.0)
+
+    cube = np.zeros(shape, dtype=complex)
+    for tgt in targets:
+        env = _pulse_envelope(params, t_fast - 2.0 * tgt.range_m / SPEED_OF_LIGHT)
+        doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength)
+                         * t_slow)
+        amp = target_amplitude(params, tgt.snr_db, noise_power, geom, tgt.azimuth_deg)
+        sv = subarray_steering(geom, tgt.azimuth_deg)
+        cube += amp * sv[:, None, None] * env[None, :, None] * doppler[None, None, :]
+    rng = _rng(seed)
+    if jammer is not None and jammer.active:
+        sv = subarray_steering(geom, jammer.azimuth_deg)
+        scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / np.abs(sv[0])
+        wave = complex_noise(rng, shape[1:], 1.0)
+        cube += scale * sv[:, None, None] * wave[None, :, :]
+    if clutter is not None and clutter.enabled:
+        amp_scale = np.sqrt(clutter.mean_power * noise_power / params.replica_length)
+        for b in range(min(clutter.n_range_bins, params.n_range_bins)):
+            az = float(rng.uniform(-22.5, 22.5))
+            amp = amp_scale * (rng.normal() + 1j * rng.normal()) * np.sqrt(0.5)
+            sv = subarray_steering(geom, az)
+            amp /= np.abs(sv[0])
+            tau = 2.0 * (params.r_min + b * params.range_bin_m) / SPEED_OF_LIGHT
+            env = _pulse_envelope(params, t_fast - tau)
+            cube += amp * sv[:, None, None] * env[None, :, None]
+    if noise:
+        cube += complex_noise(rng, shape, noise_power)
+    return cube

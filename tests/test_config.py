@@ -19,6 +19,23 @@ def t1_tree(**extra):
     return tree
 
 
+#: (tree, pattern its ConfigError must contain): nodes of the wrong type
+#: and non-finite scene values, which must not end in a traceback
+MALFORMED = [
+    (t1_tree(radar=5), "radar must be a mapping"),
+    (t1_tree(clutter="x"), "clutter must be a mapping"),
+    (t1_tree(processing=[1]), "processing must be a mapping"),
+    (t1_tree(targets=3), "targets must be a list"),
+    (t1_tree(targets=[3]), r"targets\[0\] must be a mapping"),
+    (t1_tree(steering_deg=["a"]), r"steering_deg\[0\]"),
+    (t1_tree(targets=[{"range_m": 5000.0, "azimuth_deg": float("nan"), "snr_db": 25.0}]),
+     r"targets\[0\].azimuth_deg"),
+    (t1_tree(clutter={"enabled": True, "mean_power": float("nan")}), "clutter:"),
+    ({"mode": "t2", "jammer": {"active": True, "azimuth_deg": float("nan")}}, "jammer:"),
+    ({"mode": "t4", "isar": {"body": {"azimuth_deg": float("nan")}}}, "isar.body:"),
+]
+
+
 def t3_tree(**extra):
     tree = {"mode": "t3",
             "jammer": {"active": True},
@@ -166,3 +183,6 @@ def test_numeric_bounds():
     nan_snr = [{"range_m": 5000.0, "azimuth_deg": 5.0, "snr_db": float("nan")}]
     with pytest.raises(ConfigError, match=r"targets\[0\].snr_db"):
         resolve_config(t1_tree(targets=nan_snr))
+    for tree, path in MALFORMED:
+        with pytest.raises(ConfigError, match=path):
+            resolve_config(tree)

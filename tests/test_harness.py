@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import yaml
 import aesa_chain
 from aesa_chain import load_config, read_grid, run_experiment, write_report
 from aesa_chain.cli import _steer_list, main
+
+from test_config import MALFORMED
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -115,6 +118,12 @@ def test_exit_codes(tmp_path, caplog):
     zero_train = small_t1(tmp_path, processing={"cfar_train": 0})
     assert main(["run", "--scenario", str(zero_train), "--out", str(tmp_path / "o")]) == 2
     assert "processing.cfar_train" in caplog.text
+    for i, (tree, path) in enumerate(MALFORMED):
+        scenario = tmp_path / f"malformed{i}.yaml"
+        scenario.write_text(yaml.safe_dump(tree))
+        caplog.clear()
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        assert re.search(path, caplog.text), path
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -175,7 +184,7 @@ def test_t2_without_adaptive_writes_conventional_maps_only(tmp_path):
 def test_outputs_independent_of_blas_thread_count(tmp_path):
     # one interpreter per thread setting: BLAS reads these only at load time
     script = ("import sys; from aesa_chain.cli import main\n"
-              "for name in ('t2', 't3', 't4'):\n"
+              "for name in ('t1', 't2', 't3', 't4'):\n"
               "    assert main(['run', '--scenario', f'{sys.argv[1]}/{name}.yaml',\n"
               "                 '--out', f'{sys.argv[2]}/{name}']) == 0\n")
     src = str(Path(aesa_chain.__file__).resolve().parent.parent)
@@ -186,7 +195,7 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR),
                         str(tmp_path / threads)],
                        env=env, check=True, capture_output=True, timeout=300)
-    for name in ("t2", "t3", "t4"):
+    for name in ("t1", "t2", "t3", "t4"):
         one, two = tmp_path / "1" / name, tmp_path / "2" / name
         names = sorted(p.name for p in one.iterdir())
         assert names == sorted(p.name for p in two.iterdir())

@@ -7,6 +7,7 @@ from aesa_chain import (ArrayGeometry, ClutterBand, JammerSource, PointTarget,
                         transmit_pulse)
 
 from helpers import compress_oracle as _compress
+from helpers import dense_dwell_oracle
 
 GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
@@ -112,6 +113,47 @@ def test_jammer_requires_finite_jnr():
     with pytest.raises(ValueError):
         JammerSource(azimuth_deg=0.0, jnr_db=np.inf)
     JammerSource(azimuth_deg=0.0, jnr_db=np.inf, active=False)  # inactive is fine
+
+
+def test_scene_inputs_must_be_finite():
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"range_m": nan}, {"radial_velocity": inf}, {"azimuth_deg": nan},
+                {"snr_db": -inf}):
+        fields = dict(range_m=1600.0, radial_velocity=0.0, azimuth_deg=0.0, snr_db=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            PointTarget(**{**fields, **bad})
+    for mean_power in (nan, inf):
+        with pytest.raises(ValueError, match="finite mean_power"):
+            ClutterBand(enabled=True, mean_power=mean_power)
+    with pytest.raises(ValueError, match="finite"):
+        RigidBodyTarget(center_range_m=1700.0, azimuth_deg=nan, rotation_rate=0.02,
+                        scatterers=[(0.0, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        RigidBodyTarget(center_range_m=1700.0, azimuth_deg=0.0, rotation_rate=0.02,
+                        scatterers=[(0.0, nan, 1.0)])
+    with pytest.raises(ValueError, match="jammer azimuth"):
+        JammerSource(azimuth_deg=nan, jnr_db=30.0)
+
+
+def test_simulate_dwell_matches_dense_oracle():
+    # echoes at both window edges: the last one is cut by the end of the window
+    edges = [PointTarget(range_m=SMALL.r_min, radial_velocity=2.0, azimuth_deg=-7.0, snr_db=12.0),
+             PointTarget(range_m=SMALL.r_max, radial_velocity=-3.0, azimuth_deg=9.0, snr_db=18.0)]
+    jam = JammerSource(azimuth_deg=21.4, jnr_db=30.0)
+    cases = [
+        {"targets": edges},
+        # more clutter bins than range bins: the band is cut to the window
+        {"clutter": ClutterBand(enabled=True, n_range_bins=SMALL.n_range_bins + 40,
+                                mean_power=50.0)},
+        {"targets": edges, "jammer": jam,
+         "clutter": ClutterBand(enabled=True, n_range_bins=30, mean_power=80.0)},
+    ]
+    for case in cases:
+        for noise in (True, False):
+            for seed in (3, 11):
+                got = simulate_dwell(SMALL, seed=seed, noise=noise, **case).values
+                want = dense_dwell_oracle(SMALL, seed=seed, noise=noise, **case)
+                assert got.tobytes() == want.tobytes(), (case, noise, seed)
 
 
 def test_clutter_band_statistics():
