@@ -64,6 +64,11 @@ def _box_around(row: int, col: int, half_widths) -> tuple:
     return (row - hr, row + hr + 1), (col - hc, col + hc + 1)
 
 
+def _snapshot_floor(n_ch: int, min_snapshots: int | None) -> int:
+    """Fewest snapshots for a sample covariance; by default 2 N_ch (Reed, Mallett, Brennan)."""
+    return 2 * n_ch if min_snapshots is None else int(min_snapshots)
+
+
 @dataclass
 class CovarianceEstimate:
     """Loaded sample covariance of the channel snapshots."""
@@ -113,7 +118,7 @@ def covariance_from_snapshots(snapshots: np.ndarray, loading_db: float = DEFAULT
     if x.ndim != 2:
         raise ValueError("snapshots must be a 2-D (channels, K) array")
     n_ch, k = x.shape
-    floor = 2 * n_ch if min_snapshots is None else int(min_snapshots)
+    floor = _snapshot_floor(n_ch, min_snapshots)
     if k < floor:
         raise EstimationError(
             f"{k} snapshots are too few for covariance estimation (need >= {floor})"

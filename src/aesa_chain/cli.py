@@ -5,7 +5,7 @@ runs the selected chain test, and writes the report artifacts into the output
 directory.
 
 Exit codes: 0 on success, 2 on a configuration problem, 3 on a numerical
-failure (ill-conditioned covariance and the like).
+failure (an ill-conditioned covariance, too few snapshots for an estimate).
 """
 
 import argparse
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import MODES, load_tree, resolve_config
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, EstimationError, NumericalError
 from .experiments import run_experiment, write_report
 from .version import __version__
 
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 2
-    except NumericalError as exc:
+    except (EstimationError, NumericalError) as exc:
         log.error("%s", exc)
         return 3
 

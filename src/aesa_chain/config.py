@@ -1,9 +1,12 @@
 """Experiment configuration: YAML schema, validation and hashing.
 
-Scenario files are a UTF-8 YAML key-value tree.  Unknown keys anywhere in
-the tree are rejected with their dotted paths, missing keys take defaults,
-and mode-specific consistency is enforced (t2/t3 require an active jammer,
-t1/t4 require none; t1/t3 need at least one target; t4 needs a rigid body).
+Scenario files are a UTF-8 YAML key-value tree described by one table,
+``_SCHEMA``: each leaf has a default, a converter and an optional rule.  One
+walk rejects unknown keys, sections that are not mappings, values that do not
+convert and broken rules by dotted path; missing keys take defaults.  The
+scene dataclasses then check their own values, and mode-specific consistency
+is enforced (t2/t3 require an active jammer, t1/t4 require none; t1/t3 need
+at least one target).
 The configuration hash is the SHA-256 of the canonical JSON rendering of the
 fully resolved tree, so reports can state exactly what produced them.
 """
@@ -11,13 +14,16 @@ fully resolved tree, so reports can state exactly what produced them.
 import copy
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .rdproc import WINDOWS
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
                     RigidBodyTarget)
 
@@ -26,78 +32,175 @@ MODES = ("t1", "t2", "t3", "t4")
 #: maximum steering / target azimuth magnitude, degrees
 SECTOR_HALF_WIDTH_DEG = 22.5
 
-#: scenario key under ``radar`` -> RadarParams field
-_RADAR_FIELDS = {
+#: scenario key -> scene dataclass field, where the two differ
+_FIELD_OF = {
     "wavelength_m": "wavelength",
     "bandwidth_hz": "bandwidth",
     "pulse_width_s": "pulse_width",
     "prf_hz": "prf",
-    "n_pulses": "n_pulses",
     "sample_rate_hz": "sample_rate",
     "r_min_m": "r_min",
     "r_max_m": "r_max",
+    "radial_velocity_mps": "radial_velocity",
+    "rotation_rate_rad_s": "rotation_rate",
+    "translational_velocity_mps": "translational_velocity",
 }
 
-_DEFAULTS = {
-    "mode": None,
-    "seed": 0,
-    "adaptive": True,
-    "steering_deg": [0.0],
-    "radar_heading_deg": 252.0,
-    "noise_power": 1.0,
-    "radar": {key: getattr(RadarParams(), name) for key, name in _RADAR_FIELDS.items()},
-    "targets": [],
+
+def _fail(path, need, value):
+    raise ValueError(f"{path} must be {need}, got {value!r}")
+
+
+# Converters: (raw value, dotted path) -> typed value, or a ValueError that
+# names the path.  Numbers may be given as strings ("2e-6"); booleans are not
+# numbers.  ``_real`` lets non-finite values through to the scene dataclasses,
+# which reject them in their own terms.
+
+def _real(value, path, need="a number"):
+    try:
+        if not isinstance(value, bool) and isinstance(value, (numbers.Real, str)):
+            return float(value)
+    except (OverflowError, ValueError):
+        pass
+    _fail(path, need, value)
+
+
+def _finite(value, path):
+    number = _real(value, path)
+    if not np.isfinite(number):
+        _fail(path, "finite", value)
+    return number
+
+
+def _int(value, path):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = _real(value, path, "an integer")
+    if not number.is_integer():
+        _fail(path, "an integer", value)
+    return int(number)
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        _fail(path, "true or false", value)
+    return value
+
+
+def _name(names, fold=str):
+    """Converter to one of ``names``, compared after ``fold``."""
+    def to_name(value, path):
+        if not isinstance(value, str) or fold(value) not in names:
+            _fail(path, f"one of {sorted(names)}", value)
+        return fold(value)
+    return to_name
+
+
+def _tuple_of(convert, length=None, need="a non-empty list"):
+    """Converter of a non-empty list, of ``length`` items if given, each taken by ``convert``."""
+    def to_tuple(value, path):
+        if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
+            _fail(path, need, value)
+        return tuple(convert(item, f"{path}[{i}]") for i, item in enumerate(value))
+    return to_tuple
+
+
+def _angles(value, path):
+    """One angle or a non-empty list of angles, degrees."""
+    return _tuple_of(_finite)(value if isinstance(value, (list, tuple)) else [value], path)
+
+
+def _path(value, path):
+    if not isinstance(value, (str, Path)):
+        _fail(path, "a path", value)
+    return Path(value)
+
+
+#: default of a leaf the scenario must give
+_REQUIRED = object()
+
+
+class _Leaf(NamedTuple):
+    default: object
+    convert: Callable
+    rule: tuple | None = None  # (predicate on the converted value, what it must be)
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
+_POSITIVE = (lambda v: v > 0.0, "be positive")
+_NON_NEGATIVE_PAIR = (lambda bins: min(bins) >= 0, "be non-negative")
+_PAIR = _tuple_of(_int, 2, "a [range, doppler] pair")
+
+#: The scenario format.  A dict is a section, a one-element list a list of
+#: such sections, a ``_Leaf`` a value.  A leaf whose default is None may be
+#: null; one whose default is ``_REQUIRED`` must be given.
+_SCHEMA = {
+    "mode": _Leaf(_REQUIRED, _name(MODES)),
+    # seed + dwell index keys a Philox generator, whose keys stay below 2**128
+    "seed": _Leaf(0, _int, (lambda s: 0 <= s < 2**64, "lie in [0, 2**64)")),
+    "adaptive": _Leaf(True, _bool),
+    "steering_deg": _Leaf([0.0], _angles, (
+        lambda angles: max(map(abs, angles)) <= SECTOR_HALF_WIDTH_DEG,
+        f"lie within +/-{SECTOR_HALF_WIDTH_DEG} deg")),
+    "radar_heading_deg": _Leaf(252.0, _finite),
+    "noise_power": _Leaf(1.0, _finite, _POSITIVE),
+    "radar": {key: _Leaf(getattr(RadarParams(), _FIELD_OF.get(key, key)),
+                         _int if key == "n_pulses" else _real)
+              for key in ("wavelength_m", "bandwidth_hz", "pulse_width_s", "prf_hz",
+                          "n_pulses", "sample_rate_hz", "r_min_m", "r_max_m")},
+    "targets": [{
+        "range_m": _Leaf(_REQUIRED, _finite),
+        "radial_velocity_mps": _Leaf(0.0, _finite),
+        "azimuth_deg": _Leaf(_REQUIRED, _finite),
+        "snr_db": _Leaf(_REQUIRED, _finite),
+    }],
     "jammer": {
-        "active": False,
-        "azimuth_deg": 21.4,
-        "jnr_db": 50.0,
+        "active": _Leaf(False, _bool),
+        "azimuth_deg": _Leaf(21.4, _real),
+        "jnr_db": _Leaf(50.0, _real),
     },
     "clutter": {
-        "enabled": False,
-        "n_range_bins": 12,
-        "mean_power": 100.0,
+        "enabled": _Leaf(False, _bool),
+        "n_range_bins": _Leaf(12, _int),
+        "mean_power": _Leaf(100.0, _real),
     },
     "processing": {
-        "window": "hann",
-        "doppler_oversample": 1,
-        "loading_db": 10.0,
-        "pfa": 1.0e-4,
-        "cfar_train": 16,
-        "cfar_guard": 2,
-        "detection_guard": 3,
-        "music_grid_step_deg": 0.05,
-        "music_window_bins": None,     # (range, doppler) half-widths
-        "music_guard_bins": None,
-        "music_sources": None,         # default by mode: t1 -> 1, t3 -> 2
-        "assoc_tolerance_m": 1000.0,
+        "window": _Leaf("hann", _name(WINDOWS, str.lower)),
+        "doppler_oversample": _Leaf(1, _int, _AT_LEAST_1),
+        "loading_db": _Leaf(10.0, _finite),
+        "pfa": _Leaf(1.0e-4, _finite, (lambda p: 0.0 < p < 1.0, "lie in (0, 1)")),
+        "cfar_train": _Leaf(16, _int, _AT_LEAST_1),
+        "cfar_guard": _Leaf(2, _int, _NON_NEGATIVE),
+        "detection_guard": _Leaf(3, _int, _NON_NEGATIVE),
+        "music_grid_step_deg": _Leaf(0.05, _finite, _POSITIVE),
+        "music_window_bins": _Leaf(None, _PAIR, _NON_NEGATIVE_PAIR),  # default by mode
+        "music_guard_bins": _Leaf(None, _PAIR, _NON_NEGATIVE_PAIR),
+        "music_sources": _Leaf(None, _int, (lambda n: 1 <= n <= 5, "lie in [1, 5]")),
+        "assoc_tolerance_m": _Leaf(1000.0, _finite, _NON_NEGATIVE),
     },
     "isar": {
-        "n_dwells": 16,
-        "window_halfwidth_bins": 24,
-        "autofocus_order": 3,
-        "autofocus_grid_points": 21,
-        "autofocus_phase_span_rad": 32.0 * np.pi,
-        "omega_for_scaling_rad_s": None,
-        "image_window": "hann",
+        "n_dwells": _Leaf(16, _int, _AT_LEAST_1),
+        "window_halfwidth_bins": _Leaf(24, _int, _NON_NEGATIVE),
+        "autofocus_order": _Leaf(3, _int, (lambda n: 2 <= n <= 4, "lie in [2, 4]")),
+        "autofocus_grid_points": _Leaf(21, _int, (lambda n: n >= 3 and n % 2 == 1,
+                                                  "be an odd integer >= 3")),
+        "autofocus_phase_span_rad": _Leaf(32.0 * np.pi, _finite, _POSITIVE),
+        "omega_for_scaling_rad_s": _Leaf(None, _finite, _POSITIVE),
+        "image_window": _Leaf("hann", _name(WINDOWS, str.lower)),
         "body": {
-            "center_range_m": 1700.0,
-            "azimuth_deg": 0.0,
-            "rotation_rate_rad_s": 0.02,
-            "translational_velocity_mps": 0.0,
-            "scatterers": [[0.0, 0.0, 1.0]],
+            "center_range_m": _Leaf(1700.0, _real),
+            "azimuth_deg": _Leaf(0.0, _real),
+            "rotation_rate_rad_s": _Leaf(0.02, _real, (lambda w: w != 0.0, "be nonzero")),
+            "translational_velocity_mps": _Leaf(0.0, _real),
+            "scatterers": _Leaf([[0.0, 0.0, 1.0]], _tuple_of(_tuple_of(
+                _real, 3, "a [down_range_m, cross_range_m, amplitude] triple"))),
         },
     },
-    "truth_tracks": None,
-    "out_dir": None,
+    "truth_tracks": _Leaf(None, _path),
+    "out_dir": _Leaf(None, _path),
 }
 
-#: scenario key under ``targets[i]`` -> PointTarget field
-_TARGET_FIELDS = {
-    "range_m": "range_m",
-    "radial_velocity_mps": "radial_velocity",
-    "azimuth_deg": "azimuth_deg",
-    "snr_db": "snr_db",
-}
 
 #: per-mode default MUSIC window half-widths (range, doppler)
 _MUSIC_WINDOW_BY_MODE = {"t1": (4, 4), "t3": (3, 3)}
@@ -105,7 +208,7 @@ _MUSIC_WINDOW_BY_MODE = {"t1": (4, 4), "t3": (3, 3)}
 
 @dataclass
 class ProcessingParams:
-    """Resolved ``processing`` section; defaults live in ``_DEFAULTS``."""
+    """Resolved ``processing`` section; defaults live in ``_SCHEMA``."""
 
     window: str
     doppler_oversample: int
@@ -123,7 +226,7 @@ class ProcessingParams:
 
 @dataclass
 class IsarParams:
-    """Resolved ``isar`` section; defaults live in ``_DEFAULTS``."""
+    """Resolved ``isar`` section; defaults live in ``_SCHEMA``."""
 
     body: RigidBodyTarget
     n_dwells: int
@@ -159,16 +262,57 @@ class ExperimentConfig:
         return config_hash(self.tree)
 
 
-def _walk_schema(tree, schema, prefix, unknown, errors):
-    """Collect unknown keys, and sections that are not mappings, by dotted path."""
-    for key, value in tree.items():
-        if key not in schema:
-            unknown.append(prefix + key)
-        elif isinstance(schema[key], dict):
-            if isinstance(value, dict):
-                _walk_schema(value, schema[key], prefix + key + ".", unknown, errors)
+def _walk(node, schema: dict, path: str, errors: list) -> dict | None:
+    """Converted values of one section, defaults filled in.
+
+    Unknown keys, sections that are not mappings, values that do not convert
+    and broken rules are appended to ``errors`` by dotted path.
+    """
+    if not isinstance(node, dict):
+        errors.append(f"{path} must be a mapping, got {node!r}")
+        return None
+    prefix = f"{path}." if path else ""
+    errors.extend(f"unknown configuration key {prefix}{key}" for key in node if key not in schema)
+    values = {}
+    for key, spec in schema.items():
+        where = prefix + key
+        if isinstance(spec, dict):
+            values[key] = _walk(node.get(key, {}), spec, where, errors)
+        elif isinstance(spec, list):
+            items = node.get(key, [])
+            if not isinstance(items, list):
+                errors.append(f"{where} must be a list, got {items!r}")
+                continue
+            values[key] = [_walk(item, spec[0], f"{where}[{i}]", errors)
+                           for i, item in enumerate(items)]
+        else:
+            value = node.get(key, spec.default)
+            if value is _REQUIRED:
+                errors.append(f"{where} is required")
+            elif value is None and spec.default is None:
+                values[key] = None
             else:
-                errors.append(f"{prefix}{key} must be a mapping, got {value!r}")
+                try:
+                    values[key] = value = spec.convert(value, where)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                    continue
+                if spec.rule is not None and not spec.rule[0](value):
+                    errors.append(f"{where} must {spec.rule[1]}")
+    return values
+
+
+#: what an empty tree converts to; ``mode`` has no default
+_DEFAULTS = _walk({}, _SCHEMA, "", [])
+
+
+def _build(section: str, cls, values: dict, errors: list):
+    """A scene dataclass from converted values; its own checks report as ``section: ...``."""
+    try:
+        return cls(**{_FIELD_OF.get(key, key): value for key, value in values.items()})
+    except ValueError as exc:
+        errors.append(f"{section}: {exc}")
+        return None
 
 
 def _merge(defaults, overrides):
@@ -181,213 +325,54 @@ def _merge(defaults, overrides):
     return out
 
 
-def _require(condition, message, errors):
-    if not condition:
-        errors.append(message)
-
-
 def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a raw configuration tree and build the typed config."""
     if not isinstance(tree, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown, errors = [], []
-    _walk_schema(tree, _DEFAULTS, "", unknown, errors)
-    target_list = tree.get("targets", [])
-    if not isinstance(target_list, list):
-        errors.append(f"targets must be a list, got {target_list!r}")
-        target_list = []
-    for i, tgt in enumerate(target_list):
-        if not isinstance(tgt, dict):
-            errors.append(f"targets[{i}] must be a mapping, got {tgt!r}")
-            continue
-        for key in tgt:
-            if key not in _TARGET_FIELDS:
-                unknown.append(f"targets[{i}].{key}")
-    if unknown:
-        errors.insert(0, "unknown configuration keys: " + ", ".join(sorted(unknown)))
+    errors = []
+    values = _walk(tree, _SCHEMA, "", errors)
     if errors:
         raise ConfigError("; ".join(errors))
 
-    full = _merge(_DEFAULTS, tree)
-
-    mode = full["mode"]
-    _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}", errors)
-    seed = full["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-             "seed must be a non-negative integer", errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
-
-    try:
-        # each value takes the type of its RadarParams default
-        radar = RadarParams(**{
-            name: type(_DEFAULTS["radar"][key])(full["radar"][key])
-            for key, name in _RADAR_FIELDS.items()
-        })
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"radar: {exc}") from None
-
-    noise_power = float(full["noise_power"])
-    _require(noise_power > 0.0, "noise_power must be positive", errors)
-
-    steering = full["steering_deg"]
-    if isinstance(steering, (int, float)):
-        steering = [steering]
-    _require(isinstance(steering, list) and len(steering) >= 1,
-             "steering_deg must be a non-empty list", errors)
-    if isinstance(steering, list):
-        for i, s in enumerate(steering):
-            try:
-                angle = float(s)
-            except (TypeError, ValueError):
-                errors.append(f"steering_deg[{i}] must be a number, got {s!r}")
-                continue
-            _require(abs(angle) <= SECTOR_HALF_WIDTH_DEG,
-                     f"steering angle {s} outside +/-{SECTOR_HALF_WIDTH_DEG} deg", errors)
-
-    targets = []
-    for i, tgt in enumerate(full["targets"]):
-        try:
-            values = {key: float(tgt.get(key, 0.0) if key == "radial_velocity_mps" else tgt[key])
-                      for key in _TARGET_FIELDS}
-            nonfinite = [f"targets[{i}].{key}" for key, v in values.items() if not np.isfinite(v)]
-            if nonfinite:
-                errors.append(", ".join(nonfinite) + " must be finite")
-                continue
-            target = PointTarget(**{_TARGET_FIELDS[key]: v for key, v in values.items()})
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"targets[{i}]: {exc}")
+    mode, jam, proc, isar = (values[key] for key in ("mode", "jammer", "processing", "isar"))
+    radar = _build("radar", RadarParams, values["radar"], errors)
+    targets = [_build(f"targets[{i}]", PointTarget, tgt, errors)
+               for i, tgt in enumerate(values["targets"])]
+    for i, target in enumerate(targets):
+        if radar is None or target is None:
             continue
-        _require(radar.r_min <= target.range_m <= radar.r_max,
-                 f"targets[{i}] range {target.range_m} outside the receive window", errors)
-        _require(abs(target.radial_velocity) <= radar.unambiguous_velocity,
-                 f"targets[{i}] velocity {target.radial_velocity} aliases "
-                 f"(|v| <= {radar.unambiguous_velocity:.3f} m/s)", errors)
-        targets.append(target)
-
-    jam_tree = full["jammer"]
-    jammer = None
-    if jam_tree["active"]:
-        try:
-            jammer = JammerSource(
-                azimuth_deg=float(jam_tree["azimuth_deg"]),
-                jnr_db=float(jam_tree["jnr_db"]),
-                active=True,
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"jammer: {exc}")
-    if mode in ("t2", "t3"):
-        _require(jam_tree["active"], f"mode {mode} requires jammer.active = true", errors)
-    if mode in ("t1", "t4"):
-        _require(not jam_tree["active"], f"mode {mode} requires jammer.active = false", errors)
-    if mode in ("t1", "t3"):
-        _require(len(full["targets"]) >= 1, f"mode {mode} requires at least one target", errors)
-
-    try:
-        clutter = ClutterBand(
-            enabled=bool(full["clutter"]["enabled"]),
-            n_range_bins=int(full["clutter"]["n_range_bins"]),
-            mean_power=float(full["clutter"]["mean_power"]),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"clutter: {exc}")
-        clutter = ClutterBand()
-
-    proc_tree = full["processing"]
-    music_window = proc_tree["music_window_bins"]
-    if music_window is None:
-        music_window = _MUSIC_WINDOW_BY_MODE.get(mode, (4, 4))
-    music_guard = proc_tree["music_guard_bins"]
-    processing = ProcessingParams(
-        window=str(proc_tree["window"]).lower(),
-        doppler_oversample=int(proc_tree["doppler_oversample"]),
-        loading_db=float(proc_tree["loading_db"]),
-        pfa=float(proc_tree["pfa"]),
-        cfar_train=int(proc_tree["cfar_train"]),
-        cfar_guard=int(proc_tree["cfar_guard"]),
-        detection_guard=int(proc_tree["detection_guard"]),
-        music_grid_step_deg=float(proc_tree["music_grid_step_deg"]),
-        music_window_bins=tuple(int(b) for b in music_window),
-        music_guard_bins=None if music_guard is None else tuple(int(b) for b in music_guard),
-        music_sources=None if proc_tree["music_sources"] is None else int(proc_tree["music_sources"]),
-        assoc_tolerance_m=float(proc_tree["assoc_tolerance_m"]),
-    )
-    _require(0.0 < processing.pfa < 1.0, "processing.pfa must lie in (0, 1)", errors)
-    _require(processing.doppler_oversample >= 1,
-             "processing.doppler_oversample must be >= 1", errors)
-    _require(processing.cfar_train >= 1, "processing.cfar_train must be >= 1", errors)
-    _require(processing.cfar_guard >= 0, "processing.cfar_guard must be >= 0", errors)
-    _require(all(b >= 0 for b in processing.music_window_bins),
-             "processing.music_window_bins must be non-negative", errors)
-    _require(processing.music_grid_step_deg > 0.0,
-             "processing.music_grid_step_deg must be positive", errors)
-    if processing.music_sources is not None:
-        _require(1 <= processing.music_sources <= 5,
-                 "processing.music_sources must lie in [1, 5]", errors)
-
-    isar_params = None
-    if mode == "t4":
-        isar_tree = full["isar"]
-        body_tree = isar_tree["body"]
-        try:
-            body = RigidBodyTarget(
-                center_range_m=float(body_tree["center_range_m"]),
-                azimuth_deg=float(body_tree["azimuth_deg"]),
-                rotation_rate=float(body_tree["rotation_rate_rad_s"]),
-                translational_velocity=float(body_tree["translational_velocity_mps"]),
-                scatterers=tuple(tuple(s) for s in body_tree["scatterers"]),
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"isar.body: {exc}")
-            body = None
-        if body is not None:
-            _require(body.rotation_rate != 0.0,
-                     "isar.body.rotation_rate_rad_s must be nonzero", errors)
-            order = int(isar_tree["autofocus_order"])
-            _require(2 <= order <= 4, "isar.autofocus_order must lie in [2, 4]", errors)
-            omega_scale = isar_tree["omega_for_scaling_rad_s"]
-            isar_params = IsarParams(
-                body=body,
-                n_dwells=int(isar_tree["n_dwells"]),
-                window_halfwidth_bins=int(isar_tree["window_halfwidth_bins"]),
-                autofocus_order=order,
-                autofocus_grid_points=int(isar_tree["autofocus_grid_points"]),
-                autofocus_phase_span_rad=float(isar_tree["autofocus_phase_span_rad"]),
-                omega_for_scaling_rad_s=None if omega_scale is None else float(omega_scale),
-                image_window=str(isar_tree["image_window"]).lower(),
-            )
-            _require(isar_params.n_dwells >= 1, "isar.n_dwells must be >= 1", errors)
-
-    truth = full["truth_tracks"]
-    truth_path = None
+        if not radar.r_min <= target.range_m <= radar.r_max:
+            errors.append(f"targets[{i}] range {target.range_m} outside the receive window")
+        if abs(target.radial_velocity) > radar.unambiguous_velocity:
+            errors.append(f"targets[{i}] velocity {target.radial_velocity} aliases "
+                          f"(|v| <= {radar.unambiguous_velocity:.3f} m/s)")
+    if mode in ("t2", "t3") and not jam["active"]:
+        errors.append(f"mode {mode} requires jammer.active = true")
+    if mode in ("t1", "t4") and jam["active"]:
+        errors.append(f"mode {mode} requires jammer.active = false")
+    if mode in ("t1", "t3") and not targets:
+        errors.append(f"mode {mode} requires at least one target")
+    if proc["music_window_bins"] is None:
+        proc["music_window_bins"] = _MUSIC_WINDOW_BY_MODE.get(mode, (4, 4))
+    body = _build("isar.body", RigidBodyTarget, isar.pop("body"), errors)
+    truth = values["truth_tracks"]
     if truth is not None:
-        truth_path = Path(truth)
-        if base_dir is not None and not truth_path.is_absolute():
-            truth_path = base_dir / truth_path
-        _require(truth_path.is_file(), f"truth_tracks file not found: {truth_path}", errors)
-
-    out_dir = Path(full["out_dir"]) if full["out_dir"] is not None else None
-
-    if errors:
-        raise ConfigError("; ".join(errors))
-
-    return ExperimentConfig(
-        mode=mode,
-        seed=int(seed),
-        adaptive=bool(full["adaptive"]),
-        steering_deg=tuple(float(s) for s in steering),
-        radar_heading_deg=float(full["radar_heading_deg"]),
-        noise_power=noise_power,
+        if base_dir is not None and not truth.is_absolute():
+            truth = base_dir / truth
+        if not truth.is_file():
+            errors.append(f"truth_tracks file not found: {truth}")
+    values.update(
         radar=radar,
         targets=tuple(targets),
-        jammer=jammer,
-        clutter=clutter,
-        processing=processing,
-        isar=isar_params,
-        truth_tracks=truth_path,
-        out_dir=out_dir,
-        tree=_canonical_tree(full),
+        jammer=_build("jammer", JammerSource, jam, errors) if jam["active"] else None,
+        clutter=_build("clutter", ClutterBand, values["clutter"], errors),
+        processing=ProcessingParams(**proc),
+        isar=IsarParams(body=body, **isar) if mode == "t4" else None,
+        truth_tracks=truth,
     )
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return ExperimentConfig(**values, tree=_canonical_tree(_merge(_DEFAULTS, tree)))
 
 
 def _canonical_tree(full: dict) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import CovarianceEstimate, _box_around, _set_box
+from .beamform import CovarianceEstimate, _box_around, _set_box, _snapshot_floor
 from .errors import ConfigError, EstimationError
 from .geometry import ArrayGeometry, subarray_steering_matrix
 from .rdproc import RDDatacube
@@ -139,7 +139,6 @@ def select_training_subset(rd: RDDatacube, detection: Detection,
     ``EstimationError`` when fewer than ``min_snapshots`` cells remain
     (default twice the channel count).
     """
-    n_ch = rd.values.shape[0]
     if int(window[0]) < 0 or int(window[1]) < 0:
         raise ValueError("window half-widths must be non-negative")
     cell = (detection.range_bin, detection.doppler_bin)
@@ -152,7 +151,7 @@ def select_training_subset(rd: RDDatacube, detection: Detection,
             raise ValueError("clutter mask shape does not match the RD map")
         mask &= ~clutter_mask
     snaps = rd.values[:, mask]
-    floor = 2 * n_ch if min_snapshots is None else int(min_snapshots)
+    floor = _snapshot_floor(rd.values.shape[0], min_snapshots)
     if snaps.shape[1] < floor:
         raise EstimationError(
             f"training subset has {snaps.shape[1]} snapshots, need >= {floor}"

@@ -51,6 +51,9 @@ class RadarParams:
     r_max: float = 23500.0          # m
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.wavelength, self.bandwidth, self.pulse_width, self.prf,
+                                   self.sample_rate, self.r_min, self.r_max))):
+            raise ValueError("waveform and receive window parameters must be finite")
         if min(self.wavelength, self.bandwidth, self.pulse_width, self.prf,
                self.sample_rate) <= 0.0:
             raise ValueError("waveform parameters must be positive")
@@ -65,6 +68,10 @@ class RadarParams:
                 "r_max exceeds the unambiguous range c / (2 prf) "
                 f"({SPEED_OF_LIGHT / (2.0 * self.prf):.1f} m)"
             )
+        # bounds both terms of n_fast, so that each rounds to an integer
+        if not np.isfinite(self.sample_rate * (self.pulse_width + 2.0 * self.r_max
+                                               / SPEED_OF_LIGHT)):
+            raise ValueError("the pulse or the receive window has too many samples")
         if self.replica_length < 2:
             raise ValueError("pulse_width too short for the sample rate")
 

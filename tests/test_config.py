@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from aesa_chain import (ConfigError, RadarParams, load_config, load_tree,
-                        resolve_config)
-from aesa_chain.config import config_hash, dump_config
+from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, load_config,
+                        load_tree, resolve_config)
+from aesa_chain.config import _REQUIRED, _SCHEMA, MODES, config_hash, dump_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,8 +21,9 @@ def t1_tree(**extra):
     return tree
 
 
-#: (tree, pattern its ConfigError must contain): nodes of the wrong type
-#: and non-finite scene values, which must not end in a traceback
+#: (tree, pattern its ConfigError must contain): nodes of the wrong type,
+#: values that break a rule and non-finite scene values, which must not end
+#: in a traceback
 MALFORMED = [
     (t1_tree(radar=5), "radar must be a mapping"),
     (t1_tree(clutter="x"), "clutter must be a mapping"),
@@ -33,6 +36,26 @@ MALFORMED = [
     (t1_tree(clutter={"enabled": True, "mean_power": float("nan")}), "clutter:"),
     ({"mode": "t2", "jammer": {"active": True, "azimuth_deg": float("nan")}}, "jammer:"),
     ({"mode": "t4", "isar": {"body": {"azimuth_deg": float("nan")}}}, "isar.body:"),
+    (t1_tree(processing={"pfa": "x"}), "processing.pfa"),
+    (t1_tree(noise_power=[1]), "noise_power"),
+    (t1_tree(isar={"n_dwells": "x"}), "isar.n_dwells"),
+    (t1_tree(radar_heading_deg="x"), "radar_heading_deg"),
+    (t1_tree(processing={"music_window_bins": 3}), "processing.music_window_bins"),
+    (t1_tree(truth_tracks=5), "truth_tracks"),
+    (t1_tree(out_dir=5), "out_dir"),
+    (t1_tree(radar={"pulse_width_s": float("inf")}), "radar:"),
+    (t1_tree(radar={"n_pulses": float("inf")}), "radar.n_pulses"),
+    (t1_tree(radar={"pulse_width_s": 1e300, "sample_rate_hz": 1e300}), "radar:"),
+    (t1_tree(adaptive="no"), "adaptive"),
+    ({"mode": "t2", "jammer": {"active": "no"}}, "jammer.active"),
+    ({"mode": "t4", "isar": {"autofocus_grid_points": 4}}, "isar.autofocus_grid_points"),
+    (t1_tree(processing={"music_window_bins": [1]}), "processing.music_window_bins"),
+    (t1_tree(processing={"window": "bogus"}), "processing.window"),
+    (t1_tree(seed=2.5), "seed"),
+    (t1_tree(seed=2**64), "seed"),
+    (t1_tree(clutter={"enabled": 1}), "clutter.enabled"),
+    (t1_tree(noise_power=True), "noise_power"),
+    ({"mode": "t1", "targets": [{"range_m": 5000.0}]}, r"targets\[0\].azimuth_deg"),
 ]
 
 
@@ -56,6 +79,13 @@ def test_minimal_tree_takes_defaults():
     assert cfg.processing.window == "hann" and cfg.processing.pfa == 1.0e-4
     assert cfg.targets[0].radial_velocity == 0.0
     assert cfg.isar is None and cfg.truth_tracks is None and cfg.out_dir is None
+
+
+def test_leaf_conversions():
+    cfg = resolve_config(t1_tree(radar={"pulse_width_s": "2e-6", "n_pulses": 128.0},
+                                 processing={"window": "Hamming", "music_guard_bins": [1, 1]}))
+    assert cfg.radar == RadarParams() and isinstance(cfg.radar.n_pulses, int)
+    assert cfg.processing.window == "hamming" and cfg.processing.music_guard_bins == (1, 1)
 
 
 def test_music_window_defaults_by_mode():
@@ -186,3 +216,44 @@ def test_numeric_bounds():
     for tree, path in MALFORMED:
         with pytest.raises(ConfigError, match=path):
             resolve_config(tree)
+
+
+#: any YAML-like value: scalars, lists and mappings
+ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+#: values at the edges of the leaf kinds
+EDGES = st.sampled_from([0, -1, 2.5, 10**400, float("nan"), float("inf"), "2e-6", "x", "",
+                         None, True, [], [1], [1, 1], [[1, 2, 3]], {}])
+
+
+def trees(spec):
+    """Trees over the schema's keys; about one node in five is an edge or arbitrary value."""
+    if isinstance(spec, dict):
+        required = {key for key, sub in spec.items() if getattr(sub, "default", None) is _REQUIRED}
+        good = st.fixed_dictionaries(
+            {key: trees(spec[key]) for key in required},
+            optional={key: trees(sub) for key, sub in spec.items() if key not in required})
+    elif isinstance(spec, list):
+        good = st.lists(trees(spec[0]), max_size=2)
+    elif spec is _SCHEMA["mode"]:
+        good = st.sampled_from(MODES)
+    elif spec.default is _REQUIRED:  # a target field
+        good = st.sampled_from((5.0, 5000.0))
+    elif isinstance(spec.default, bool):
+        good = st.booleans()
+    else:
+        good = st.just(spec.default)
+    return st.integers(0, 9).flatmap(lambda i: (ANY, EDGES)[i] if i < 2 else good)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees(_SCHEMA))
+def test_resolve_config_is_total(tree):
+    try:
+        assert isinstance(resolve_config(tree), ExperimentConfig)
+    except ConfigError:
+        pass

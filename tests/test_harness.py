@@ -135,6 +135,9 @@ def test_numerical_failure_exit_code(tmp_path):
     }))
     assert main(["run", "--scenario", str(scenario),
                  "--out", str(tmp_path / "o")]) == 3
+    # 9 cells around the detection, fewer than twice the 6 channels
+    few_cells = small_t1(tmp_path, processing={"music_window_bins": [1, 1]})
+    assert main(["run", "--scenario", str(few_cells), "--out", str(tmp_path / "o")]) == 3
 
 
 def test_dump_geometry_and_emit_raw(tmp_path):

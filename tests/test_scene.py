@@ -39,6 +39,10 @@ def test_radar_params_validation():
         RadarParams(r_min=-1.0)
     with pytest.raises(ValueError):
         RadarParams(n_pulses=1)
+    with pytest.raises(ValueError, match="finite"):
+        RadarParams(pulse_width=np.inf)
+    with pytest.raises(ValueError, match="too many samples"):
+        RadarParams(pulse_width=1e300, sample_rate=1e300)
 
 
 def test_bin_helpers():
