@@ -354,7 +354,12 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         errors.append(f"mode {mode} requires at least one target")
     if proc["music_window_bins"] is None:
         proc["music_window_bins"] = _MUSIC_WINDOW_BY_MODE.get(mode, (4, 4))
-    body = _build("isar.body", RigidBodyTarget, isar.pop("body"), errors)
+    body = isar.pop("body")
+    if (mode == "t4" and body["rotation_rate_rad_s"] < 0.0
+            and isar["omega_for_scaling_rad_s"] is None):
+        errors.append("isar.body.rotation_rate_rad_s must be positive when "
+                      "isar.omega_for_scaling_rad_s does not set the cross-range scale")
+    body = _build("isar.body", RigidBodyTarget, body, errors)
     truth = values["truth_tracks"]
     if truth is not None:
         if base_dir is not None and not truth.is_absolute():

@@ -153,10 +153,7 @@ def subarray_steering(geom: ArrayGeometry, azimuth_deg: float, elevation_deg: fl
     Entries are the element steering entries of each subarray averaged with a
     1/elements_per_subarray factor, so the broadside vector is all ones.
     """
-    az = _check_angle("azimuth", azimuth_deg)
-    el = _check_angle("elevation", elevation_deg)
-    elem = np.exp(1j * _element_phases(geom, az, el))
-    return (geom._aggregation @ elem)[:, 0]
+    return subarray_steering_matrix(geom, [azimuth_deg], elevation_deg)[:, 0]
 
 
 def subarray_steering_matrix(geom: ArrayGeometry, azimuth_grid_deg, elevation_deg: float = 0.0) -> np.ndarray:
@@ -164,8 +161,9 @@ def subarray_steering_matrix(geom: ArrayGeometry, azimuth_grid_deg, elevation_de
     grid = np.asarray(azimuth_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("azimuth grid must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(grid)) or np.any(np.abs(grid) >= 90.0):
-        raise ValueError("azimuth grid entries must satisfy |angle| < 90 deg")
+    bad = grid[~(np.abs(grid) < 90.0)]  # NaN included
+    if bad.size:
+        raise ValueError(f"azimuth must satisfy |angle| < 90 deg, got {bad[0]}")
     el = _check_angle("elevation", elevation_deg)
     elem = np.exp(1j * _element_phases(geom, np.deg2rad(grid), el))
     return geom._aggregation @ elem

@@ -10,7 +10,7 @@ rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -21,6 +21,10 @@ from .rdproc import _window_samples
 
 #: slow-time samples below which imaging quality degrades noticeably
 MIN_IMAGING_SAMPLES = 64
+
+#: autofocus simplex stop: contrast tolerance relative to the grid best, iteration cap
+SIMPLEX_REL_TOL = 1.0e-3
+SIMPLEX_MAX_ITERATIONS = 400
 
 
 @dataclass
@@ -153,10 +157,7 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
     freqs = np.fft.fftfreq(n_bins)
     ramp = np.exp(2j * np.pi * freqs[None, :] * smooth[:, None])
     aligned = np.fft.ifft(np.fft.fft(x, axis=1) * ramp, axis=1)
-    out = RangeProfileHistory(values=aligned, prf=history.prf,
-                              range_axis=history.range_axis.copy(),
-                              wavelength=history.wavelength)
-    return out, smooth
+    return replace(history, values=aligned, range_axis=history.range_axis.copy()), smooth
 
 
 def image_contrast(magnitude: np.ndarray) -> float:
@@ -207,8 +208,6 @@ class AutofocusSearch:
 
     grid_points: int = 21
     phase_span_rad: float = 32.0 * np.pi  # max |c_n| * (T/2)^n on the grid
-    rel_tol: float = 1.0e-3
-    max_iterations: int = 400
 
     def __post_init__(self):
         if self.grid_points < 3 or self.grid_points % 2 == 0:
@@ -282,8 +281,8 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3,
         method="Nelder-Mead",
         options={
             "xatol": float(np.min(steps)) * 1e-3,
-            "fatol": search.rel_tol * max(best_contrast, 1e-12),
-            "maxiter": search.max_iterations,
+            "fatol": SIMPLEX_REL_TOL * max(best_contrast, 1e-12),
+            "maxiter": SIMPLEX_MAX_ITERATIONS,
             "initial_simplex": simplex,
         },
     )
@@ -297,12 +296,9 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3,
         best_contrast = contrast0
     poly = PhasePolynomial(coefficients=tuple(best))
     focused = history.values * np.exp(-1j * poly.phase(t))[:, None]
-    out = RangeProfileHistory(values=focused, prf=history.prf,
-                              range_axis=history.range_axis.copy(),
-                              wavelength=history.wavelength)
     return AutofocusResult(
         polynomial=poly,
-        history=out,
+        history=replace(history, values=focused, range_axis=history.range_axis.copy()),
         contrast_before=float(contrast0),
         contrast_after=float(best_contrast),
         improved=bool(improved),
@@ -351,12 +347,4 @@ def cross_range_scale(image: IsarImage, rotation_rate: float) -> IsarImage:
     if rotation_rate <= 0.0:
         raise ValueError("rotation_rate must be positive for cross-range scaling")
     cross = image.doppler_axis_hz * image.wavelength / (2.0 * rotation_rate)
-    return IsarImage(
-        magnitude=image.magnitude,
-        range_axis=image.range_axis,
-        doppler_axis_hz=image.doppler_axis_hz,
-        wavelength=image.wavelength,
-        contrast=image.contrast,
-        cross_range_axis_m=cross,
-        rotation_rate=float(rotation_rate),
-    )
+    return replace(image, cross_range_axis_m=cross, rotation_rate=float(rotation_rate))

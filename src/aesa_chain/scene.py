@@ -8,11 +8,11 @@ receiver noise is IID complex Gaussian per channel and sample.  An optional
 clutter band adds slow-time-constant returns with exponentially distributed
 power over the first range bins of the receive window.
 
-Each point echo and clutter bin is accumulated only over the fast-time
-samples where its pulse envelope is non-zero.  Outside that support a dense
-add would contribute exactly zero, so for finite inputs (the scene
-dataclasses reject non-finite ones) the cube is bit-identical to adding every
-return over the whole cube.  Receiver noise is added into the cube in place.
+Every echo (point target, clutter bin or rigid-body scatterer) is added by
+``_add_echo`` only over the fast-time rows where its envelope is non-zero.
+A dense add would contribute exactly zero outside them, so for finite inputs
+(the scene dataclasses reject non-finite ones) the cube is bit-identical to
+adding every return over the whole cube.  Noise is added in place.
 
 Randomness flows through counter-based Philox generators so that a
 (scenario, seed) pair is bit-reproducible.  Dwell ``d`` of a coherent
@@ -212,12 +212,9 @@ class RigidBodyTarget:
     def scatterer_range(self, t) -> np.ndarray:
         """(n_scatterers, n_times) instantaneous ranges."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((len(self.scatterers), t.size))
-        for i, (down, cross, _amp) in enumerate(self.scatterers):
-            out[i] = (self.center_range_m + self.translational_velocity * t
-                      + down * np.cos(self.rotation_rate * t)
-                      - cross * np.sin(self.rotation_rate * t))
-        return out
+        down, cross, _amp = np.array(self.scatterers).T[:, :, None]
+        return (self.center_range_m + self.translational_velocity * t
+                + down * np.cos(self.rotation_rate * t) - cross * np.sin(self.rotation_rate * t))
 
 
 @dataclass
@@ -235,10 +232,7 @@ class RawDatacube:
 
 def transmit_pulse(params: RadarParams) -> np.ndarray:
     """Baseband samples of the linear-FM transmit pulse."""
-    m = params.replica_length
-    t = np.arange(m) / params.sample_rate
-    chirp_rate = params.bandwidth / params.pulse_width
-    return np.exp(1j * np.pi * chirp_rate * (t - params.pulse_width / 2.0) ** 2)
+    return _pulse_envelope(params, np.arange(params.replica_length) / params.sample_rate)
 
 
 def _pulse_envelope(params: RadarParams, t: np.ndarray) -> np.ndarray:
@@ -272,15 +266,25 @@ def _add_noise(rng: np.random.Generator, out: np.ndarray, power: float) -> None:
         part += z
 
 
-def _support(env: np.ndarray) -> slice:
-    """Fast-time slice holding every non-zero sample of a pulse envelope."""
-    nonzero = np.flatnonzero(env)
-    return slice(nonzero[0], nonzero[-1] + 1)
+def _add_echo(cube: np.ndarray, gain: np.ndarray, env: np.ndarray,
+              slow: np.ndarray | None = None) -> None:
+    """Add the echo ``gain[ch] * env[fast, pulse] * slow[pulse]`` to ``cube``.
+
+    The product is taken left to right; ``env`` is ``(n_fast, 1)`` or
+    ``(n_fast, n_pulses)`` and ``slow`` is optional.  Only the rows from the
+    first to the last non-zero row of ``env`` are touched.
+    """
+    rows = np.flatnonzero(env.any(axis=1))
+    on = slice(rows[0], rows[-1] + 1)
+    echo = gain[:, None, None] * env[None, on]
+    if slow is not None:
+        echo = echo * slow
+    cube[:, on, :] += echo
 
 
-def _channel_gain(geom: ArrayGeometry, azimuth_deg: float) -> float:
-    """Common modulus of the subarray steering entries at one azimuth."""
-    return float(np.abs(subarray_steering(geom, azimuth_deg)[0]))
+def _channel_gain(sv: np.ndarray) -> float:
+    """Common modulus of the entries of a subarray steering vector."""
+    return float(np.abs(sv[0]))
 
 
 def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
@@ -294,7 +298,7 @@ def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
     """
     n = params.n_pulses if n_coherent is None else n_coherent
     gain = params.replica_length * n
-    g = _channel_gain(geom, azimuth_deg)
+    g = _channel_gain(subarray_steering(geom, azimuth_deg))
     return float(np.sqrt(10.0 ** (snr_db / 10.0) * noise_power / gain) / g)
 
 
@@ -330,13 +334,10 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
     geom = geometry or ArrayGeometry.demonstrator(params.wavelength)
-    n_ch = geom.n_subarrays
-    n_fast = params.n_fast
-    n_p = params.n_pulses
-    t_fast = params.tau_min + np.arange(n_fast) / params.sample_rate
-    t_slow = np.arange(n_p) / params.prf
+    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
+    t_slow = np.arange(params.n_pulses) / params.prf
 
-    cube = np.zeros((n_ch, n_fast, n_p), dtype=complex)
+    cube = np.zeros((geom.n_subarrays, params.n_fast, params.n_pulses), dtype=complex)
 
     for tgt in targets:
         if not (params.r_min <= tgt.range_m <= params.r_max):
@@ -349,16 +350,14 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength) * t_slow)
         amp = target_amplitude(params, tgt.snr_db, noise_power, geom, tgt.azimuth_deg)
         sv = subarray_steering(geom, tgt.azimuth_deg)
-        on = _support(env)
-        cube[:, on, :] += amp * sv[:, None, None] * env[None, on, None] * doppler[None, None, :]
+        _add_echo(cube, amp * sv, env[:, None], doppler)
 
     rng = _rng(seed)
 
     if jammer is not None and jammer.active:
         sv = subarray_steering(geom, jammer.azimuth_deg)
-        g = np.abs(sv[0])
-        scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / g
-        wave = np.zeros((n_fast, n_p), dtype=complex)
+        scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / _channel_gain(sv)
+        wave = np.zeros(cube.shape[1:], dtype=complex)
         _add_noise(rng, wave, 1.0)
         cube += scale * sv[:, None, None] * wave[None, :, :]
 
@@ -371,11 +370,10 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
             az = float(rng.uniform(-22.5, 22.5))
             amp = amp_scale * (rng.normal() + 1j * rng.normal()) * np.sqrt(0.5)
             sv = subarray_steering(geom, az)
-            amp /= np.abs(sv[0])
+            amp /= _channel_gain(sv)
             tau = 2.0 * (params.r_min + b * params.range_bin_m) / SPEED_OF_LIGHT
             env = _pulse_envelope(params, t_fast - tau)
-            on = _support(env)
-            cube[:, on, :] += amp * sv[:, None, None] * env[None, on, None]
+            _add_echo(cube, amp * sv, env[:, None])
 
     if noise:
         _add_noise(rng, cube, noise_power)
@@ -409,24 +407,20 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             stacklevel=2,
         )
     geom = geometry or ArrayGeometry.demonstrator(params.wavelength)
-    n_ch = geom.n_subarrays
-    n_fast = params.n_fast
-    n_p = params.n_pulses
-    t_fast = params.tau_min + np.arange(n_fast) / params.sample_rate
+    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     sv = subarray_steering(geom, body.azimuth_deg)
 
     dwells = []
     for d in range(n_dwells):
-        t_slow = (d * n_p + np.arange(n_p)) / params.prf
-        ranges = body.scatterer_range(t_slow)  # (n_scat, n_p)
+        t_slow = (d * params.n_pulses + np.arange(params.n_pulses)) / params.prf
+        ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
         if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
             raise ValueError("rigid body leaves the receive window during the sequence")
-        cube = np.zeros((n_ch, n_fast, n_p), dtype=complex)
-        for i, (_down, _cross, amp) in enumerate(body.scatterers):
-            tau = 2.0 * ranges[i] / SPEED_OF_LIGHT  # (n_p,)
-            env = _pulse_envelope(params, t_fast[:, None] - tau[None, :])
-            phase = np.exp(-1j * 4.0 * np.pi * ranges[i] / params.wavelength)
-            cube += amp * sv[:, None, None] * (env * phase[None, :])[None, :, :]
+        cube = np.zeros((geom.n_subarrays, params.n_fast, params.n_pulses), dtype=complex)
+        for (_down, _cross, amp), r in zip(body.scatterers, ranges):
+            env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)
+            phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)
+            _add_echo(cube, amp * sv, env * phase[None, :])
         if noise:
             _add_noise(_rng(seed + d), cube, noise_power)
         dwells.append(RawDatacube(values=cube, params=params, seed=int(seed + d)))

@@ -165,6 +165,12 @@ def compress_oracle(params, channel, replica):
     return out
 
 
+def _complex_noise(rng, shape, power):
+    """Circular complex Gaussian samples built as the array ``(z0 + j z1) * s``."""
+    z = rng.standard_normal((2,) + shape)
+    return (1j * z[1] + z[0]) * np.sqrt(power / 2.0)
+
+
 def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
                        clutter=None, noise=True):
     """``simulate_dwell`` as a dense accumulation over the whole cube.
@@ -183,10 +189,6 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     t_slow = np.arange(params.n_pulses) / params.prf
 
-    def complex_noise(rng, shape, power):
-        z = rng.standard_normal((2,) + shape)
-        return (1j * z[1] + z[0]) * np.sqrt(power / 2.0)
-
     cube = np.zeros(shape, dtype=complex)
     for tgt in targets:
         env = _pulse_envelope(params, t_fast - 2.0 * tgt.range_m / SPEED_OF_LIGHT)
@@ -199,7 +201,7 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
     if jammer is not None and jammer.active:
         sv = subarray_steering(geom, jammer.azimuth_deg)
         scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / np.abs(sv[0])
-        wave = complex_noise(rng, shape[1:], 1.0)
+        wave = _complex_noise(rng, shape[1:], 1.0)
         cube += scale * sv[:, None, None] * wave[None, :, :]
     if clutter is not None and clutter.enabled:
         amp_scale = np.sqrt(clutter.mean_power * noise_power / params.replica_length)
@@ -212,5 +214,36 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
             env = _pulse_envelope(params, t_fast - tau)
             cube += amp * sv[:, None, None] * env[None, :, None]
     if noise:
-        cube += complex_noise(rng, shape, noise_power)
+        cube += _complex_noise(rng, shape, noise_power)
     return cube
+
+
+def dense_isar_oracle(params, body, n_dwells, seed=0, noise_power=1.0, noise=True):
+    """``simulate_isar_sequence`` as a dense accumulation over each dwell cube.
+
+    Every scatterer is added at every fast-time sample of every pulse, zeros
+    outside its pulse included, and dwell ``d`` adds the complex noise array
+    drawn from key ``seed + d``.  The envelope, steering and generator are
+    the package's own, in the same order, so the result must equal the
+    simulator's byte for byte.
+    """
+    from aesa_chain.geometry import SPEED_OF_LIGHT, ArrayGeometry, subarray_steering
+    from aesa_chain.scene import _pulse_envelope, _rng
+
+    geom = ArrayGeometry.demonstrator(params.wavelength)
+    shape = (geom.n_subarrays, params.n_fast, params.n_pulses)
+    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
+    sv = subarray_steering(geom, body.azimuth_deg)
+    cubes = []
+    for d in range(n_dwells):
+        ranges = body.scatterer_range((d * params.n_pulses + np.arange(params.n_pulses))
+                                      / params.prf)
+        cube = np.zeros(shape, dtype=complex)
+        for (_down, _cross, amp), r in zip(body.scatterers, ranges):
+            env = _pulse_envelope(params, t_fast[:, None] - (2.0 * r / SPEED_OF_LIGHT)[None, :])
+            phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)
+            cube += amp * sv[:, None, None] * (env * phase[None, :])[None, :, :]
+        if noise:
+            cube += _complex_noise(_rng(seed + d), shape, noise_power)
+        cubes.append(cube)
+    return cubes

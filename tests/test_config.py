@@ -36,6 +36,8 @@ MALFORMED = [
     (t1_tree(clutter={"enabled": True, "mean_power": float("nan")}), "clutter:"),
     ({"mode": "t2", "jammer": {"active": True, "azimuth_deg": float("nan")}}, "jammer:"),
     ({"mode": "t4", "isar": {"body": {"azimuth_deg": float("nan")}}}, "isar.body:"),
+    ({"mode": "t4", "isar": {"body": {"rotation_rate_rad_s": -0.02}}},
+     "isar.body.rotation_rate_rad_s"),
     (t1_tree(processing={"pfa": "x"}), "processing.pfa"),
     (t1_tree(noise_power=[1]), "noise_power"),
     (t1_tree(isar={"n_dwells": "x"}), "isar.n_dwells"),
@@ -146,6 +148,8 @@ def test_isar_body_validation():
     cfg = resolve_config({**base, "isar": {"omega_for_scaling_rad_s": 0.025}})
     assert cfg.isar.omega_for_scaling_rad_s == 0.025
     assert cfg.isar.body.center_range_m == 1700.0
+    spun = {"body": {"rotation_rate_rad_s": -0.02}, "omega_for_scaling_rad_s": 0.02}
+    assert resolve_config({**base, "isar": spun}).isar.body.rotation_rate == -0.02
 
 
 def test_truth_tracks_resolved_against_base_dir(tmp_path):

@@ -82,8 +82,9 @@ def test_subarray_steering_matrix_consistent():
 def test_steering_rejects_endfire():
     with pytest.raises(ValueError):
         element_steering(GEOM, 90.0)
-    with pytest.raises(ValueError):
-        subarray_steering(GEOM, -95.0)
+    for az in (-95.0, np.nan):
+        with pytest.raises(ValueError, match="azimuth"):
+            subarray_steering(GEOM, az)
 
 
 def test_beampattern_matches_brute_force():

@@ -7,7 +7,7 @@ from aesa_chain import (ArrayGeometry, ClutterBand, JammerSource, PointTarget,
                         transmit_pulse)
 
 from helpers import compress_oracle as _compress
-from helpers import dense_dwell_oracle
+from helpers import dense_dwell_oracle, dense_isar_oracle
 
 GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
@@ -210,6 +210,27 @@ def test_isar_echo_phase_tracks_range():
     expected = -4 * np.pi * 0.3 / (SMALL.wavelength * SMALL.prf)
     expected = (expected + np.pi) % (2 * np.pi) - np.pi
     np.testing.assert_allclose(step, expected, atol=1e-6)
+
+
+def test_simulate_isar_sequence_matches_dense_oracle():
+    scatterers = [(0.0, 0.0, 1.0), (4.8, 3.0, 0.8), (-7.2, -2.25, 0.6)]
+    bodies = [
+        # range walks about two bins within each dwell
+        RigidBodyTarget(center_range_m=1800.0, azimuth_deg=-7.0, rotation_rate=0.05,
+                        translational_velocity=-150.0, scatterers=scatterers),
+        # a scatterer starts at exactly r_min, and one at exactly r_max
+        RigidBodyTarget(center_range_m=1510.0, azimuth_deg=3.0, rotation_rate=0.02,
+                        scatterers=[(-10.0, 0.0, 1.0), (2.0, 1.5, 0.5)]),
+        RigidBodyTarget(center_range_m=2090.0, azimuth_deg=0.0, rotation_rate=-0.02,
+                        translational_velocity=-1.0, scatterers=[(10.0, 0.0, 1.0)]),
+    ]
+    for body in bodies:
+        for noise in (True, False):
+            for seed in (3, 11):
+                got = simulate_isar_sequence(SMALL, body, 3, seed=seed, noise=noise)
+                want = dense_isar_oracle(SMALL, body, 3, seed=seed, noise=noise)
+                for d, (dwell, cube) in enumerate(zip(got, want)):
+                    assert dwell.values.tobytes() == cube.tobytes(), (body, noise, seed, d)
 
 
 def test_isar_per_dwell_seeding():
