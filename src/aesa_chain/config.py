@@ -181,7 +181,8 @@ _SCHEMA = {
     },
     "isar": {
         "n_dwells": _Leaf(16, _int, _AT_LEAST_1),
-        "window_halfwidth_bins": _Leaf(24, _int, _NON_NEGATIVE),
+        # the range axis of the image history needs two bins at least
+        "window_halfwidth_bins": _Leaf(24, _int, _AT_LEAST_1),
         "autofocus_order": _Leaf(3, _int, (lambda n: 2 <= n <= 4, "lie in [2, 4]")),
         "autofocus_grid_points": _Leaf(21, _int, (lambda n: n >= 3 and n % 2 == 1,
                                                   "be an odd integer >= 3")),
@@ -352,6 +353,12 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         errors.append(f"mode {mode} requires jammer.active = false")
     if mode in ("t1", "t3") and not targets:
         errors.append(f"mode {mode} requires at least one target")
+    # t4 falls back to the strongest range bin when the CFAR window does not fit
+    cfar_cells = 2 * (proc["cfar_train"] + proc["cfar_guard"]) + 1
+    if mode != "t4" and radar is not None and cfar_cells > radar.n_range_bins:
+        errors.append(f"processing.cfar_train: a CFAR window of {cfar_cells} range cells "
+                      f"(2*(cfar_train+cfar_guard)+1) exceeds the {radar.n_range_bins} "
+                      f"range bins of the receive window")
     if proc["music_window_bins"] is None:
         proc["music_window_bins"] = _MUSIC_WINDOW_BY_MODE.get(mode, (4, 4))
     body = isar.pop("body")

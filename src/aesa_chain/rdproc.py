@@ -7,11 +7,20 @@ unitary DFT with the window rescaled to unit mean-square.  A bin-centred
 return therefore integrates to a power gain of ``replica_length * n_pulses``
 with the rectangular window, while the noise floor stays at the raw
 per-channel noise power for every supported window.
+
+Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
+``n_fast`` itself, whose prime factors can be large (the full swath has
+9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
+kept lags ``0..n_fast - replica_length`` stay free of wrap-around.  ``rd_map``
+streams the dwell one channel at a time through both stages into one
+preallocated range-Doppler cube, so neither the compressed cube nor the
+padded transforms of more than one channel are ever held at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.signal import get_window
 
 from .errors import ConfigError
@@ -67,19 +76,26 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     """
     params = raw.params
     x = raw.values
-    if x.shape[1] != params.n_fast:
+    n_ch, n_fast, n_p = x.shape
+    if n_fast != params.n_fast:
         raise ValueError(
-            f"fast-time length {x.shape[1]} does not match params.n_fast={params.n_fast}"
+            f"fast-time length {n_fast} does not match params.n_fast={params.n_fast}"
         )
     replica = transmit_pulse(params)
     m = replica.size
-    n_fast = x.shape[1]
-    # Circular cross-correlation via FFT; lags 0..n_fast-m are wrap-free.
-    spec = np.fft.fft(x, axis=1) * np.conj(np.fft.fft(replica, n=n_fast))[None, :, None]
-    corr = np.fft.ifft(spec, axis=1)[:, : n_fast - m + 1, :]
-    corr /= np.sqrt(m)
+    n_r = n_fast - m + 1
+    # circular correlation; lags 0..n_fast-m are wrap-free at any nfft >= n_fast
+    nfft = sfft.next_fast_len(n_fast)
+    match = np.conj(sfft.fft(replica, n=nfft)) / np.sqrt(m)
+    out = np.empty((n_ch, n_r, n_p), dtype=complex)
+    for c in range(n_ch):
+        # slow-time-major, so each transform runs along a contiguous axis
+        spec = sfft.fft(x[c].T, n=nfft)
+        spec *= match
+        corr = sfft.ifft(spec, overwrite_x=True)
+        out[c] = corr[:, :n_r].T
     return CompressedDwell(
-        values=corr,
+        values=out,
         range_axis=params.range_axis(),
         params=params,
         seed=raw.seed,
@@ -120,9 +136,14 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
         raise ValueError("slow-time length does not match params.n_pulses")
     w = _window_samples(window, n)
     nfft = n * oversample
-    spec = np.fft.fft(x * w[None, None, :], n=nfft, axis=2) / np.sqrt(nfft)
-    spec = np.fft.fftshift(spec, axes=2)
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / params.prf))
+    spec = sfft.fft(x * w, n=nfft, axis=2, overwrite_x=True)
+    # Scale and fftshift in place; only the half that moves right is copied.
+    scale = np.sqrt(nfft)
+    h = nfft // 2
+    head = spec[..., : nfft - h] / scale
+    np.divide(spec[..., nfft - h:], scale, out=spec[..., :h])
+    spec[..., h:] = head
+    freqs = sfft.fftshift(sfft.fftfreq(nfft, d=1.0 / params.prf))
     velocity = freqs * params.wavelength / 2.0
     return RDDatacube(
         values=spec,
@@ -135,5 +156,20 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
 
 
 def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDatacube:
-    """Convenience wrapper: range compression followed by Doppler processing."""
-    return doppler_process(range_compress(raw), window=window, oversample=oversample)
+    """Range compression followed by Doppler processing, one channel at a time.
+
+    Each channel's compressed dwell lives only until its Doppler transform is
+    copied into the output cube, so the whole compressed cube never exists.
+    """
+    def channel(c: int) -> RDDatacube:
+        one = replace(raw, values=raw.values[c:c + 1])
+        return doppler_process(range_compress(one), window=window, oversample=oversample)
+
+    n_ch = raw.values.shape[0]
+    rd = channel(0)
+    values = np.empty((n_ch,) + rd.values.shape[1:], dtype=rd.values.dtype)
+    values[:1] = rd.values
+    rd.values = values
+    for c in range(1, n_ch):
+        values[c:c + 1] = channel(c).values
+    return rd

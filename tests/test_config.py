@@ -58,6 +58,10 @@ MALFORMED = [
     (t1_tree(clutter={"enabled": 1}), "clutter.enabled"),
     (t1_tree(noise_power=True), "noise_power"),
     ({"mode": "t1", "targets": [{"range_m": 5000.0}]}, r"targets\[0\].azimuth_deg"),
+    ({"mode": "t4", "isar": {"window_halfwidth_bins": 0}}, "isar.window_halfwidth_bins"),
+    (t1_tree(processing={"cfar_train": 5000}), "processing.cfar_train"),
+    ({"mode": "t2", "jammer": {"active": True}, "processing": {"cfar_train": 5000}},
+     "processing.cfar_train"),
 ]
 
 
