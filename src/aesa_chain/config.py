@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
+from .detect import cfar_window_cells
 from .errors import ConfigError
 from .rdproc import WINDOWS
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
@@ -354,11 +355,10 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     if mode in ("t1", "t3") and not targets:
         errors.append(f"mode {mode} requires at least one target")
     # t4 falls back to the strongest range bin when the CFAR window does not fit
-    cfar_cells = 2 * (proc["cfar_train"] + proc["cfar_guard"]) + 1
+    cfar_cells = cfar_window_cells(proc["cfar_train"], proc["cfar_guard"])
     if mode != "t4" and radar is not None and cfar_cells > radar.n_range_bins:
         errors.append(f"processing.cfar_train: a CFAR window of {cfar_cells} range cells "
-                      f"(2*(cfar_train+cfar_guard)+1) exceeds the {radar.n_range_bins} "
-                      f"range bins of the receive window")
+                      f"exceeds the {radar.n_range_bins} range bins of the receive window")
     if proc["music_window_bins"] is None:
         proc["music_window_bins"] = _MUSIC_WINDOW_BY_MODE.get(mode, (4, 4))
     body = isar.pop("body")

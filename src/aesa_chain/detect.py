@@ -44,6 +44,12 @@ def ca_cfar_threshold_factor(pfa: float, n_cells: int) -> float:
     return n_cells * (pfa ** (-1.0 / n_cells) - 1.0)
 
 
+def cfar_window_cells(n_train: int, n_guard: int) -> int:
+    """Range cells spanned by a CFAR window: the cell under test, its guard
+    cells and its training cells on both sides."""
+    return 2 * (n_train + n_guard) + 1
+
+
 def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
                 n_guard: int = 2, range_axis: np.ndarray | None = None,
                 velocity_axis: np.ndarray | None = None) -> list:
@@ -76,10 +82,9 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
         raise ConfigError("need n_train >= 1 and n_guard >= 0")
     n_r, n_d = p.shape
     half = n_train + n_guard
-    if 2 * half + 1 > n_r:
-        raise ConfigError(
-            f"CFAR window of {2 * half + 1} range cells exceeds the map ({n_r})"
-        )
+    cells = cfar_window_cells(n_train, n_guard)
+    if cells > n_r:
+        raise ConfigError(f"CFAR window of {cells} range cells exceeds the map ({n_r})")
     n_cells = 2 * n_train
     alpha = ca_cfar_threshold_factor(pfa, n_cells)
 

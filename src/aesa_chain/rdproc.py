@@ -12,9 +12,10 @@ Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
 ``n_fast`` itself, whose prime factors can be large (the full swath has
 9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.  ``rd_map``
-streams the dwell one channel at a time through both stages into one
-preallocated range-Doppler cube, so neither the compressed cube nor the
-padded transforms of more than one channel are ever held at once.
+streams the dwell through both stages in blocks of channels whose padded
+fast-time spectrum fits in ``BLOCK_BYTES`` (one channel at a time for the
+full swath, the whole cube for short dwells), into one preallocated
+range-Doppler cube, so the whole compressed cube never exists.
 """
 
 from dataclasses import dataclass, replace
@@ -32,6 +33,12 @@ WINDOWS = {
     "hann": "hann",
     "hamming": "hamming",
 }
+
+#: bytes of padded fast-time spectrum that rd_map transforms in one block.
+#: Streaming bounds memory only where a cube is large: a 9298-sample,
+#: 128-pulse swath channel (19 MB) goes alone, while a whole 6-channel dwell
+#: of 750 samples (9 MB) keeps one batched call per stage
+BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -86,14 +93,15 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     n_r = n_fast - m + 1
     # circular correlation; lags 0..n_fast-m are wrap-free at any nfft >= n_fast
     nfft = sfft.next_fast_len(n_fast)
-    match = np.conj(sfft.fft(replica, n=nfft)) / np.sqrt(m)
+    match = np.conj(np.fft.fft(replica, n=nfft)) / np.sqrt(m)
+    # the padded spectrum is (n_ch, n_p, nfft), fast time on the contiguous axis
+    spec = np.zeros((n_ch, n_p, nfft), dtype=complex)
+    spec[..., :n_fast] = x.transpose(0, 2, 1)
+    np.fft.fft(spec, out=spec)
+    spec *= match
+    np.fft.ifft(spec, out=spec)
     out = np.empty((n_ch, n_r, n_p), dtype=complex)
-    for c in range(n_ch):
-        # slow-time-major, so each transform runs along a contiguous axis
-        spec = sfft.fft(x[c].T, n=nfft)
-        spec *= match
-        corr = sfft.ifft(spec, overwrite_x=True)
-        out[c] = corr[:, :n_r].T
+    out[...] = spec[..., :n_r].transpose(0, 2, 1)
     return CompressedDwell(
         values=out,
         range_axis=params.range_axis(),
@@ -136,14 +144,16 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
         raise ValueError("slow-time length does not match params.n_pulses")
     w = _window_samples(window, n)
     nfft = n * oversample
-    spec = sfft.fft(x * w, n=nfft, axis=2, overwrite_x=True)
+    spec = np.zeros(x.shape[:2] + (nfft,), dtype=complex)
+    np.multiply(x, w, out=spec[..., :n])
+    np.fft.fft(spec, out=spec)
     # Scale and fftshift in place; only the half that moves right is copied.
     scale = np.sqrt(nfft)
     h = nfft // 2
     head = spec[..., : nfft - h] / scale
     np.divide(spec[..., nfft - h:], scale, out=spec[..., :h])
     spec[..., h:] = head
-    freqs = sfft.fftshift(sfft.fftfreq(nfft, d=1.0 / params.prf))
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / params.prf))
     velocity = freqs * params.wavelength / 2.0
     return RDDatacube(
         values=spec,
@@ -156,20 +166,25 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
 
 
 def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDatacube:
-    """Range compression followed by Doppler processing, one channel at a time.
+    """Range compression followed by Doppler processing, a block of channels at a time.
 
-    Each channel's compressed dwell lives only until its Doppler transform is
-    copied into the output cube, so the whole compressed cube never exists.
+    A block holds as many channels as fit their padded fast-time spectrum in
+    ``BLOCK_BYTES``, and one channel at least.  Each block's compressed dwell
+    lives only until its Doppler transform is copied into the output cube.
     """
-    def channel(c: int) -> RDDatacube:
-        one = replace(raw, values=raw.values[c:c + 1])
-        return doppler_process(range_compress(one), window=window, oversample=oversample)
+    n_ch, _, n_p = raw.values.shape
+    channel_bytes = n_p * sfft.next_fast_len(raw.params.n_fast) * np.dtype(complex).itemsize
+    step = max(1, BLOCK_BYTES // channel_bytes)
 
-    n_ch = raw.values.shape[0]
-    rd = channel(0)
-    values = np.empty((n_ch,) + rd.values.shape[1:], dtype=rd.values.dtype)
-    values[:1] = rd.values
-    rd.values = values
-    for c in range(1, n_ch):
-        values[c:c + 1] = channel(c).values
+    def block(c: int) -> RDDatacube:
+        part = replace(raw, values=raw.values[c:c + step])
+        return doppler_process(range_compress(part), window=window, oversample=oversample)
+
+    rd = block(0)
+    if step < n_ch:
+        values = np.empty((n_ch,) + rd.values.shape[1:], dtype=rd.values.dtype)
+        values[:step] = rd.values
+        rd.values = values
+        for c in range(step, n_ch, step):
+            values[c:c + step] = block(c).values
     return rd

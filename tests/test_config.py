@@ -2,13 +2,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, load_config,
-                        load_tree, resolve_config)
+from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, cfar_detect,
+                        load_config, load_tree, resolve_config)
 from aesa_chain.config import _REQUIRED, _SCHEMA, MODES, config_hash, dump_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -133,6 +134,20 @@ def test_target_window_and_aliasing_checks():
         resolve_config(t1_tree(targets=[{"range_m": 5000.0, "azimuth_deg": 0.0,
                                          "snr_db": 10.0,
                                          "radial_velocity_mps": 20.0}]))
+
+
+def test_cfar_window_rule_matches_the_detector():
+    # the widest window resolve_config accepts is the widest cfar_detect runs
+    n_r = resolve_config(t1_tree()).radar.n_range_bins
+    guard = 2
+    train = (n_r - 1) // 2 - guard
+    fits = resolve_config(t1_tree(processing={"cfar_train": train, "cfar_guard": guard}))
+    cfar_detect(np.ones((n_r, 3)), 1e-3, n_train=fits.processing.cfar_train,
+                n_guard=fits.processing.cfar_guard)
+    with pytest.raises(ConfigError, match="exceeds the map"):
+        cfar_detect(np.ones((n_r, 3)), 1e-3, n_train=train + 1, n_guard=guard)
+    with pytest.raises(ConfigError, match="processing.cfar_train"):
+        resolve_config(t1_tree(processing={"cfar_train": train + 1, "cfar_guard": guard}))
 
 
 def test_steering_validation():

@@ -9,6 +9,7 @@ from scipy.fft import next_fast_len
 
 from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process,
                         range_compress, rd_map, simulate_dwell, transmit_pulse)
+from aesa_chain import rdproc
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
 
 from helpers import compress_oracle, dft_oracle
@@ -49,8 +50,15 @@ def test_range_compress_at_padded_length_matches_direct_correlation():
     assert peak[0] > 0.5 * peak.max() and peak[-1] > 0.5 * peak.max()
 
 
-def test_rd_map_streams_channels():
+def _channel_bytes(params):
+    return params.n_pulses * next_fast_len(params.n_fast) * 16
+
+
+@pytest.mark.parametrize("per_block", [1, 4, 6])
+def test_rd_map_streams_channel_blocks(monkeypatch, per_block):
     for params in (SMALL, PADDED):
+        # a budget of 1, 4 or 6 channels splits the 6 channels as 1x6, 4+2 or 6
+        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(params))
         raw = simulate_dwell(params, [], noise_power=2.0, seed=5)
         for window, oversample in (("hann", 1), ("hamming", 2)):
             rd = rd_map(raw, window=window, oversample=oversample)
@@ -62,9 +70,11 @@ def test_rd_map_streams_channels():
             assert values.flags.c_contiguous and values.base is None
 
 
-def test_rd_map_peak_memory_is_one_cube():
-    # neither the compressed cube nor a full-length transform of it is ever whole
+def test_rd_map_peak_memory_is_one_cube(monkeypatch):
+    # one channel per block: neither the compressed cube nor a padded
+    # transform of it is ever whole
     params = RadarParams(r_min=1500.0, r_max=6000.0, n_pulses=64)
+    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(params))
     raw = simulate_dwell(params, [], seed=1)
     rd_map(raw)
     tracemalloc.start()
@@ -74,6 +84,15 @@ def test_rd_map_peak_memory_is_one_cube():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * nbytes
+
+
+def test_rd_map_block_budget():
+    # the full 9298-sample swath goes one channel at a time
+    swath = RadarParams()
+    assert swath.n_fast == 9298
+    assert rdproc.BLOCK_BYTES < 2 * _channel_bytes(swath)
+    # a short six-channel dwell goes in one block
+    assert rdproc.BLOCK_BYTES >= 6 * _channel_bytes(SMALL)
 
 
 def test_range_compress_rejects_wrong_length():
