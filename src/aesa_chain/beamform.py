@@ -1,15 +1,17 @@
 """Conventional and minimum-variance adaptive beamforming on the RD cube.
 
 A snapshot is the 6-channel vector of one range-Doppler cell.  The sample
-covariance over a training region is diagonally loaded at a level referenced
-to the estimated thermal floor.  Adaptive weights solve the minimum-variance
-distortionless problem ``w0 = R^-1 v / (v^H R^-1 v)`` and are then rescaled
-to unit norm so the white-noise floor at the beamformer output equals the
-per-channel floor, which keeps conventional and adaptive maps directly
-comparable.
+covariance over a training region is factored once; the diagonal loading is
+referenced to the smallest eigenvalue of that one eigendecomposition.
+Adaptive weights ``w0 = R^-1 v / (v^H R^-1 v)`` come from the same factors
+and are rescaled to unit norm so the white-noise floor at the beamformer
+output equals the per-channel floor, which keeps conventional and adaptive
+maps directly comparable.  ``beamscan(rd, geom, grid, cov=None)`` scans
+conventional weights, or MVDR weights when given a covariance.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +52,16 @@ class TrainingRegion:
             _set_box(m, *self.exclusion, False)
         return m
 
+    def snapshots(self, rd: RDDatacube, clutter_mask: np.ndarray | None = None) -> np.ndarray:
+        """(n_channels, K) snapshots of the region's cells, minus the cells
+        ``clutter_mask`` marks (True = exclude)."""
+        m = self.mask(rd.values.shape[1:])
+        if clutter_mask is not None:
+            if clutter_mask.shape != m.shape:
+                raise ValueError("clutter mask shape does not match the RD map")
+            m &= ~clutter_mask
+        return rd.values[:, m]
+
 
 def _set_box(mask: np.ndarray, row_span, col_span, value: bool) -> None:
     """Set a half-open block of a 2-D mask, with both spans clipped to it."""
@@ -81,11 +93,19 @@ class CovarianceEstimate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance must be a square matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix must be finite")
         herm = np.max(np.abs(m - m.conj().T))
         scale = max(np.max(np.abs(m)), 1.0)
         if herm > 1e-9 * scale:
             raise ValueError("covariance matrix is not Hermitian")
         self.matrix = m
+
+    @cached_property
+    def eig(self) -> tuple:
+        """(ascending eigenvalues, eigenvectors) of ``matrix``, the one
+        factorisation MVDR and MUSIC share; computed on first use."""
+        return np.linalg.eigh(self.matrix)
 
 
 @dataclass
@@ -105,18 +125,17 @@ class BeamformerWeights:
 
 
 def covariance_from_snapshots(snapshots: np.ndarray, loading_db: float = DEFAULT_LOADING_DB,
-                              noise_floor: float | None = None,
                               min_snapshots: int | None = None) -> CovarianceEstimate:
     """Loaded sample covariance from a (n_channels, K) snapshot block.
 
-    The loading level is ``noise_floor * 10^(loading_db/10)``.  When
-    ``noise_floor`` is None it is estimated as the smallest eigenvalue of the
-    unloaded sample covariance (the thermal floor when interference is low
-    rank).  ``min_snapshots`` defaults to twice the channel count.
+    The unloaded sample covariance is factored once, and the loading
+    ``lambda_min * 10^(loading_db/10)`` is added to every eigenvalue (lambda_min
+    is the thermal floor when interference is low rank).  ``min_snapshots``
+    defaults to twice the channel count.
     """
     x = np.asarray(snapshots, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("snapshots must be a 2-D (channels, K) array")
+    if x.ndim != 2 or not np.all(np.isfinite(x)):
+        raise ValueError("snapshots must be a finite 2-D (channels, K) array")
     n_ch, k = x.shape
     floor = _snapshot_floor(n_ch, min_snapshots)
     if k < floor:
@@ -125,35 +144,27 @@ def covariance_from_snapshots(snapshots: np.ndarray, loading_db: float = DEFAULT
         )
     r = x @ x.conj().T / k
     r = 0.5 * (r + r.conj().T)
-    if noise_floor is None:
-        noise_floor = float(np.linalg.eigvalsh(r)[0])
-        noise_floor = max(noise_floor, 0.0)
-    delta = noise_floor * 10.0 ** (loading_db / 10.0)
-    r = r + delta * np.eye(n_ch)
-    return CovarianceEstimate(matrix=r, snapshot_count=k, diagonal_loading=delta)
+    lam, vecs = np.linalg.eigh(r)
+    delta = max(float(lam[0]), 0.0) * 10.0 ** (loading_db / 10.0)
+    cov = CovarianceEstimate(matrix=r + delta * np.eye(n_ch), snapshot_count=k,
+                             diagonal_loading=delta)
+    cov.eig = (lam + delta, vecs)
+    return cov
 
 
 def estimate_covariance(rd: RDDatacube, region: TrainingRegion,
                         loading_db: float = DEFAULT_LOADING_DB,
                         clutter_mask: np.ndarray | None = None,
-                        noise_floor: float | None = None,
                         min_snapshots: int | None = None) -> CovarianceEstimate:
     """Sample covariance over a training region of the RD cube.
 
     ``clutter_mask`` marks cells to exclude (True = clutter) in addition to
     the region's own exclusion block.
     """
-    shape = rd.values.shape[1:]
-    m = region.mask(shape)
-    if clutter_mask is not None:
-        if clutter_mask.shape != m.shape:
-            raise ValueError("clutter mask shape does not match the RD map")
-        m &= ~clutter_mask
-    snaps = rd.values[:, m]
+    snaps = region.snapshots(rd, clutter_mask)
     if snaps.size == 0:
         raise EstimationError("training region is empty after exclusions")
     return covariance_from_snapshots(snaps, loading_db=loading_db,
-                                     noise_floor=noise_floor,
                                      min_snapshots=min_snapshots)
 
 
@@ -165,22 +176,23 @@ def conventional_weights(geom: ArrayGeometry, azimuth_deg: float) -> BeamformerW
 
 def mvdr_distortionless_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
                                 azimuth_deg: float) -> np.ndarray:
-    """Unnormalized minimum-variance weights with w0^H v = 1."""
-    r = cov.matrix
+    """Unnormalized minimum-variance weights with w0^H v = 1, from
+    ``R^-1 v = E diag(1/lambda) E^H v``; for a Hermitian positive-definite
+    matrix ``lambda_max / lambda_min`` is its 2-norm condition number."""
+    lam, vecs = cov.eig
     v = subarray_steering(geom, azimuth_deg)
-    if r.shape[0] != v.size:
+    if lam.size != v.size:
         raise ValueError("covariance size does not match the channel count")
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
+    if lam[0] <= 0.0:
+        raise NumericalError("covariance is not positive definite")
+    cond = lam[-1] / lam[0]
+    if cond > MAX_CONDITION:
         raise NumericalError(
             f"covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}; "
             "increase diagonal loading or the training region"
         )
-    g = np.linalg.solve(r, v)
-    denom = v.conj() @ g
-    if denom.real <= 0.0:
-        raise NumericalError("covariance is not positive definite at the steering vector")
-    return g / denom
+    g = vecs @ ((vecs.conj().T @ v) / lam)
+    return g / (v.conj() @ g)
 
 
 def mvdr_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
@@ -220,28 +232,21 @@ class BeamscanCurve:
 
 
 def beamscan(rd: RDDatacube, geom: ArrayGeometry, azimuth_grid_deg,
-             mode: str = "conventional",
              cov: CovarianceEstimate | None = None) -> BeamscanCurve:
     """Total beamformed map energy as a function of steering azimuth.
 
-    The energy at angle a equals ``sum_cells |w_a^H x|^2``, evaluated through
-    the cell scatter matrix so the scan cost is independent of the map size.
+    Conventional weights when ``cov`` is None, MVDR weights from ``cov``
+    otherwise.  The energy at angle a equals ``sum_cells |w_a^H x|^2``,
+    evaluated through the cell scatter matrix S as ``diag(W^H S W)`` so the
+    scan cost is independent of the map size.
     """
     grid = np.asarray(azimuth_grid_deg, dtype=float)
-    if mode not in ("conventional", "mvdr"):
-        raise ValueError("mode must be 'conventional' or 'mvdr'")
-    if mode == "mvdr" and cov is None:
-        raise ValueError("mvdr beamscan requires a covariance estimate")
+    w = np.stack([(conventional_weights(geom, az) if cov is None
+                   else mvdr_weights(cov, geom, az)).values for az in grid], axis=1)
     x = rd.values.reshape(rd.values.shape[0], -1)
-    scatter = x @ x.conj().T
-    energy = np.empty(grid.size)
-    for i, az in enumerate(grid):
-        if mode == "conventional":
-            w = conventional_weights(geom, az).values
-        else:
-            w = mvdr_weights(cov, geom, az).values
-        energy[i] = float(np.real(w.conj() @ scatter @ w))
-    return BeamscanCurve(azimuth_deg=grid, energy=energy, mode=mode)
+    energy = np.einsum("ca,ca->a", w.conj(), (x @ x.conj().T) @ w).real
+    return BeamscanCurve(azimuth_deg=grid, energy=energy,
+                         mode="conventional" if cov is None else "mvdr")
 
 
 def rejection_db(conventional_map: np.ndarray, adaptive_map: np.ndarray,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import CovarianceEstimate, _box_around, _set_box, _snapshot_floor
+from .beamform import CovarianceEstimate, TrainingRegion, _box_around, _snapshot_floor
 from .errors import ConfigError, EstimationError
 from .geometry import ArrayGeometry, subarray_steering_matrix
 from .rdproc import RDDatacube
@@ -147,15 +147,9 @@ def select_training_subset(rd: RDDatacube, detection: Detection,
     if int(window[0]) < 0 or int(window[1]) < 0:
         raise ValueError("window half-widths must be non-negative")
     cell = (detection.range_bin, detection.doppler_bin)
-    mask = np.zeros(rd.values.shape[1:], dtype=bool)
-    _set_box(mask, *_box_around(*cell, window), True)
-    if guard is not None:
-        _set_box(mask, *_box_around(*cell, guard), False)
-    if clutter_mask is not None:
-        if clutter_mask.shape != mask.shape:
-            raise ValueError("clutter mask shape does not match the RD map")
-        mask &= ~clutter_mask
-    snaps = rd.values[:, mask]
+    guard_box = None if guard is None else _box_around(*cell, guard)
+    region = TrainingRegion(*_box_around(*cell, window), exclusion=guard_box)
+    snaps = region.snapshots(rd, clutter_mask)
     floor = _snapshot_floor(rd.values.shape[0], min_snapshots)
     if snaps.shape[1] < floor:
         raise EstimationError(
@@ -182,13 +176,13 @@ def music_spectrum(cov: CovarianceEstimate, geom: ArrayGeometry,
 
     ``n_sources`` must leave at least one noise dimension.  Steering vectors
     are normalized to unit norm so the spectrum shape is free of the element
-    subpattern envelope.
+    subpattern envelope.  The noise subspace comes from the covariance's one
+    eigendecomposition.
     """
-    r = cov.matrix
-    n_ch = r.shape[0]
+    _vals, vecs = cov.eig
+    n_ch = vecs.shape[0]
     if not 1 <= n_sources <= n_ch - 1:
         raise ValueError(f"n_sources must lie in [1, {n_ch - 1}]")
-    _vals, vecs = np.linalg.eigh(r)
     noise_sub = vecs[:, : n_ch - n_sources]
     v = subarray_steering_matrix(geom, azimuth_grid_deg)
     v = v / np.linalg.norm(v, axis=0, keepdims=True)

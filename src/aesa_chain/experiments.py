@@ -21,8 +21,7 @@ import numpy as np
 
 from .beamform import (BeamscanCurve, _set_box, apply_beamformer, beamscan,
                        conventional_weights, covariance_from_snapshots,
-                       estimate_covariance, exclusion_mask, mvdr_weights,
-                       rejection_db, TrainingRegion)
+                       exclusion_mask, mvdr_weights, rejection_db, TrainingRegion)
 from .config import ExperimentConfig
 from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks,
                      music_spectrum, pick_peaks, select_training_subset,
@@ -195,12 +194,11 @@ def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
                        proc.cfar_guard, rd.range_axis, rd.velocity_axis)
 
 
-def _full_map_covariance(cfg: ExperimentConfig, rd, cmask):
-    """Loaded covariance over every non-clutter cell of the map."""
+def _covariance(cfg: ExperimentConfig, rd, mask: np.ndarray):
+    """Loaded covariance over the cells of the map that ``mask`` keeps."""
     shape = rd.values.shape[1:]
-    region = TrainingRegion((0, shape[0]), (0, shape[1]))
-    return estimate_covariance(rd, region, loading_db=cfg.processing.loading_db,
-                               clutter_mask=cmask)
+    snaps = TrainingRegion((0, shape[0]), (0, shape[1])).snapshots(rd, ~mask)
+    return covariance_from_snapshots(snaps, loading_db=cfg.processing.loading_db)
 
 
 def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
@@ -286,7 +284,7 @@ def _run_t2(cfg: ExperimentConfig) -> tuple:
             _map_grids(report, rd, steer, {"conventional": conv})
         return report, raw
 
-    cov0 = _full_map_covariance(cfg, rd, cmask)
+    cov0 = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
 
     # First pass: detections on the adaptive maps define the guard cells.
     detections = []
@@ -296,8 +294,7 @@ def _run_t2(cfg: ExperimentConfig) -> tuple:
                                guard=proc.detection_guard, clutter_mask=cmask)
 
     # Second pass: final covariance excludes the detection guards.
-    snaps = rd.values[:, meas_mask]
-    cov = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
+    cov = _covariance(cfg, rd, meas_mask)
 
     rejections = []
     for steer in cfg.steering_deg:
@@ -308,8 +305,8 @@ def _run_t2(cfg: ExperimentConfig) -> tuple:
 
     grid = np.arange(-SCAN_HALF_WIDTH_DEG, SCAN_HALF_WIDTH_DEG + BEAMSCAN_STEP_DEG / 2,
                      BEAMSCAN_STEP_DEG)
-    scan_conv = beamscan(rd, geom, grid, mode="conventional")
-    scan_mvdr = beamscan(rd, geom, grid, mode="mvdr", cov=cov)
+    scan_conv = beamscan(rd, geom, grid)
+    scan_mvdr = beamscan(rd, geom, grid, cov=cov)
 
     metrics["rejection_db"] = rejections
     metrics["average_rejection_db"] = float(np.mean(rejections))
@@ -363,7 +360,7 @@ def _run_t3(cfg: ExperimentConfig) -> tuple:
     conv_dets = _cfar(cfg, rd, conv)
     conv_hit = any(_detection_matches(d, true_rbin, true_dbin) for d in conv_dets)
 
-    cov = _full_map_covariance(cfg, rd, cmask)
+    cov = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
     adap = apply_beamformer(rd, mvdr_weights(cov, geom, steer))
     adap_dets = _cfar(cfg, rd, adap)
     matching = [d for d in adap_dets if _detection_matches(d, true_rbin, true_dbin)]

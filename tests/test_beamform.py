@@ -1,16 +1,19 @@
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesa_chain import (ArrayGeometry, BeamformerWeights, CovarianceEstimate,
                         EstimationError, JammerSource, NumericalError,
-                        RadarParams, TrainingRegion, apply_beamformer,
-                        beampattern, beamscan, conventional_weights,
+                        RadarParams, RDDatacube, TrainingRegion,
+                        apply_beamformer, beampattern, beamscan,
+                        conventional_weights,
                         covariance_from_snapshots, estimate_covariance,
-                        exclusion_mask, mvdr_distortionless_weights,
-                        mvdr_weights, rd_map, rejection_db, simulate_dwell,
-                        subarray_steering)
+                        exclusion_mask, music_spectrum,
+                        mvdr_distortionless_weights, mvdr_weights, rd_map,
+                        rejection_db, simulate_dwell, subarray_steering)
 
 from helpers import gaussian_elimination_solve
 
@@ -56,6 +59,74 @@ def test_mvdr_null_depth_at_jammer():
     assert pattern[1] - pattern[0] < -40.0
 
 
+@st.composite
+def interference_snapshots(draw):
+    """(6, K) snapshots: unit white noise plus 0-5 random interferers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(12, 60))
+    rank = draw(st.integers(0, 5))
+    power = 10.0 ** (draw(st.floats(0.0, 40.0)) / 10.0)
+
+    def cn(*shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+
+    return cn(6, k) + np.sqrt(power) * cn(6, rank) @ cn(rank, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(interference_snapshots(), st.floats(0.0, 20.0),
+       st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4))
+def test_mvdr_properties_over_generated_covariances(x, loading_db, azimuths):
+    """Both the loaded estimate and one built from its matrix are distortionless,
+    match a direct solve, and scan to the energy of the applied weights."""
+    loaded = covariance_from_snapshots(x, loading_db=loading_db)
+    direct = CovarianceEstimate(matrix=loaded.matrix, snapshot_count=x.shape[1],
+                                diagonal_loading=loaded.diagonal_loading)
+    rd = RDDatacube(values=x[:, :, None], range_axis=np.arange(x.shape[1]),
+                    velocity_axis=np.zeros(1), window="rectangular", params=SMALL,
+                    seed=0)
+    for cov in (loaded, direct):
+        scan = beamscan(rd, GEOM, azimuths, cov=cov)
+        for az, energy in zip(azimuths, scan.energy):
+            v = subarray_steering(GEOM, az)
+            w0 = mvdr_distortionless_weights(cov, GEOM, az)
+            assert v.conj() @ w0 == pytest.approx(1.0, abs=1e-10)
+            g = np.linalg.solve(cov.matrix, v)
+            ref = g / (v.conj() @ g)
+            assert np.linalg.norm(w0 - ref) <= 1e-10 * np.linalg.norm(ref)
+            w = mvdr_weights(cov, GEOM, az)
+            assert energy == pytest.approx(np.sum(np.abs(apply_beamformer(rd, w)) ** 2),
+                                           rel=1e-9)
+
+
+def test_one_eigendecomposition_per_covariance(monkeypatch):
+    """91 MVDR solves and one MUSIC spectrum share one factorisation."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "cond", "svd", "solve"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(6)
+    x = (rng.normal(size=(6, 200)) + 1j * rng.normal(size=(6, 200))) / np.sqrt(2)
+    x += 100.0 * np.outer(subarray_steering(GEOM, 21.4), rng.normal(size=200))
+    grid = np.arange(-22.5, 22.51, 0.5)
+    assert grid.size == 91
+    cov = covariance_from_snapshots(x)
+    for az in grid:
+        mvdr_weights(cov, GEOM, az)
+    music_spectrum(cov, GEOM, grid, 1)
+    assert calls == {"eigh": 1}
+    # built directly from a matrix, an estimate factors once, on first use
+    direct = CovarianceEstimate(matrix=cov.matrix, snapshot_count=200,
+                                diagonal_loading=cov.diagonal_loading)
+    assert calls == {"eigh": 1}
+    for az in grid:
+        mvdr_weights(direct, GEOM, az)
+    music_spectrum(direct, GEOM, grid, 1)
+    assert calls == {"eigh": 2}
+
+
 def test_weights_are_unit_norm():
     w = BeamformerWeights(values=np.array([3.0, 4.0, 0, 0, 0, 0]),
                           mode="conventional", steer_azimuth_deg=0.0)
@@ -74,18 +145,20 @@ def test_loading_references_min_eigenvalue():
     assert cov.diagonal_loading == pytest.approx(10.0 * lam_min, rel=1e-12)
     np.testing.assert_allclose(cov.matrix, raw + cov.diagonal_loading * np.eye(6),
                                atol=1e-12)
-    # explicit floor bypasses the estimate
-    forced = covariance_from_snapshots(x, loading_db=0.0, noise_floor=2.0)
-    assert forced.diagonal_loading == pytest.approx(2.0)
 
 
 def test_snapshot_count_guard():
-    x = np.ones((6, 11), dtype=complex)
+    # the default floor is 2 N_ch = 12 snapshots (Reed, Mallett and Brennan)
+    x = np.random.default_rng(4).normal(size=(6, 12)) + 0j
+    assert covariance_from_snapshots(x).snapshot_count == 12
     with pytest.raises(EstimationError, match="11 snapshots"):
-        covariance_from_snapshots(x)
+        covariance_from_snapshots(x[:, :11])
     covariance_from_snapshots(np.ones((6, 5)) + 0j, min_snapshots=4)
     with pytest.raises(ValueError):
         covariance_from_snapshots(np.ones(6) + 0j)
+    x[2, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        covariance_from_snapshots(x)
 
 
 def test_condition_number_refusal():
@@ -97,6 +170,14 @@ def test_condition_number_refusal():
                                diagonal_loading=0.0)
     with pytest.raises(NumericalError, match="positive definite"):
         mvdr_weights(indef, GEOM, 0.0)
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)) + 0j)
+    for lam in ([0.0, 1, 2, 3, 4, 5],     # singular, positive semidefinite
+                [-1.0, 1, 2, 3, 4, 5]):   # indefinite
+        cov = CovarianceEstimate(matrix=np.diag(lam) if lam[0] == 0.0
+                                 else q @ np.diag(lam) @ q.conj().T,
+                                 snapshot_count=100, diagonal_loading=0.0)
+        with pytest.raises(NumericalError, match="positive definite"):
+            mvdr_weights(cov, GEOM, 0.0)
 
 
 def test_covariance_validation():
@@ -106,6 +187,11 @@ def test_covariance_validation():
     with pytest.raises(ValueError, match="square"):
         CovarianceEstimate(matrix=np.ones((2, 3)), snapshot_count=5,
                            diagonal_loading=0.0)
+    for bad in (np.nan, np.inf):
+        m = np.eye(6, dtype=complex)
+        m[2, 3] = m[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceEstimate(matrix=m, snapshot_count=100, diagonal_loading=0.0)
 
 
 def test_training_region_mask_and_counts():
@@ -147,18 +233,15 @@ def test_beamscan_equals_direct_application():
     rd = rd_map(raw)
     grid = np.arange(-20.0, 21.0, 5.0)
     cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
-    for mode in ("conventional", "mvdr"):
-        curve = beamscan(rd, GEOM, grid, mode=mode, cov=cov)
+    for scan_cov in (None, cov):
+        curve = beamscan(rd, GEOM, grid, cov=scan_cov)
+        assert curve.mode == ("conventional" if scan_cov is None else "mvdr")
         for i, az in enumerate(grid):
-            w = (conventional_weights(GEOM, az) if mode == "conventional"
+            w = (conventional_weights(GEOM, az) if scan_cov is None
                  else mvdr_weights(cov, GEOM, az))
             ref = np.sum(np.abs(apply_beamformer(rd, w)) ** 2)
-            assert curve.energy[i] == pytest.approx(ref, rel=1e-9), (mode, az)
+            assert curve.energy[i] == pytest.approx(ref, rel=1e-9), (curve.mode, az)
     assert curve.db.max() == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="mvdr"):
-        beamscan(rd, GEOM, grid, mode="mvdr")
-    with pytest.raises(ValueError, match="mode"):
-        beamscan(rd, GEOM, grid, mode="music")
 
 
 def test_beamscan_localizes_jammer():
@@ -166,10 +249,10 @@ def test_beamscan_localizes_jammer():
                          noise_power=1.0, seed=3)
     rd = rd_map(raw)
     grid = np.arange(-22.5, 22.51, 0.5)
-    conv = beamscan(rd, GEOM, grid, mode="conventional")
+    conv = beamscan(rd, GEOM, grid)
     assert grid[np.argmax(conv.energy)] == pytest.approx(21.5, abs=0.51)
     cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
-    mvdr = beamscan(rd, GEOM, grid, mode="mvdr", cov=cov)
+    mvdr = beamscan(rd, GEOM, grid, cov=cov)
     # distortionless at the jammer: the adaptive scan peaks there too
     assert grid[np.argmax(mvdr.energy)] == pytest.approx(21.5, abs=0.51)
     # steered elsewhere it nulls the jammer that conventional sidelobes leak

@@ -125,6 +125,13 @@ def test_select_training_subset_counts():
     with pytest.raises(EstimationError):
         select_training_subset(rd, det, window=(1, 1))
     assert select_training_subset(rd, det, window=(1, 1), min_snapshots=5).shape[1] == 9
+    # the default floor is 2 N_ch = 12 snapshots: a 3x5 window minus a 1x3 guard
+    # keeps 12, and masking one more cell as clutter leaves 11
+    assert select_training_subset(rd, det, window=(1, 2), guard=(0, 1)).shape[1] == 12
+    one_more = np.zeros_like(clutter)
+    one_more[99, 28] = True
+    with pytest.raises(EstimationError, match="11 snapshots, need >= 12"):
+        select_training_subset(rd, det, window=(1, 2), guard=(0, 1), clutter_mask=one_more)
     with pytest.raises(ValueError):
         select_training_subset(rd, det, window=(-1, 2))
 
