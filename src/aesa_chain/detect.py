@@ -274,7 +274,8 @@ TRACK_COLUMNS = ("timestamp", "name", "range_m", "azimuth_deg",
 
 
 def load_tracks(path) -> list:
-    """Read ground-truth tracks from CSV with the canonical column set."""
+    """Read ground-truth tracks from CSV with the canonical column set; a
+    malformed row raises ConfigError naming the file, the line and the column."""
     path = Path(path)
     tracks = []
     with path.open(newline="") as fh:
@@ -283,15 +284,20 @@ def load_tracks(path) -> list:
         if missing:
             raise ConfigError(f"track file {path} is missing columns: {sorted(missing)}")
         for row in reader:
-            tracks.append(GroundTruthTrack(
-                timestamp=row["timestamp"],
-                name=row["name"],
-                range_m=float(row["range_m"]),
-                azimuth_deg=float(row["azimuth_deg"]),
-                heading_deg=float(row["heading_deg"]),
-                length_m=float(row["length_m"]),
-                beam_m=float(row["beam_m"]),
-            ))
+            where = f"track file {path}, line {reader.line_num}"
+            values = {}
+            for col in TRACK_COLUMNS[2:]:
+                try:
+                    values[col] = float(row[col])
+                except (TypeError, ValueError):  # TypeError: the row is short
+                    values[col] = np.nan
+                if not np.isfinite(values[col]):
+                    raise ConfigError(f"{where}, column {col}: not a finite number: {row[col]!r}")
+            try:
+                tracks.append(GroundTruthTrack(timestamp=row["timestamp"], name=row["name"],
+                                               **values))
+            except ValueError as exc:
+                raise ConfigError(f"{where}, columns length_m and beam_m: {exc}") from None
     return tracks
 
 

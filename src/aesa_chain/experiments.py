@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import (BeamscanCurve, _set_box, apply_beamformer, beamscan,
-                       conventional_weights, covariance_from_snapshots,
-                       exclusion_mask, mvdr_weights, rejection_db, TrainingRegion)
+from .beamform import (BeamscanCurve, TrainingRegion, _set_box, apply_beamformer,
+                       beamscan, conventional_weights, covariance_from_snapshots,
+                       estimate_covariance, exclusion_mask, mvdr_weights, rejection_db)
 from .config import ExperimentConfig
 from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks,
                      music_spectrum, pick_peaks, select_training_subset,
@@ -64,7 +64,7 @@ class ExperimentReport:
     config_sha256: str
     package_version: str
     adaptive: bool
-    metrics: dict
+    metrics: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)     # name -> Grid
     tables: dict = field(default_factory=dict)    # name -> (header, rows)
     geometry_rows: list | None = None
@@ -121,24 +121,14 @@ def _spectrum_rows(spectrum):
 
 
 def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentReport:
-    """Run the configured chain test and return its report."""
+    """Run the configured chain test and return its report; only ``emit_raw``
+    keeps a raw cube (the first dwell's) past its range-Doppler processing."""
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
-    report, raw = runner(cfg)
-    if emit_raw:
-        _raw_grids(report, raw)
-    report.geometry_rows = geometry_table(_geom(cfg))
+    report = ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256=cfg.hash(),
+                              package_version=__version__, adaptive=cfg.adaptive,
+                              geometry_rows=geometry_table(_geom(cfg)))
+    runner(cfg, report, emit_raw)
     return report
-
-
-def _base_report(cfg: ExperimentConfig, metrics: dict) -> ExperimentReport:
-    return ExperimentReport(
-        mode=cfg.mode,
-        seed=cfg.seed,
-        config_sha256=cfg.hash(),
-        package_version=__version__,
-        adaptive=cfg.adaptive,
-        metrics=metrics,
-    )
 
 
 def _raw_grids(report: ExperimentReport, raw) -> None:
@@ -177,14 +167,16 @@ def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
             values=_joint_db(m, peak), row_axis=row_axis, col_axis=col_axis)
 
 
-def _dwell(cfg: ExperimentConfig) -> tuple:
-    """Simulate the configured dwell; returns (geometry, raw, rd, clutter mask)."""
+def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> tuple:
+    """Simulate and process the configured dwell; returns (geometry, rd, clutter mask)."""
     geom = _geom(cfg)
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                          cfg.seed, cfg.clutter, geometry=geom)
+    if emit_raw:
+        _raw_grids(report, raw)
     rd = rd_map(raw, window=cfg.processing.window,
                 oversample=cfg.processing.doppler_oversample)
-    return geom, raw, rd, _clutter_mask(cfg, rd.values.shape[1:])
+    return geom, rd, _clutter_mask(cfg, rd.values.shape[1:])
 
 
 def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
@@ -197,8 +189,8 @@ def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
 def _covariance(cfg: ExperimentConfig, rd, mask: np.ndarray):
     """Loaded covariance over the cells of the map that ``mask`` keeps."""
     shape = rd.values.shape[1:]
-    snaps = TrainingRegion((0, shape[0]), (0, shape[1])).snapshots(rd, ~mask)
-    return covariance_from_snapshots(snaps, loading_db=cfg.processing.loading_db)
+    return estimate_covariance(rd, TrainingRegion((0, shape[0]), (0, shape[1])),
+                               cfg.processing.loading_db, clutter_mask=~mask)
 
 
 def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
@@ -222,19 +214,19 @@ def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
 # t1: detection and single-source direction finding
 
 
-def _run_t1(cfg: ExperimentConfig) -> tuple:
-    geom, raw, rd, cmask = _dwell(cfg)
+def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
+    # a malformed truth-track file fails before the dwell is simulated
+    tracks = load_tracks(cfg.truth_tracks) if cfg.truth_tracks is not None else None
+    geom, rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
     detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(geom, steer)))
     if cmask is not None:
         detections = [d for d in detections if not cmask[d.range_bin, d.doppler_bin]]
 
-    metrics = {
-        "steer_azimuth_deg": float(steer),
-        "n_detections": len(detections),
-    }
-    report = _base_report(cfg, metrics)
+    metrics = report.metrics
+    metrics["steer_azimuth_deg"] = float(steer)
+    metrics["n_detections"] = len(detections)
     report.tables["detections.csv"] = _detection_rows(detections)
 
     if detections:
@@ -245,8 +237,7 @@ def _run_t1(cfg: ExperimentConfig) -> tuple:
         metrics["azimuth_estimate_deg"] = peaks.peaks[0].azimuth_deg
         metrics["music_snapshots"] = cov.snapshot_count
 
-        if cfg.truth_tracks is not None:
-            tracks = load_tracks(cfg.truth_tracks)
+        if tracks is not None:
             in_range = [t for t in tracks
                         if abs(t.range_m - det.range_m) <= proc.assoc_tolerance_m]
             if in_range:
@@ -263,26 +254,23 @@ def _run_t1(cfg: ExperimentConfig) -> tuple:
             else:
                 metrics["track_name"] = "unassociated"
 
-    return report, raw
-
 
 # ---------------------------------------------------------------------------
 # t2: jammer cancellation
 
 
-def _run_t2(cfg: ExperimentConfig) -> tuple:
-    geom, raw, rd, cmask = _dwell(cfg)
+def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
+    geom, rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
-
-    metrics = {"steering_deg": list(cfg.steering_deg)}
-    report = _base_report(cfg, metrics)
+    metrics = report.metrics
+    metrics["steering_deg"] = list(cfg.steering_deg)
 
     if not cfg.adaptive:
         # Manual jammer flag off: conventional maps only, no rejection study.
         for steer in cfg.steering_deg:
             conv = apply_beamformer(rd, conventional_weights(geom, steer))
             _map_grids(report, rd, steer, {"conventional": conv})
-        return report, raw
+        return
 
     cov0 = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
 
@@ -322,7 +310,6 @@ def _run_t2(cfg: ExperimentConfig) -> tuple:
     )
     report.tables["beamscan.csv"] = _beamscan_rows(scan_conv, scan_mvdr)
     report.tables["detections.csv"] = _detection_rows(detections)
-    return report, raw
 
 
 def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
@@ -345,8 +332,8 @@ def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
 # t3: masked-target recovery and two-source direction finding
 
 
-def _run_t3(cfg: ExperimentConfig) -> tuple:
-    geom, raw, rd, cmask = _dwell(cfg)
+def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
+    geom, rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
 
@@ -366,7 +353,8 @@ def _run_t3(cfg: ExperimentConfig) -> tuple:
     matching = [d for d in adap_dets if _detection_matches(d, true_rbin, true_dbin)]
     adap_hit = bool(matching)
 
-    metrics = {
+    metrics = report.metrics
+    metrics.update({
         "steer_azimuth_deg": float(steer),
         "target_range_bin": true_rbin,
         "target_doppler_bin": true_dbin,
@@ -374,8 +362,7 @@ def _run_t3(cfg: ExperimentConfig) -> tuple:
         "mvdr_target_detected": adap_hit,
         "n_conventional_detections": len(conv_dets),
         "n_mvdr_detections": len(adap_dets),
-    }
-    report = _base_report(cfg, metrics)
+    })
     report.tables["detections_conventional.csv"] = _detection_rows(conv_dets)
     report.tables["detections_mvdr.csv"] = _detection_rows(adap_dets)
 
@@ -401,21 +388,23 @@ def _run_t3(cfg: ExperimentConfig) -> tuple:
                                                             target.azimuth_deg)
 
     _map_grids(report, rd, steer, {"conventional": conv, "mvdr": adap})
-    return report, raw
 
 
 # ---------------------------------------------------------------------------
 # t4: inverse-synthetic imaging
 
 
-def _run_t4(cfg: ExperimentConfig) -> tuple:
+def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
     geom = _geom(cfg)
     proc = cfg.processing
     isar_cfg = cfg.isar
     body = isar_cfg.body
     dwells = simulate_isar_sequence(cfg.radar, body, isar_cfg.n_dwells,
                                     cfg.seed, cfg.noise_power, geometry=geom)
+    if emit_raw:
+        _raw_grids(report, dwells[0])
     compressed = [range_compress(d) for d in dwells]
+    del dwells
     steer = cfg.steering_deg[0]
     weights = conventional_weights(geom, steer)
 
@@ -448,7 +437,7 @@ def _run_t4(cfg: ExperimentConfig) -> tuple:
 
     peaks = _image_peaks(image, max_peaks=10, floor_db=-25.0)
 
-    metrics = {
+    report.metrics.update({
         "steer_azimuth_deg": float(steer),
         "window_range_bins": [lo, hi],
         "slow_time_samples": history.n_slow,
@@ -460,8 +449,7 @@ def _run_t4(cfg: ExperimentConfig) -> tuple:
         "cross_range_bin_m": _axis(image.cross_range_axis_m, "m").step,
         "n_image_peaks": len(peaks),
         "alignment_shift_rms_bins": float(np.sqrt(np.mean(shifts**2))),
-    }
-    report = _base_report(cfg, metrics)
+    })
 
     report.tables["scatterers.csv"] = (
         ("range_m", "cross_range_m", "doppler_hz", "relative_db"),
@@ -474,7 +462,6 @@ def _run_t4(cfg: ExperimentConfig) -> tuple:
     report.grids["isar_image.aesg"] = Grid(values=image.magnitude,
                                            row_axis=_axis(image.range_axis, "m"),
                                            col_axis=_axis(image.cross_range_axis_m, "m"))
-    return report, dwells[0]
 
 
 def _image_peaks(image, max_peaks: int = 10, floor_db: float = -25.0) -> list:

@@ -1,12 +1,14 @@
 """Inverse-synthetic imaging: profile history, alignment, autofocus, imaging.
 
-The imaging chain stacks beamformed range profiles over a multi-dwell
-coherent interval, removes translational range walk by envelope correlation
-against a running reference, removes residual phase error by maximizing
-image contrast over a low-order phase polynomial (coarse per-coefficient
-grids followed by a derivative-free simplex), and forms the image with a
-windowed unitary slow-time DFT.  Cross-range scaling requires the rotation
-rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
+The imaging chain stacks beamformed range profiles of the tracked window
+over a multi-dwell coherent interval, removes translational range walk by
+envelope correlation against a running reference (Chen and Andrews, 1980),
+removes residual phase error by maximizing image contrast over a low-order
+phase polynomial (coarse per-coefficient grids followed by a derivative-free
+simplex), and forms the image with the Doppler stage's windowed unitary
+slow-time DFT.  Cross-range scaling requires the rotation rate: one Doppler
+bin spans ``lambda * delta_f / (2 * omega)`` metres.  Alignment keeps its
+reference as a spectrum, so each profile costs one inverse FFT.
 """
 
 import warnings
@@ -17,7 +19,7 @@ from scipy.optimize import minimize
 
 from .beamform import apply_beamformer
 from .detect import _parabolic_offset
-from .rdproc import _window_samples
+from .rdproc import _slow_time_dft
 
 #: slow-time samples below which imaging quality degrades noticeably
 MIN_IMAGING_SAMPLES = 64
@@ -83,8 +85,7 @@ def extract_target_history(compressed_dwells, weights, range_span) -> RangeProfi
     for dw in dwells:
         if dw.values.shape[1] != n_bins:
             raise ValueError("dwells have inconsistent range extents")
-        beamformed = apply_beamformer(dw, weights)  # (n_range, n_pulses)
-        rows.append(beamformed[lo:hi, :].T)
+        rows.append(apply_beamformer(dw.values[:, lo:hi], weights).T)
     history = np.concatenate(rows, axis=0)
     if history.shape[0] < MIN_IMAGING_SAMPLES:
         warnings.warn(
@@ -123,7 +124,8 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
     Each profile's envelope is circularly cross-correlated with the mean of
     the previously aligned envelopes; the per-profile shifts (integer plus
     parabolic fraction) are smoothed by a polynomial of ``fit_order`` in slow
-    time and removed with a frequency-domain phase ramp.
+    time and removed with a frequency-domain phase ramp.  The reference is
+    kept as a spectrum, each envelope advanced by its rounded shift.
 
     Returns
     -------
@@ -136,26 +138,23 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
         raise ValueError("fit_order must be >= 0")
     x = history.values
     n_slow, n_bins = x.shape
-    env = np.abs(x)
+    env = np.fft.fft(np.abs(x), axis=1)
+    # multiplying a spectrum by exp(advance * s) advances its signal by s bins
+    advance = 2j * np.pi * np.fft.fftfreq(n_bins)
     shifts = np.zeros(n_slow)
     ref = env[0].copy()
-    ref_count = 1
     for k in range(1, n_slow):
-        spec = np.fft.fft(env[k]) * np.conj(np.fft.fft(ref / ref_count))
-        corr = np.fft.ifft(spec).real
-        # corr[s] compares env[k] advanced by s bins with the reference, so
-        # the peak lag is the displacement of profile k.
+        # corr[s] compares envelope k advanced by s bins with the mean of the
+        # k aligned envelopes, so the peak lag is the displacement of profile k.
+        corr = np.fft.ifft(env[k] * np.conj(ref)).real / k
         shifts[k] = _fractional_peak(corr)
-        aligned_env = np.roll(env[k], -int(round(shifts[k])))
-        ref += aligned_env
-        ref_count += 1
+        ref += env[k] * np.exp(advance * round(shifts[k]))
     t = np.arange(n_slow) / history.prf
     order = min(fit_order, n_slow - 1)
     coeffs = np.polynomial.polynomial.polyfit(t, shifts, order)
     smooth = np.polynomial.polynomial.polyval(t, coeffs)
     smooth = smooth - smooth[0]
-    freqs = np.fft.fftfreq(n_bins)
-    ramp = np.exp(2j * np.pi * freqs[None, :] * smooth[:, None])
+    ramp = np.exp(advance[None, :] * smooth[:, None])
     aligned = np.fft.ifft(np.fft.fft(x, axis=1) * ramp, axis=1)
     return replace(history, values=aligned, range_axis=history.range_axis.copy()), smooth
 
@@ -319,14 +318,9 @@ class IsarImage:
 
 
 def form_image(history: RangeProfileHistory, window: str = "hann") -> IsarImage:
-    """Windowed unitary DFT along slow time; rows are range bins."""
-    x = history.values
-    n = x.shape[0]
-    w = _window_samples(window, n)
-    spec = np.fft.fft(x * w[:, None], axis=0) / np.sqrt(n)
-    spec = np.fft.fftshift(spec, axes=0)
-    magnitude = np.abs(spec).T  # (n_range, n_doppler)
-    doppler = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / history.prf))
+    """The Doppler stage's windowed unitary DFT along slow time; rows are range bins."""
+    spec, doppler = _slow_time_dft(history.values.T, window, history.prf)
+    magnitude = np.abs(spec)  # (n_range, n_doppler)
     return IsarImage(
         magnitude=magnitude,
         range_axis=history.range_axis.copy(),

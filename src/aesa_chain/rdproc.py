@@ -16,6 +16,9 @@ streams the dwell through both stages in blocks of channels whose padded
 fast-time spectrum fits in ``BLOCK_BYTES`` (one channel at a time for the
 full swath, the whole cube for short dwells), into one preallocated
 range-Doppler cube, so the whole compressed cube never exists.
+
+The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
+formation calls it on the profile history.
 """
 
 from dataclasses import dataclass, replace
@@ -110,16 +113,33 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     )
 
 
-def _window_samples(window: str, n: int) -> np.ndarray:
+def _slow_time_dft(x: np.ndarray, window: str, prf: float, oversample: int = 1) -> tuple:
+    """Windowed unitary DFT over the last axis of ``x``, zero padded to
+    ``oversample`` times its length and fftshifted, taken in place.
+
+    Returns the spectrum and its frequency axis in Hz.
+    """
     try:
         name = WINDOWS[window.lower()]
     except KeyError:
         raise ConfigError(
             f"unknown window {window!r}; choose one of {sorted(WINDOWS)}"
         ) from None
+    n = x.shape[-1]
     w = get_window(name, n, fftbins=True).astype(float)
     # Unit mean-square so the post-transform noise floor equals the input power.
-    return w * np.sqrt(n / np.sum(w**2))
+    w *= np.sqrt(n / np.sum(w**2))
+    nfft = n * oversample
+    spec = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
+    np.multiply(x, w, out=spec[..., :n])
+    np.fft.fft(spec, out=spec)
+    # Scale and fftshift in place; only the half that moves right is copied.
+    scale = np.sqrt(nfft)
+    h = nfft // 2
+    head = spec[..., : nfft - h] / scale
+    np.divide(spec[..., nfft - h:], scale, out=spec[..., :h])
+    spec[..., h:] = head
+    return spec, np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / prf))
 
 
 def doppler_process(compressed: CompressedDwell, window: str = "hann",
@@ -138,22 +158,9 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
     if oversample < 1:
         raise ConfigError("oversample must be a positive integer")
     params = compressed.params
-    x = compressed.values
-    n = x.shape[2]
-    if n != params.n_pulses:
+    if compressed.values.shape[2] != params.n_pulses:
         raise ValueError("slow-time length does not match params.n_pulses")
-    w = _window_samples(window, n)
-    nfft = n * oversample
-    spec = np.zeros(x.shape[:2] + (nfft,), dtype=complex)
-    np.multiply(x, w, out=spec[..., :n])
-    np.fft.fft(spec, out=spec)
-    # Scale and fftshift in place; only the half that moves right is copied.
-    scale = np.sqrt(nfft)
-    h = nfft // 2
-    head = spec[..., : nfft - h] / scale
-    np.divide(spec[..., nfft - h:], scale, out=spec[..., :h])
-    spec[..., h:] = head
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / params.prf))
+    spec, freqs = _slow_time_dft(compressed.values, window, params.prf, oversample)
     velocity = freqs * params.wavelength / 2.0
     return RDDatacube(
         values=spec,

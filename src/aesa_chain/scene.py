@@ -242,8 +242,10 @@ def _pulse_envelope(params: RadarParams, t: np.ndarray) -> np.ndarray:
     # from dropping the boundary sample (shifts both edges, width preserved)
     edge = 1e-9 * params.pulse_width
     inside = (t >= -edge) & (t < params.pulse_width - edge)
-    phase = np.pi * chirp_rate * (t - params.pulse_width / 2.0) ** 2
-    return np.where(inside, np.exp(1j * phase), 0.0)
+    out = np.zeros(t.shape, dtype=complex)
+    phase = np.pi * chirp_rate * (t[inside] - params.pulse_width / 2.0) ** 2
+    out[inside] = np.exp(1j * phase)
+    return out
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -105,6 +105,13 @@ def dft_oracle(x):
     return out
 
 
+def unit_window_oracle(window, n):
+    """Periodic window rebuilt from its definition, unit mean square."""
+    a0 = {"rectangular": 1.0, "hann": 0.5, "hamming": 0.54}[window]
+    w = a0 - (1.0 - a0) * np.cos(2 * np.pi * np.arange(n) / n)
+    return w * np.sqrt(n / np.sum(w**2))
+
+
 def cfar_oracle(power, pfa, n_train, n_guard):
     """Reference CA-CFAR: per-cell loops over the documented contract.
 
@@ -247,3 +254,33 @@ def dense_isar_oracle(params, body, n_dwells, seed=0, noise_power=1.0, noise=Tru
             cube += _complex_noise(_rng(seed + d), shape, noise_power)
         cubes.append(cube)
     return cubes
+
+
+def roll_align_oracle(values, prf, fit_order=2):
+    """Range alignment by envelope correlation against a rolled running mean.
+
+    Each profile's envelope is correlated with the mean of the envelopes
+    aligned so far, which are kept in the range domain and aligned with
+    ``np.roll`` by their rounded shifts.  Returns (aligned values, smoothed
+    shifts, raw shifts).
+    """
+    from aesa_chain.isar import _fractional_peak
+
+    n_slow, n_bins = values.shape
+    env = np.abs(values)
+    shifts = np.zeros(n_slow)
+    ref = env[0].copy()
+    ref_count = 1
+    for k in range(1, n_slow):
+        spec = np.fft.fft(env[k]) * np.conj(np.fft.fft(ref / ref_count))
+        shifts[k] = _fractional_peak(np.fft.ifft(spec).real)
+        ref += np.roll(env[k], -int(round(shifts[k])))
+        ref_count += 1
+    t = np.arange(n_slow) / prf
+    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(fit_order, n_slow - 1))
+    smooth = np.polynomial.polynomial.polyval(t, coeffs)
+    smooth = smooth - smooth[0]
+    freqs = np.fft.fftfreq(n_bins)
+    ramp = np.exp(2j * np.pi * freqs[None, :] * smooth[:, None])
+    aligned = np.fft.ifft(np.fft.fft(values, axis=1) * ramp, axis=1)
+    return aligned, smooth, shifts

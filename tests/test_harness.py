@@ -3,13 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import aesa_chain
-from aesa_chain import load_config, read_grid, run_experiment, write_report
+from aesa_chain import (experiments, load_config, read_grid, run_experiment,
+                        simulate_dwell, write_report)
 from aesa_chain.cli import _steer_list, main
 
 from test_config import MALFORMED
@@ -106,7 +109,19 @@ def test_cli_overrides(tmp_path):
                  "--mode", "t3"]) == 2
 
 
-def test_exit_codes(tmp_path, caplog):
+GOOD_TRACK = "2025-07-08T09:12:00Z,Stelio Montomoli,1740.0,5.0,36.0,93.0,16.0"
+
+#: malformed truth-track rows (on line 3) and the columns each message must name
+MALFORMED_TRACKS = (
+    ("2025-07-09T08:40:00Z,Mega Express,abc,0.0,35.3,176.0,24.0", "column range_m"),
+    ("2025-07-09T08:40:00Z,Mega Express,7680.0,0.0", "column heading_deg"),
+    ("2025-07-09T08:40:00Z,Mega Express,7680.0,0.0,35.3,nan,24.0", "column length_m"),
+    ("2025-07-09T08:40:00Z,Mega Express,7680.0,0.0,35.3,20.0,24.0",
+     "columns length_m and beam_m"),
+)
+
+
+def test_exit_codes(tmp_path, caplog, monkeypatch):
     missing = tmp_path / "absent.yaml"
     assert main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.yaml"
@@ -124,6 +139,16 @@ def test_exit_codes(tmp_path, caplog):
         caplog.clear()
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert re.search(path, caplog.text), path
+    # a malformed truth-track file is reported before any dwell is simulated
+    monkeypatch.setattr(experiments, "simulate_dwell", None)
+    tracks = tmp_path / "tracks.csv"
+    for row, column in MALFORMED_TRACKS:
+        tracks.write_text("timestamp,name,range_m,azimuth_deg,heading_deg,length_m,beam_m\n"
+                          f"{GOOD_TRACK}\n{row}\n")
+        caplog.clear()
+        scenario = small_t1(tmp_path, truth_tracks="tracks.csv")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        assert f"track file {tracks}, line 3, {column}" in caplog.text, row
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -151,6 +176,36 @@ def test_dump_geometry_and_emit_raw(tmp_path):
     assert geometry[0] == "x_m,y_m,subarray_id"
     raw = sorted(p.name for p in out.glob("raw_ch*.aesg"))
     assert raw == [f"raw_ch{c}.aesg" for c in range(6)]
+    cfg = load_config(scenario)
+    cube = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
+                          cfg.clutter).values
+    np.testing.assert_array_equal(read_grid(out / "raw_ch0.aesg").values,
+                                  cube[0].astype(np.complex64))
+
+
+@pytest.mark.parametrize("make", (small_t1, small_t2))
+def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
+    cubes, alive = [], []
+    simulate, cfar = experiments.simulate_dwell, experiments.cfar_detect
+
+    def recording_simulate(*args, **kwargs):
+        raw = simulate(*args, **kwargs)
+        cubes.append(weakref.ref(raw.values))
+        return raw
+
+    def checking_cfar(*args, **kwargs):
+        alive.append(cubes[-1]() is not None)
+        return cfar(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_dwell", recording_simulate)
+    monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
+    cfg = load_config(make(tmp_path))
+    run_experiment(cfg)
+    assert alive and not any(alive)
+    # the raw grids of --emit-raw are what keeps the cube
+    alive.clear()
+    run_experiment(cfg, emit_raw=True)
+    assert alive and all(alive)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesa_chain import (AutofocusSearch, ConfigError, PhasePolynomial,
                         RadarParams, RangeProfileHistory, RigidBodyTarget,
@@ -7,8 +11,12 @@ from aesa_chain import (AutofocusSearch, ConfigError, PhasePolynomial,
                         extract_target_history, form_image, icba_autofocus,
                         image_contrast, range_align, range_compress,
                         simulate_isar_sequence)
+from aesa_chain import isar
 from aesa_chain.geometry import ArrayGeometry
 from aesa_chain.isar import _fractional_peak
+from aesa_chain.rdproc import WINDOWS
+
+from helpers import dft_oracle, roll_align_oracle, unit_window_oracle
 
 GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
@@ -110,6 +118,67 @@ def test_range_align_removes_linear_walk():
         range_align(hist, fit_order=-1)
 
 
+@st.composite
+def walking_histories(draw):
+    """Noisy profiles of 1-3 Gaussian scatterers walking at a constant rate."""
+    n_slow = draw(st.integers(8, 48))
+    n_bins = draw(st.sampled_from((15, 16, 31, 32, 49)))
+    rate = draw(st.just(0.0) | st.floats(-0.4, 0.4))  # bins per profile
+    noise = draw(st.floats(0.01, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = np.arange(n_bins)
+    base = np.zeros(n_bins, dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        centre = rng.uniform(0.3, 0.7) * n_bins
+        width = rng.uniform(0.8, 3.0)
+        amp = rng.normal() + 1j * rng.normal()
+        base += amp * np.exp(-0.5 * ((bins - centre) / width) ** 2)
+    walk = rate * np.arange(n_slow)
+    freqs = np.fft.fftfreq(n_bins)
+    vals = np.fft.ifft(np.fft.fft(base)[None, :]
+                       * np.exp(-2j * np.pi * freqs[None, :] * walk[:, None]), axis=1)
+    vals += noise * (rng.normal(size=vals.shape) + 1j * rng.normal(size=vals.shape))
+    return RangeProfileHistory(values=vals, prf=1000.0, range_axis=bins.astype(float),
+                               wavelength=0.03)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(walking_histories())
+def test_range_align_matches_roll_oracle(hist):
+    raw = []
+
+    def recording_peak(corr):
+        raw.append(_fractional_peak(corr))
+        return raw[-1]
+
+    with mock.patch.object(isar, "_fractional_peak", recording_peak):
+        aligned, smooth = range_align(hist)
+    want_aligned, want_smooth, want_raw = roll_align_oracle(hist.values, hist.prf)
+    raw = np.array([0.0] + raw)
+    assert [round(s) for s in raw] == [round(s) for s in want_raw]
+    np.testing.assert_allclose(raw, want_raw, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(smooth, want_smooth, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(aligned.values, want_aligned, rtol=0,
+                               atol=1e-9 * np.abs(hist.values).max())
+
+
+def test_range_align_transforms_each_profile_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    range_align(make_history(n_slow=40))
+    # one batched envelope transform, one inverse per profile after the
+    # first, and the forward and inverse transforms of the final alignment
+    assert len(calls) == 1 + 39 + 2
+
+
 def test_image_contrast_single_pixel_oracle():
     grid = np.zeros((10, 10))
     grid[3, 7] = 1.0
@@ -179,6 +248,31 @@ def test_form_image_peak_positions():
     assert image.contrast == pytest.approx(image_contrast(image.magnitude))
     with pytest.raises(ConfigError):
         form_image(hist, window="kaiser")
+
+
+def test_form_image_matches_dft_oracle():
+    prf, n_range = 1000.0, 4
+    for n_slow in (31, 32):
+        rng = np.random.default_rng(n_slow)
+        vals = rng.normal(size=(n_slow, n_range)) + 1j * rng.normal(size=(n_slow, n_range))
+        hist = RangeProfileHistory(values=vals, prf=prf,
+                                   range_axis=1500.0 + 2.4 * np.arange(n_range),
+                                   wavelength=0.03)
+        for window in sorted(WINDOWS):
+            image = form_image(hist, window=window)
+            w = unit_window_oracle(window, n_slow)
+            want = np.empty((n_range, n_slow))
+            for r in range(n_range):
+                spec = dft_oracle(vals[:, r] * w) / np.sqrt(n_slow)
+                # column j holds frequency index j - n_slow // 2
+                for j in range(n_slow):
+                    want[r, j] = abs(spec[(j - n_slow // 2) % n_slow])
+            np.testing.assert_allclose(image.magnitude, want, rtol=0,
+                                       atol=1e-10 * want.max())
+            np.testing.assert_allclose(image.doppler_axis_hz,
+                                       (np.arange(n_slow) - n_slow // 2) * prf / n_slow)
+            np.testing.assert_array_equal(image.range_axis, hist.range_axis)
+            assert image.contrast == pytest.approx(image_contrast(want), rel=1e-9)
 
 
 def test_cross_range_scale_geometry():

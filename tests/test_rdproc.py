@@ -12,7 +12,7 @@ from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process,
 from aesa_chain import rdproc
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
 
-from helpers import compress_oracle, dft_oracle
+from helpers import compress_oracle, dft_oracle, unit_window_oracle
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 #: n_fast = 333, which the range transform pads to 336
@@ -183,13 +183,6 @@ def test_power_sums_channels():
     np.testing.assert_allclose(rd.power(), np.sum(np.abs(rd.values) ** 2, axis=0))
 
 
-def _unit_window(window, n):
-    """Periodic window rebuilt from its definition, unit mean square."""
-    a0 = {"rectangular": 1.0, "hann": 0.5, "hamming": 0.54}[window]
-    w = a0 - (1.0 - a0) * np.cos(2 * np.pi * np.arange(n) / n)
-    return w * np.sqrt(n / np.sum(w**2))
-
-
 @st.composite
 def dwell_targets(draw, params):
     """Up to three point targets inside the receive window, unaliased."""
@@ -238,7 +231,7 @@ def test_doppler_stage_is_unitary_and_shifted(n, oversample, window, seed):
     comp = CompressedDwell(values=x, range_axis=params.range_axis()[:3], params=params,
                            seed=0)
     rd = doppler_process(comp, window=window, oversample=oversample)
-    xw = x * _unit_window(window, n)
+    xw = x * unit_window_oracle(window, n)
     np.testing.assert_allclose(np.sum(np.abs(rd.values) ** 2, axis=2),
                                np.sum(np.abs(xw) ** 2, axis=2), rtol=1e-12)
     # zero-padded, scaled and shifted as numpy's transform would be, odd lengths too
