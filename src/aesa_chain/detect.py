@@ -223,7 +223,7 @@ def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
     denom = y_left - 2.0 * y_mid + y_right
     if denom == 0.0:
         return 0.0
-    return float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
+    return float(min(max(0.5 * (y_left - y_right) / denom, -0.5), 0.5))
 
 
 def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakSet:

@@ -403,8 +403,9 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                                     cfg.seed, cfg.noise_power, geometry=geom)
     if emit_raw:
         _raw_grids(report, dwells[0])
-    compressed = [range_compress(d) for d in dwells]
-    del dwells
+    # consume the raw list, so each raw dwell dies once it is compressed
+    dwells.reverse()
+    compressed = [range_compress(dwells.pop()) for _ in range(len(dwells))]
     steer = cfg.steering_deg[0]
     weights = conventional_weights(geom, steer)
 

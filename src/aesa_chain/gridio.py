@@ -19,6 +19,7 @@ Writers emit bytes deterministically so identical arrays always produce
 identical files.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,8 @@ class Grid:
 
 
 def _pack_axis(axis: GridAxis) -> bytes:
+    if not (math.isfinite(axis.start) and math.isfinite(axis.step)):
+        raise ValueError("axis start and step must be finite")
     unit = axis.unit.encode("utf-8")
     if len(unit) > 0xFFFF:
         raise ValueError("axis unit string too long")
@@ -65,7 +68,12 @@ def _unpack_axis(path, buf: bytes, offset: int):
     start, step, n = struct.unpack_from("<ddH", buf, offset)
     offset += struct.calcsize("<ddH")
     _require_header(path, buf, offset + n)
-    unit = buf[offset:offset + n].decode("utf-8")
+    if not (math.isfinite(start) and math.isfinite(step)):
+        raise ValueError(f"{path}: non-finite axis start {start} or step {step}")
+    try:
+        unit = buf[offset:offset + n].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: axis unit is not UTF-8 ({exc.reason})") from None
     return GridAxis(start=start, step=step, unit=unit), offset + n
 
 

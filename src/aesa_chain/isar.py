@@ -3,14 +3,15 @@
 The imaging chain stacks beamformed range profiles of the tracked window
 over a multi-dwell coherent interval, removes translational range walk by
 envelope correlation against a running reference (Chen and Andrews, 1980),
-removes residual phase error by maximizing image contrast over a low-order
-phase polynomial (coarse per-coefficient grids followed by a derivative-free
-simplex), and forms the image with the Doppler stage's windowed unitary
-slow-time DFT.  Cross-range scaling requires the rotation rate: one Doppler
-bin spans ``lambda * delta_f / (2 * omega)`` metres.  Alignment keeps its
-reference as a spectrum, so each profile costs one inverse FFT.
+removes residual phase error by maximizing image contrast over a phase
+polynomial (a c_2 grid, then L-BFGS-B on the analytic contrast gradient;
+Martorella et al., 2005), and forms the image with the Doppler stage's
+windowed unitary slow-time DFT.  Cross-range scaling requires the rotation
+rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
+Alignment keeps its reference as a spectrum: one inverse FFT per profile.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -24,9 +25,8 @@ from .rdproc import _slow_time_dft
 #: slow-time samples below which imaging quality degrades noticeably
 MIN_IMAGING_SAMPLES = 64
 
-#: autofocus simplex stop: contrast tolerance relative to the grid best, iteration cap
-SIMPLEX_REL_TOL = 1.0e-3
-SIMPLEX_MAX_ITERATIONS = 400
+#: autofocus refinement cap (L-BFGS-B ``maxfun``; the running iteration completes)
+AUTOFOCUS_MAX_EVALUATIONS = 30
 
 
 @dataclass
@@ -103,19 +103,18 @@ def extract_target_history(compressed_dwells, weights, range_span) -> RangeProfi
 
 def _fractional_peak(corr: np.ndarray) -> float:
     """Fractional argmax of a circular correlation, ties toward zero lag."""
-    n = corr.size
-    best = corr.max()
-    ties = np.flatnonzero(corr == best)
-    if ties.size > 1:
-        lags = np.where(ties > n // 2, ties - n, ties)
-        pick = ties[np.argmin(np.abs(lags))]
+    values = corr.tolist()
+    n = len(values)
+    best = max(values)
+    pick = values.index(best)
+    if values.count(best) > 1:
+        ties = [i for i, v in enumerate(values) if v == best]
+        pick = min(ties, key=lambda i: n - i if i > n // 2 else i)
         warnings.warn("range alignment correlation tie; choosing the smaller shift",
                       stacklevel=3)
-    else:
-        pick = ties[0]
-    frac = _parabolic_offset(corr[(pick - 1) % n], corr[pick], corr[(pick + 1) % n])
+    frac = _parabolic_offset(values[pick - 1], best, values[(pick + 1) % n])
     lag = pick if pick <= n // 2 else pick - n
-    return float(lag + frac)
+    return lag + frac
 
 
 def range_align(history: RangeProfileHistory, fit_order: int = 2):
@@ -141,6 +140,9 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
     env = np.fft.fft(np.abs(x), axis=1)
     # multiplying a spectrum by exp(advance * s) advances its signal by s bins
     advance = 2j * np.pi * np.fft.fftfreq(n_bins)
+    # every rounded shift lies within half a bin of a lag in [-n/2, n/2]
+    reach = n_bins // 2 + 1
+    ramps = np.exp(advance * np.arange(-reach, reach + 1)[:, None])
     shifts = np.zeros(n_slow)
     ref = env[0].copy()
     for k in range(1, n_slow):
@@ -148,12 +150,11 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
         # k aligned envelopes, so the peak lag is the displacement of profile k.
         corr = np.fft.ifft(env[k] * np.conj(ref)).real / k
         shifts[k] = _fractional_peak(corr)
-        ref += env[k] * np.exp(advance * round(shifts[k]))
+        ref += env[k] * ramps[reach + round(shifts[k])]
     t = np.arange(n_slow) / history.prf
-    order = min(fit_order, n_slow - 1)
-    coeffs = np.polynomial.polynomial.polyfit(t, shifts, order)
+    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(fit_order, n_slow - 1))
     smooth = np.polynomial.polynomial.polyval(t, coeffs)
-    smooth = smooth - smooth[0]
+    smooth -= smooth[0]
     ramp = np.exp(advance[None, :] * smooth[:, None])
     aligned = np.fft.ifft(np.fft.fft(x, axis=1) * ramp, axis=1)
     return replace(history, values=aligned, range_axis=history.range_axis.copy()), smooth
@@ -195,10 +196,8 @@ class PhasePolynomial:
 
     def phase(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for n, c in enumerate(self.coefficients, start=2):
-            out += c * t**n
-        return out
+        return sum((c * t**n for n, c in enumerate(self.coefficients, start=2)),
+                   np.zeros_like(t))
 
 
 @dataclass(frozen=True)
@@ -224,84 +223,85 @@ class AutofocusResult:
     improved: bool
 
 
-def _focused_contrast(values: np.ndarray, t: np.ndarray, coeffs: np.ndarray) -> float:
-    phase = PhasePolynomial(coefficients=tuple(coeffs)).phase(t)
-    corrected = values * np.exp(-1j * phase)[:, None]
-    image = np.abs(np.fft.fft(corrected, axis=0)) / np.sqrt(values.shape[0])
-    return image_contrast(image)
+def _contrast_evaluator(values: np.ndarray, basis: np.ndarray):
+    """Contrast C(c) of the unwindowed image of ``values * exp(-j c @ basis)``.
+
+    With y the corrected history and I = |fft(y)|^2 along slow time over R
+    range bins, Parseval holds the mean M of I at sum |x|^2 / R, so
+    C = sqrt(mean(I^2) / M^2 - 1); with Z = ifft(I fft(y)), dC/dphi(t) =
+    2 / (R C M^2) * sum_r Im(y conj(Z)).  All calls share one set of buffers.
+    """
+    x = np.ascontiguousarray(values.T)  # slow time on the contiguous axis
+    y, spec = np.empty_like(x), np.empty_like(x)
+    intensity, spare = np.empty(x.shape), np.empty(x.shape)
+    mean = float(np.sum(np.abs(x) ** 2)) / len(x)
+    if mean <= 0.0:
+        raise ValueError("contrast is undefined for an identically zero image")
+
+    def evaluate(coeffs, gradient=False):
+        np.multiply(x, np.exp(-1j * sum(c * b for c, b in zip(coeffs, basis))), out=y)
+        np.fft.fft(y, axis=1, out=spec)
+        np.multiply(spec.real, spec.real, out=intensity)
+        np.multiply(spec.imag, spec.imag, out=spare)
+        np.add(intensity, spare, out=intensity)
+        excess = np.einsum("ij,ij->", intensity, intensity) / (x.size * mean**2) - 1.0
+        # the ratio is exact to a few 1e-15, so a smaller excess is a flat image
+        contrast = math.sqrt(excess) if excess > 1e-12 else 0.0
+        if not gradient:
+            return contrast
+        if contrast == 0.0:  # no direction of ascent is defined on a flat image
+            return contrast, np.zeros(len(basis))
+        np.multiply(spec, intensity, out=spec)
+        np.fft.ifft(spec, axis=1, out=spec)
+        np.multiply(y.imag, spec.real, out=spare)
+        np.multiply(y.real, spec.imag, out=intensity)
+        np.subtract(spare, intensity, out=spare)
+        d_phase = spare.sum(axis=0) * (2.0 / (len(x) * contrast * mean**2))
+        return contrast, (basis * d_phase).sum(axis=1)
+    return evaluate
 
 
 def icba_autofocus(history: RangeProfileHistory, order: int = 3,
                    search: AutofocusSearch | None = None) -> AutofocusResult:
     """Image-contrast-based autofocus over a phase polynomial.
 
-    Coefficients c_2..c_order (centred slow time) are estimated by maximizing
-    the contrast of the Doppler image: each coefficient is first swept on a
-    coarse symmetric grid whose endpoints contribute ``phase_span_rad`` of
-    phase at the edge of the interval, then all coefficients are refined
-    jointly with a Nelder-Mead simplex.  The focused history is returned with
-    the correction applied; when no candidate beats the unfocused contrast
-    the result carries zero coefficients and ``improved=False``.
+    Coefficients c_2..c_order (centred slow time) maximize the contrast of
+    the unwindowed Doppler image: c_2 is swept on a symmetric grid whose ends
+    put ``phase_span_rad`` of phase at the edge of the interval, then L-BFGS-B
+    refines all of them on the analytic gradient.  The focused history carries
+    the correction; when nothing beats the unfocused contrast the result has
+    zero coefficients and ``improved=False``.
     """
     if not 2 <= order <= 4:
         raise ValueError("polynomial order must lie in [2, 4]")
     search = search or AutofocusSearch()
-    x = history.values
-    if x.shape[0] < MIN_IMAGING_SAMPLES:
-        raise ValueError(
-            f"autofocus needs >= {MIN_IMAGING_SAMPLES} slow-time samples, "
-            f"got {x.shape[0]}"
-        )
+    if history.n_slow < MIN_IMAGING_SAMPLES:
+        raise ValueError(f"autofocus needs >= {MIN_IMAGING_SAMPLES} slow-time samples, "
+                         f"got {history.n_slow}")
     t = history.slow_time()
-    half_span = t[-1]  # (T - 1/prf) / 2
-    n_coeff = order - 1
-    contrast0 = _focused_contrast(x, t, np.zeros(n_coeff))
+    powers = np.arange(2, order + 1)
+    scale = search.phase_span_rad / t[-1] ** powers  # c_n per grid unit
+    contrast = _contrast_evaluator(history.values, t ** powers[:, None])
+    best, contrast0 = np.zeros(order - 1), contrast(np.zeros(order - 1))
+    grid = np.outer(np.linspace(-1.0, 1.0, search.grid_points), np.eye(order - 1)[0])
+    seeds = [contrast(u * scale) for u in grid]
+    k = int(np.argmax(seeds))
+    best, best_contrast = (grid[k], seeds[k]) if seeds[k] > contrast0 else (best, contrast0)
 
-    best = np.zeros(n_coeff)
-    best_contrast = contrast0
-    steps = np.empty(n_coeff)
-    for j in range(n_coeff):
-        power = j + 2
-        limit = search.phase_span_rad / half_span**power
-        grid = np.linspace(-limit, limit, search.grid_points)
-        steps[j] = grid[1] - grid[0]
-        for c in grid:
-            trial = best.copy()
-            trial[j] = c
-            value = _focused_contrast(x, t, trial)
-            if value > best_contrast:
-                best_contrast = value
-                best = trial
+    def negative(u):
+        value, grad = contrast(u * scale, gradient=True)
+        return -value, -grad * scale
 
-    simplex = best[None, :] + np.vstack([np.zeros(n_coeff), np.diag(steps)])
-    result = minimize(
-        lambda c: -_focused_contrast(x, t, c),
-        best,
-        method="Nelder-Mead",
-        options={
-            "xatol": float(np.min(steps)) * 1e-3,
-            "fatol": SIMPLEX_REL_TOL * max(best_contrast, 1e-12),
-            "maxiter": SIMPLEX_MAX_ITERATIONS,
-            "initial_simplex": simplex,
-        },
-    )
+    result = minimize(negative, best, jac=True, method="L-BFGS-B",
+                      options={"maxfun": AUTOFOCUS_MAX_EVALUATIONS})
     if -result.fun > best_contrast:
-        best_contrast = -result.fun
-        best = result.x
-
-    improved = best_contrast > contrast0
-    if not improved:
-        best = np.zeros(n_coeff)
-        best_contrast = contrast0
-    poly = PhasePolynomial(coefficients=tuple(best))
-    focused = history.values * np.exp(-1j * poly.phase(t))[:, None]
-    return AutofocusResult(
-        polynomial=poly,
-        history=replace(history, values=focused, range_axis=history.range_axis.copy()),
-        contrast_before=float(contrast0),
-        contrast_after=float(best_contrast),
-        improved=bool(improved),
-    )
+        best, best_contrast = result.x, -result.fun
+    poly = PhasePolynomial(coefficients=tuple(best * scale))
+    focused = replace(history, values=history.values * np.exp(-1j * poly.phase(t))[:, None],
+                      range_axis=history.range_axis.copy())
+    return AutofocusResult(polynomial=poly, history=focused, contrast_before=float(contrast0),
+                           contrast_after=float(best_contrast),
+                           improved=bool(best_contrast > contrast0))
 
 
 @dataclass

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesa_chain import (ArrayGeometry, ConfigError, CovarianceEstimate,
                         EstimationError, GroundTruthTrack, MusicSpectrum,
@@ -7,7 +11,7 @@ from aesa_chain import (ArrayGeometry, ConfigError, CovarianceEstimate,
                         cfar_detect, load_tracks, music_spectrum, pick_peaks,
                         rd_map, select_training_subset, simulate_dwell,
                         subarray_steering, target_angular_span)
-from aesa_chain.detect import _local_maxima
+from aesa_chain.detect import _local_maxima, _parabolic_offset
 
 from helpers import cfar_oracle, music_spectrum_oracle
 
@@ -174,6 +178,28 @@ def test_pick_peaks_parabolic_refinement_is_exact():
                          n_sources=1)
     peak = pick_peaks(spec, 1).peaks[0]
     assert peak.azimuth_deg == pytest.approx(true_az, abs=1e-12)
+
+
+def _clipped_vertex(y_left, y_mid, y_right):
+    """The vertex rule in its numpy form: np.clip of the parabola's offset."""
+    denom = y_left - 2.0 * y_mid + y_right
+    if denom == 0.0:
+        return 0.0
+    return float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
+
+
+EDGE_TRIPLES = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0),
+                (5.0, 1.0, 0.0), (0.0, 1.0, 5.0), (1.0, 2.0, 1.0), (-1.0, -2.0, -1.0),
+                (1.0, 1.0, 1.0), (3.0, 0.0, 0.0), (0.25, 0.5, 0.75)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
+       | st.sampled_from(EDGE_TRIPLES).map(list))
+def test_parabolic_offset_matches_the_clip_form(triple):
+    want = struct.pack("<d", _clipped_vertex(*triple))
+    assert struct.pack("<d", _parabolic_offset(*triple)) == want
+    assert struct.pack("<d", _parabolic_offset(*np.array(triple))) == want
 
 
 def test_pick_peaks_tie_break_and_completeness():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesa_chain import GridAxis, read_grid, write_csv, write_grid
 
@@ -78,6 +80,61 @@ def test_read_rejects_wrong_lengths(tmp_path):
         with pytest.raises(ValueError, match=message) as err:
             read_grid(path)
         assert str(path) in str(err.value)
+
+
+def _rejected(path, data):
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        read_grid(path)
+    assert str(path) in str(err.value)
+
+
+def test_read_rejects_corrupt_axes(tmp_path):
+    path = write_grid(tmp_path / "v.aesg", np.ones((2, 3)), *AXES)
+    buf = path.read_bytes()
+    # f64 start and step of the row axis, then of the column axis
+    for offset in (15, 23, 34, 42):
+        for bad in (np.nan, np.inf, -np.inf):
+            _rejected(path, buf[:offset] + struct.pack("<d", bad) + buf[offset + 8:])
+    _rejected(path, buf[:33] + b"\xff" + buf[34:])  # the unit "m" as an invalid byte
+    with pytest.raises(ValueError, match="UTF-8"):
+        read_grid(path)
+    for bad in (GridAxis(np.nan, 1.0, "m"), GridAxis(0.0, np.inf, "m")):
+        with pytest.raises(ValueError, match="finite"):
+            write_grid(tmp_path / "w.aesg", np.ones((2, 2)), bad, AXES[1])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+AXIS = st.builds(GridAxis, FINITE, FINITE, st.text(max_size=6))
+
+
+@st.composite
+def grids(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(rows, cols))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=(rows, cols))
+    return values, draw(AXIS), draw(AXIS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grids())
+def test_round_trip_and_corruption_over_generated_grids(tmp_path_factory, grid):
+    values, row_axis, col_axis = grid
+    path = write_grid(tmp_path_factory.mktemp("grid") / "g.aesg", values, row_axis, col_axis)
+    read = read_grid(path)
+    np.testing.assert_array_equal(read.values, values.astype(read.values.dtype))
+    assert read.values.dtype == (np.complex64 if np.iscomplexobj(values) else np.float32)
+    assert (read.row_axis, read.col_axis) == (row_axis, col_axis)
+    buf = path.read_bytes()
+    for cut in range(len(buf)):
+        _rejected(path, buf[:cut])
+    # setting the top bit of a unit's first byte never leaves valid UTF-8
+    col_unit = 51 + len(row_axis.unit.encode("utf-8"))
+    for offset, unit in ((33, row_axis.unit), (col_unit, col_axis.unit)):
+        if unit:
+            _rejected(path, buf[:offset] + bytes([buf[offset] ^ 0x80]) + buf[offset + 1:])
 
 
 def test_write_csv_fixed_newlines(tmp_path):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,33 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     alive.clear()
     run_experiment(cfg, emit_raw=True)
     assert alive and all(alive)
+
+
+def test_raw_dwells_released_while_compressing(monkeypatch):
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=4))
+    raws, alive = [], []
+    simulate, compress = experiments.simulate_isar_sequence, experiments.range_compress
+
+    def recording_simulate(*args, **kwargs):
+        dwells = simulate(*args, **kwargs)
+        raws.extend(weakref.ref(d.values) for d in dwells)
+        return dwells
+
+    def checking_compress(raw):
+        alive.append([ref() is not None for ref in raws])
+        return compress(raw)
+
+    monkeypatch.setattr(experiments, "simulate_isar_sequence", recording_simulate)
+    monkeypatch.setattr(experiments, "range_compress", checking_compress)
+    run_experiment(cfg)
+    # when dwell k is compressed, the dwells before it are gone
+    assert alive == [[False] * k + [True] * (4 - k) for k in range(4)]
+    # the raw grids of --emit-raw keep dwell 0
+    raws.clear()
+    alive.clear()
+    run_experiment(cfg, emit_raw=True)
+    assert alive[2][:2] == [True, False]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -162,7 +164,8 @@ def test_range_align_matches_roll_oracle(hist):
                                atol=1e-9 * np.abs(hist.values).max())
 
 
-def test_range_align_transforms_each_profile_once(monkeypatch):
+def count_transforms(monkeypatch) -> list:
+    """Record the name of every np.fft.fft / ifft call from now on."""
     calls = []
 
     def counted(fn):
@@ -173,6 +176,11 @@ def test_range_align_transforms_each_profile_once(monkeypatch):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls
+
+
+def test_range_align_transforms_each_profile_once(monkeypatch):
+    calls = count_transforms(monkeypatch)
     range_align(make_history(n_slow=40))
     # one batched envelope transform, one inverse per profile after the
     # first, and the forward and inverse transforms of the final alignment
@@ -221,6 +229,73 @@ def test_autofocus_recovers_quadratic_phase():
     np.testing.assert_allclose(result.history.values, manual, atol=1e-12)
     # refocused image regains nearly all of the clean contrast
     assert form_image(result.history).contrast > 0.98 * form_image(clean).contrast
+
+
+@st.composite
+def phased_histories(draw):
+    """Noisy tone histories with a polynomial phase of order 2-4."""
+    n_slow = draw(st.integers(64, 300))
+    n_bins = draw(st.integers(1, 6))
+    order = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_slow, n_bins)) + 1j * rng.normal(size=(n_slow, n_bins))
+    slow = np.arange(n_slow)[:, None]
+    values += draw(st.floats(0.0, 5.0)) * np.exp(2j * np.pi * rng.uniform(size=n_bins) * slow)
+    # coefficients as the phase they reach at the edge of the interval, in rad
+    edge = draw(st.lists(st.floats(-20.0, 20.0), min_size=order - 1, max_size=order - 1))
+    return values, order, np.array(edge)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(phased_histories())
+def test_contrast_gradient_matches_central_differences(case):
+    values, order, coeffs = case
+    n_slow = values.shape[0]
+    t = (np.arange(n_slow) - (n_slow - 1) / 2.0) / 1000.0
+    basis = (t / t[-1]) ** np.arange(2, order + 1)[:, None]
+    contrast = isar._contrast_evaluator(values, basis)
+    value, grad = contrast(coeffs, gradient=True)
+    assert contrast(coeffs) == value
+    phase = np.einsum("n,nt->t", coeffs, basis)
+    image = np.abs(np.fft.fft(values * np.exp(-1j * phase)[:, None], axis=0))
+    assert value == pytest.approx(image_contrast(image / np.sqrt(n_slow)), rel=1e-12, abs=0)
+    step = 1e-5  # rad at the edge
+    numeric = np.array([(contrast(coeffs + step * e) - contrast(coeffs - step * e)) / (2 * step)
+                        for e in np.eye(order - 1)])
+    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-8 * max(value, 1.0))
+
+
+def test_autofocus_leaves_a_flat_image_alone():
+    # one pulse per range bin: every phase correction keeps the spectrum flat
+    values = np.zeros((128, 4), dtype=complex)
+    values[5] = [1.0, 1.0j, -1.0, -1.0j]
+    hist = RangeProfileHistory(values=values, prf=1000.0, range_axis=np.arange(4.0),
+                               wavelength=0.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = icba_autofocus(hist, order=4)
+    assert not result.improved
+    assert result.polynomial.coefficients == (0.0, 0.0, 0.0)
+    assert result.contrast_before == result.contrast_after == 0.0
+    np.testing.assert_array_equal(result.history.values, values)
+    zero = RangeProfileHistory(values=np.zeros((128, 4), dtype=complex), prf=1000.0,
+                               range_axis=np.arange(4.0), wavelength=0.03)
+    with pytest.raises(ValueError, match="identically zero"):
+        icba_autofocus(zero, order=3)
+
+
+def test_autofocus_transform_count(monkeypatch):
+    clean = make_history(n_slow=4000, prf=2000.0, n_bins=49)
+    t = clean.slow_time()
+    hist = replace(clean, values=clean.values
+                   * np.exp(1j * (50.0 * t**2 + 3.0 * t**3))[:, None])
+    calls = count_transforms(monkeypatch)
+    result = icba_autofocus(hist, order=3)
+    # the unfocused image, the 21-point c2 grid, then a transform pair per
+    # L-BFGS-B evaluation
+    assert len(calls) <= 50
+    assert result.improved
+    assert result.polynomial.coefficients[0] == pytest.approx(50.0, rel=0.01)
 
 
 def test_autofocus_validation():
