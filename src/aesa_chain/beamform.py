@@ -76,11 +76,6 @@ def _box_around(row: int, col: int, half_widths) -> tuple:
     return (row - hr, row + hr + 1), (col - hc, col + hc + 1)
 
 
-def _snapshot_floor(n_ch: int, min_snapshots: int | None) -> int:
-    """Fewest snapshots for a sample covariance; by default 2 N_ch (Reed, Mallett, Brennan)."""
-    return 2 * n_ch if min_snapshots is None else int(min_snapshots)
-
-
 @dataclass
 class CovarianceEstimate:
     """Loaded sample covariance of the channel snapshots."""
@@ -110,11 +105,9 @@ class CovarianceEstimate:
 
 @dataclass
 class BeamformerWeights:
-    """Unit-norm channel weights with their steering direction and mode."""
+    """Unit-norm channel weights."""
 
     values: np.ndarray
-    mode: str
-    steer_azimuth_deg: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -124,23 +117,23 @@ class BeamformerWeights:
         self.values = v / norm
 
 
-def covariance_from_snapshots(snapshots: np.ndarray, loading_db: float = DEFAULT_LOADING_DB,
-                              min_snapshots: int | None = None) -> CovarianceEstimate:
+def covariance_from_snapshots(snapshots: np.ndarray,
+                              loading_db: float = DEFAULT_LOADING_DB) -> CovarianceEstimate:
     """Loaded sample covariance from a (n_channels, K) snapshot block.
 
     The unloaded sample covariance is factored once, and the loading
     ``lambda_min * 10^(loading_db/10)`` is added to every eigenvalue (lambda_min
-    is the thermal floor when interference is low rank).  ``min_snapshots``
-    defaults to twice the channel count.
+    is the thermal floor when interference is low rank).  Fewer than twice
+    the channel count of snapshots (Reed, Mallett and Brennan) raise
+    ``EstimationError``; this is the chain's one snapshot floor.
     """
     x = np.asarray(snapshots, dtype=complex)
     if x.ndim != 2 or not np.all(np.isfinite(x)):
         raise ValueError("snapshots must be a finite 2-D (channels, K) array")
     n_ch, k = x.shape
-    floor = _snapshot_floor(n_ch, min_snapshots)
-    if k < floor:
+    if k < 2 * n_ch:
         raise EstimationError(
-            f"{k} snapshots are too few for covariance estimation (need >= {floor})"
+            f"{k} snapshots are too few for covariance estimation (need >= {2 * n_ch})"
         )
     r = x @ x.conj().T / k
     r = 0.5 * (r + r.conj().T)
@@ -154,8 +147,7 @@ def covariance_from_snapshots(snapshots: np.ndarray, loading_db: float = DEFAULT
 
 def estimate_covariance(rd: RDDatacube, region: TrainingRegion,
                         loading_db: float = DEFAULT_LOADING_DB,
-                        clutter_mask: np.ndarray | None = None,
-                        min_snapshots: int | None = None) -> CovarianceEstimate:
+                        clutter_mask: np.ndarray | None = None) -> CovarianceEstimate:
     """Sample covariance over a training region of the RD cube.
 
     ``clutter_mask`` marks cells to exclude (True = clutter) in addition to
@@ -164,14 +156,12 @@ def estimate_covariance(rd: RDDatacube, region: TrainingRegion,
     snaps = region.snapshots(rd, clutter_mask)
     if snaps.size == 0:
         raise EstimationError("training region is empty after exclusions")
-    return covariance_from_snapshots(snaps, loading_db=loading_db,
-                                     min_snapshots=min_snapshots)
+    return covariance_from_snapshots(snaps, loading_db=loading_db)
 
 
 def conventional_weights(geom: ArrayGeometry, azimuth_deg: float) -> BeamformerWeights:
     """Phase-conjugate (matched) weights, unit norm."""
-    v = subarray_steering(geom, azimuth_deg)
-    return BeamformerWeights(values=v, mode="conventional", steer_azimuth_deg=float(azimuth_deg))
+    return BeamformerWeights(values=subarray_steering(geom, azimuth_deg))
 
 
 def mvdr_distortionless_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
@@ -198,8 +188,7 @@ def mvdr_distortionless_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
 def mvdr_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
                  azimuth_deg: float) -> BeamformerWeights:
     """Unit-norm minimum-variance distortionless weights."""
-    w0 = mvdr_distortionless_weights(cov, geom, azimuth_deg)
-    return BeamformerWeights(values=w0, mode="mvdr", steer_azimuth_deg=float(azimuth_deg))
+    return BeamformerWeights(values=mvdr_distortionless_weights(cov, geom, azimuth_deg))
 
 
 def apply_beamformer(rd, weights) -> np.ndarray:
@@ -219,16 +208,10 @@ def apply_beamformer(rd, weights) -> np.ndarray:
 
 @dataclass
 class BeamscanCurve:
-    """Output energy versus steering azimuth for one beamformer mode."""
+    """Output energy versus steering azimuth."""
 
     azimuth_deg: np.ndarray
     energy: np.ndarray          # linear total output energy per angle
-    mode: str
-
-    @property
-    def db(self) -> np.ndarray:
-        """Energy normalized to the curve maximum, in dB."""
-        return 10.0 * np.log10(self.energy / self.energy.max())
 
 
 def beamscan(rd: RDDatacube, geom: ArrayGeometry, azimuth_grid_deg,
@@ -245,8 +228,7 @@ def beamscan(rd: RDDatacube, geom: ArrayGeometry, azimuth_grid_deg,
                    else mvdr_weights(cov, geom, az)).values for az in grid], axis=1)
     x = rd.values.reshape(rd.values.shape[0], -1)
     energy = np.einsum("ca,ca->a", w.conj(), (x @ x.conj().T) @ w).real
-    return BeamscanCurve(azimuth_deg=grid, energy=energy,
-                         mode="conventional" if cov is None else "mvdr")
+    return BeamscanCurve(azimuth_deg=grid, energy=energy)
 
 
 def rejection_db(conventional_map: np.ndarray, adaptive_map: np.ndarray,

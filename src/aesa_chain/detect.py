@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import CovarianceEstimate, TrainingRegion, _box_around, _snapshot_floor
-from .errors import ConfigError, EstimationError
+from .beamform import CovarianceEstimate, TrainingRegion, _box_around
+from .errors import ConfigError
 from .geometry import ArrayGeometry, subarray_steering_matrix
 from .rdproc import RDDatacube
 
@@ -71,7 +71,9 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     list of Detection
         Cells exceeding the adaptive threshold that are also strict local
         maxima of their 3x3 neighbourhood.  Cells whose training window does
-        not fit inside the map are not evaluated.
+        not fit inside the map are not evaluated.  A cell whose training
+        cells all have zero power (a noise-free map) has a zero threshold,
+        reported as ``threshold_db = -inf``.
     """
     p = np.asarray(power_map, dtype=float)
     if p.ndim != 2:
@@ -102,13 +104,14 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     for row, col in hits:
         r = int(i[row])
         d = int(col)
+        level = threshold[row, col]
         detections.append(Detection(
             range_bin=r,
             doppler_bin=d,
             range_m=float(range_axis[r]) if range_axis is not None else float("nan"),
             radial_velocity=float(velocity_axis[d]) if velocity_axis is not None else float("nan"),
             peak_power_db=float(10.0 * np.log10(p[r, d])),
-            threshold_db=float(10.0 * np.log10(threshold[row, col])),
+            threshold_db=float(10.0 * np.log10(level)) if level > 0.0 else -np.inf,
         ))
     detections.sort(key=lambda det: det.peak_power_db, reverse=True)
     return detections
@@ -134,28 +137,20 @@ def _local_maxima(values: np.ndarray, compare) -> np.ndarray:
 def select_training_subset(rd: RDDatacube, detection: Detection,
                            window: tuple = (10, 10),
                            guard: tuple | None = None,
-                           clutter_mask: np.ndarray | None = None,
-                           min_snapshots: int | None = None) -> np.ndarray:
+                           clutter_mask: np.ndarray | None = None) -> np.ndarray:
     """Channel snapshots from a window around a detection.
 
     ``window`` and ``guard`` are (range, doppler) half-widths; the guard block
     (when given) and clutter-masked cells are removed.  The window is clipped
-    at the map edges.  Returns a (n_channels, K) array; raises
-    ``EstimationError`` when fewer than ``min_snapshots`` cells remain
-    (default twice the channel count).
+    at the map edges.  Returns a (n_channels, K) array; too few snapshots
+    for an estimate are refused by ``covariance_from_snapshots``.
     """
     if int(window[0]) < 0 or int(window[1]) < 0:
         raise ValueError("window half-widths must be non-negative")
     cell = (detection.range_bin, detection.doppler_bin)
     guard_box = None if guard is None else _box_around(*cell, guard)
     region = TrainingRegion(*_box_around(*cell, window), exclusion=guard_box)
-    snaps = region.snapshots(rd, clutter_mask)
-    floor = _snapshot_floor(rd.values.shape[0], min_snapshots)
-    if snaps.shape[1] < floor:
-        raise EstimationError(
-            f"training subset has {snaps.shape[1]} snapshots, need >= {floor}"
-        )
-    return snaps
+    return region.snapshots(rd, clutter_mask)
 
 
 @dataclass
@@ -164,7 +159,6 @@ class MusicSpectrum:
 
     azimuth_deg: np.ndarray
     values: np.ndarray
-    n_sources: int
 
     def db(self) -> np.ndarray:
         return 10.0 * np.log10(self.values / self.values.max())
@@ -188,17 +182,13 @@ def music_spectrum(cov: CovarianceEstimate, geom: ArrayGeometry,
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     q = np.sum(np.abs(noise_sub.conj().T @ v) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(q, np.finfo(float).tiny)
-    return MusicSpectrum(
-        azimuth_deg=np.asarray(azimuth_grid_deg, dtype=float),
-        values=spectrum,
-        n_sources=int(n_sources),
-    )
+    return MusicSpectrum(azimuth_deg=np.asarray(azimuth_grid_deg, dtype=float),
+                         values=spectrum)
 
 
 @dataclass
 class PeakEstimate:
     azimuth_deg: float
-    power: float
 
 
 @dataclass
@@ -245,10 +235,8 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakSet:
     order = sorted(candidates, key=lambda i: (-p[i], abs(az[i])))
     peaks = []
     for i in order[:k]:
-        step = az[min(i + 1, az.size - 1)] - az[i]
         offset = _parabolic_offset(p[i - 1], p[i], p[i + 1])
-        peaks.append(PeakEstimate(azimuth_deg=float(az[i] + offset * step),
-                                  power=float(p[i])))
+        peaks.append(PeakEstimate(azimuth_deg=float(az[i] + offset * (az[i + 1] - az[i]))))
     return PeakSet(peaks=peaks, requested=int(k))
 
 

@@ -171,7 +171,7 @@ def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> t
     """Simulate and process the configured dwell; returns (geometry, rd, clutter mask)."""
     geom = _geom(cfg)
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
-                         cfg.seed, cfg.clutter, geometry=geom)
+                         cfg.seed, cfg.clutter)
     if emit_raw:
         _raw_grids(report, raw)
     rd = rd_map(raw, window=cfg.processing.window,
@@ -400,7 +400,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     isar_cfg = cfg.isar
     body = isar_cfg.body
     dwells = simulate_isar_sequence(cfg.radar, body, isar_cfg.n_dwells,
-                                    cfg.seed, cfg.noise_power, geometry=geom)
+                                    cfg.seed, cfg.noise_power)
     if emit_raw:
         _raw_grids(report, dwells[0])
     # consume the raw list, so each raw dwell dies once it is compressed

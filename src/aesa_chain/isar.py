@@ -117,14 +117,14 @@ def _fractional_peak(corr: np.ndarray) -> float:
     return lag + frac
 
 
-def range_align(history: RangeProfileHistory, fit_order: int = 2):
+def range_align(history: RangeProfileHistory):
     """Align profile envelopes against a running reference.
 
     Each profile's envelope is circularly cross-correlated with the mean of
     the previously aligned envelopes; the per-profile shifts (integer plus
-    parabolic fraction) are smoothed by a polynomial of ``fit_order`` in slow
-    time and removed with a frequency-domain phase ramp.  The reference is
-    kept as a spectrum, each envelope advanced by its rounded shift.
+    parabolic fraction) are smoothed by a quadratic in slow time and removed
+    with a frequency-domain phase ramp.  The reference is kept as a
+    spectrum, each envelope advanced by its rounded shift.
 
     Returns
     -------
@@ -133,8 +133,6 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
         estimated displacement of each profile; positive = toward larger
         range bins).
     """
-    if fit_order < 0:
-        raise ValueError("fit_order must be >= 0")
     x = history.values
     n_slow, n_bins = x.shape
     env = np.fft.fft(np.abs(x), axis=1)
@@ -152,7 +150,7 @@ def range_align(history: RangeProfileHistory, fit_order: int = 2):
         shifts[k] = _fractional_peak(corr)
         ref += env[k] * ramps[reach + round(shifts[k])]
     t = np.arange(n_slow) / history.prf
-    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(fit_order, n_slow - 1))
+    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(2, n_slow - 1))
     smooth = np.polynomial.polynomial.polyval(t, coeffs)
     smooth -= smooth[0]
     ramp = np.exp(advance[None, :] * smooth[:, None])

@@ -51,7 +51,6 @@ class CompressedDwell:
     values: np.ndarray
     range_axis: np.ndarray
     params: RadarParams
-    seed: int
 
 
 @dataclass
@@ -65,17 +64,7 @@ class RDDatacube:
     values: np.ndarray
     range_axis: np.ndarray
     velocity_axis: np.ndarray
-    window: str
     params: RadarParams
-    seed: int
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    def power(self) -> np.ndarray:
-        """(n_range, n_doppler) per-cell power summed over channels."""
-        return np.sum(np.abs(self.values) ** 2, axis=0)
 
 
 def range_compress(raw: RawDatacube) -> CompressedDwell:
@@ -105,12 +94,7 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     np.fft.ifft(spec, out=spec)
     out = np.empty((n_ch, n_r, n_p), dtype=complex)
     out[...] = spec[..., :n_r].transpose(0, 2, 1)
-    return CompressedDwell(
-        values=out,
-        range_axis=params.range_axis(),
-        params=params,
-        seed=raw.seed,
-    )
+    return CompressedDwell(values=out, range_axis=params.range_axis(), params=params)
 
 
 def _slow_time_dft(x: np.ndarray, window: str, prf: float, oversample: int = 1) -> tuple:
@@ -162,14 +146,8 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
         raise ValueError("slow-time length does not match params.n_pulses")
     spec, freqs = _slow_time_dft(compressed.values, window, params.prf, oversample)
     velocity = freqs * params.wavelength / 2.0
-    return RDDatacube(
-        values=spec,
-        range_axis=compressed.range_axis,
-        velocity_axis=velocity,
-        window=window.lower(),
-        params=params,
-        seed=compressed.seed,
-    )
+    return RDDatacube(values=spec, range_axis=compressed.range_axis,
+                      velocity_axis=velocity, params=params)
 
 
 def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDatacube:

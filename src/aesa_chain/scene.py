@@ -223,7 +223,6 @@ class RawDatacube:
 
     values: np.ndarray
     params: RadarParams
-    seed: int
 
     def __post_init__(self):
         if self.values.ndim != 3:
@@ -290,16 +289,14 @@ def _channel_gain(sv: np.ndarray) -> float:
 
 
 def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
-                     geom: ArrayGeometry, azimuth_deg: float,
-                     n_coherent: int | None = None) -> float:
+                     geom: ArrayGeometry, azimuth_deg: float) -> float:
     """Raw envelope amplitude giving a per-channel RD-peak SNR of snr_db.
 
     The calibration assumes the unit-energy matched filter and the
-    rectangular-window unitary Doppler transform, whose combined peak power
-    gain is ``replica_length * n_coherent``.
+    rectangular-window unitary Doppler transform over the dwell, whose
+    combined peak power gain is ``replica_length * n_pulses``.
     """
-    n = params.n_pulses if n_coherent is None else n_coherent
-    gain = params.replica_length * n
+    gain = params.replica_length * params.n_pulses
     g = _channel_gain(subarray_steering(geom, azimuth_deg))
     return float(np.sqrt(10.0 ** (snr_db / 10.0) * noise_power / gain) / g)
 
@@ -307,9 +304,8 @@ def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
 def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None = None,
                    noise_power: float = 1.0, seed: int = 0,
                    clutter: ClutterBand | None = None,
-                   geometry: ArrayGeometry | None = None,
                    noise: bool = True) -> RawDatacube:
-    """Simulate one coherent dwell of the six-channel receiver.
+    """Simulate one coherent dwell of the six-channel demonstrator receiver.
 
     Parameters
     ----------
@@ -323,8 +319,6 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         Key of the counter-based generator; identical inputs give
         bit-identical cubes.
     clutter : ClutterBand, optional
-    geometry : ArrayGeometry, optional
-        Defaults to the six-channel demonstrator at ``params.wavelength``.
     noise : bool
         When False the noise draw is skipped (the calibration reference is
         unchanged), which makes the output linear in the target list.
@@ -335,7 +329,7 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
     """
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
-    geom = geometry or ArrayGeometry.demonstrator(params.wavelength)
+    geom = ArrayGeometry.demonstrator(params.wavelength)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     t_slow = np.arange(params.n_pulses) / params.prf
 
@@ -380,13 +374,12 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
     if noise:
         _add_noise(rng, cube, noise_power)
 
-    return RawDatacube(values=cube, params=params, seed=int(seed))
+    return RawDatacube(values=cube, params=params)
 
 
 def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
                            n_dwells: int, seed: int = 0,
                            noise_power: float = 1.0,
-                           geometry: ArrayGeometry | None = None,
                            noise: bool = True) -> list:
     """Simulate a contiguous sequence of dwells over a rotating rigid body.
 
@@ -408,7 +401,7 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             "regime; cross-range scaling will be approximate",
             stacklevel=2,
         )
-    geom = geometry or ArrayGeometry.demonstrator(params.wavelength)
+    geom = ArrayGeometry.demonstrator(params.wavelength)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     sv = subarray_steering(geom, body.azimuth_deg)
 
@@ -425,5 +418,5 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             _add_echo(cube, amp * sv, env * phase[None, :])
         if noise:
             _add_noise(_rng(seed + d), cube, noise_power)
-        dwells.append(RawDatacube(values=cube, params=params, seed=int(seed + d)))
+        dwells.append(RawDatacube(values=cube, params=params))
     return dwells

@@ -20,34 +20,30 @@ def element_positions_oracle(wavelength, n_az=12, n_el=4):
     return np.array(pos)
 
 
-def steering_oracle(wavelength, positions, az_deg, el_deg=0.0):
-    """Per-position phasors from the plane-wave path-length definition."""
+def steering_oracle(wavelength, positions, az_deg):
+    """Per-position phasors from the plane-wave path-length definition, at
+    zero elevation."""
     az = np.radians(az_deg)
-    el = np.radians(el_deg)
     k = 2.0 * np.pi / wavelength
     out = []
-    for x, y in positions:
-        phase = k * (x * np.sin(az) * np.cos(el) + y * np.sin(el))
+    for x, _y in positions:
+        phase = k * (x * np.sin(az))
         out.append(complex(np.cos(phase), np.sin(phase)))
     return np.array(out)
 
 
-def subarray_steering_oracle(wavelength, az_deg, el_deg=0.0, n_az=12, n_el=4,
-                             sub_az=2, sub_el=4):
-    """Channel steering as the plain average of each subarray's elements."""
+def subarray_steering_oracle(wavelength, az_deg, n_az=12, n_el=4, sub_az=2):
+    """Channel steering as the plain average of each subarray's elements, at
+    zero elevation; each subarray spans ``sub_az`` columns of all rows."""
     pitch = wavelength / 2.0
-    n_sub = (n_az // sub_az) * (n_el // sub_el)
+    n_sub = n_az // sub_az
     acc = np.zeros(n_sub, dtype=complex)
     count = np.zeros(n_sub)
     for col in range(n_az):
-        for row in range(n_el):
+        for _row in range(n_el):
             x = (col - (n_az - 1) / 2.0) * pitch
-            y = (row - (n_el - 1) / 2.0) * pitch
-            sub = (col // sub_az) * (n_el // sub_el) + row // sub_el
-            az = np.radians(az_deg)
-            el = np.radians(el_deg)
-            phase = 2.0 * np.pi / wavelength * (
-                x * np.sin(az) * np.cos(el) + y * np.sin(el))
+            sub = col // sub_az
+            phase = 2.0 * np.pi / wavelength * (x * np.sin(np.radians(az_deg)))
             acc[sub] += complex(np.cos(phase), np.sin(phase))
             count[sub] += 1
     return acc / count
@@ -256,13 +252,13 @@ def dense_isar_oracle(params, body, n_dwells, seed=0, noise_power=1.0, noise=Tru
     return cubes
 
 
-def roll_align_oracle(values, prf, fit_order=2):
+def roll_align_oracle(values, prf):
     """Range alignment by envelope correlation against a rolled running mean.
 
     Each profile's envelope is correlated with the mean of the envelopes
     aligned so far, which are kept in the range domain and aligned with
-    ``np.roll`` by their rounded shifts.  Returns (aligned values, smoothed
-    shifts, raw shifts).
+    ``np.roll`` by their rounded shifts; the shifts are smoothed by a
+    quadratic fit.  Returns (aligned values, smoothed shifts, raw shifts).
     """
     from aesa_chain.isar import _fractional_peak
 
@@ -277,7 +273,7 @@ def roll_align_oracle(values, prf, fit_order=2):
         ref += np.roll(env[k], -int(round(shifts[k])))
         ref_count += 1
     t = np.arange(n_slow) / prf
-    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(fit_order, n_slow - 1))
+    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(2, n_slow - 1))
     smooth = np.polynomial.polynomial.polyval(t, coeffs)
     smooth = smooth - smooth[0]
     freqs = np.fft.fftfreq(n_bins)

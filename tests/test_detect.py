@@ -2,14 +2,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aesa_chain import (ArrayGeometry, ConfigError, CovarianceEstimate,
                         EstimationError, GroundTruthTrack, MusicSpectrum,
                         RadarParams, angular_error, ca_cfar_threshold_factor,
-                        cfar_detect, load_tracks, music_spectrum, pick_peaks,
-                        rd_map, select_training_subset, simulate_dwell,
+                        cfar_detect, covariance_from_snapshots, load_tracks,
+                        music_spectrum, pick_peaks, rd_map,
+                        select_training_subset, simulate_dwell,
                         subarray_steering, target_angular_span)
 from aesa_chain.detect import _local_maxima, _parabolic_offset
 
@@ -42,14 +43,42 @@ def test_cfar_matches_loop_oracle():
         assert powers == sorted(powers, reverse=True)
 
 
-def test_cfar_scale_invariance():
-    rng = np.random.default_rng(3)
-    p = rng.exponential(size=(60, 8))
-    a = cfar_detect(p, pfa=0.01, n_train=6, n_guard=1)
-    b = cfar_detect(1000.0 * p, pfa=0.01, n_train=6, n_guard=1)
+@st.composite
+def cfar_cases(draw):
+    """An exponential power map with a CFAR window that fits inside it."""
+    n_train = draw(st.integers(1, 12))
+    n_guard = draw(st.integers(0, 3))
+    n_range = draw(st.integers(2 * (n_train + n_guard) + 1, 120))
+    n_doppler = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.exponential(size=(n_range, n_doppler)), n_train, n_guard
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cfar_cases(), st.floats(1e-6, 0.5), st.integers(-60, 60))
+@example((np.random.default_rng(3).exponential(size=(60, 8)), 6, 1), 0.01, 10)
+def test_cfar_scale_invariance(case, pfa, k):
+    """Scaling the map by 2^k, which is exact in floating point, keeps every
+    decision and shifts both dB levels by 10 log10(2^k)."""
+    p, n_train, n_guard = case
+    a = cfar_detect(p, pfa, n_train, n_guard)
+    b = cfar_detect(p * 2.0**k, pfa, n_train, n_guard)
     assert [(d.range_bin, d.doppler_bin) for d in a] == \
            [(d.range_bin, d.doppler_bin) for d in b]
-    assert b[0].peak_power_db - a[0].peak_power_db == pytest.approx(30.0)
+    shift = 10.0 * np.log10(2.0**k)
+    for da, db in zip(a, b):
+        assert abs(db.peak_power_db - da.peak_power_db - shift) <= 1e-9
+        assert abs(db.threshold_db - da.threshold_db - shift) <= 1e-9
+
+
+def test_cfar_zero_training_window():
+    # a noise-free map: one lit cell among zeros has a zero threshold
+    p = np.zeros((40, 4))
+    p[20, 1] = 2.0
+    dets = cfar_detect(p, pfa=1e-3, n_train=4, n_guard=1)
+    assert [(d.range_bin, d.doppler_bin) for d in dets] == [(20, 1)]
+    assert dets[0].threshold_db == -np.inf
+    assert dets[0].peak_power_db == pytest.approx(10.0 * np.log10(2.0))
 
 
 def test_cfar_edge_rows_not_evaluated():
@@ -126,16 +155,16 @@ def test_select_training_subset_counts():
     assert snaps.shape[1] == 392 - (11 * 21 - 7 * 7)
     edge = select_training_subset(rd, _detection(5, 2), window=(10, 10))
     assert edge.shape[1] == 16 * 13
-    with pytest.raises(EstimationError):
-        select_training_subset(rd, det, window=(1, 1))
-    assert select_training_subset(rd, det, window=(1, 1), min_snapshots=5).shape[1] == 9
-    # the default floor is 2 N_ch = 12 snapshots: a 3x5 window minus a 1x3 guard
-    # keeps 12, and masking one more cell as clutter leaves 11
-    assert select_training_subset(rd, det, window=(1, 2), guard=(0, 1)).shape[1] == 12
+    assert select_training_subset(rd, det, window=(1, 1)).shape[1] == 9
+    # the estimate's floor is 2 N_ch = 12 snapshots: a 3x5 window minus a 1x3
+    # guard keeps 12, and masking one more cell as clutter leaves 11
+    kept = select_training_subset(rd, det, window=(1, 2), guard=(0, 1))
+    assert covariance_from_snapshots(kept).snapshot_count == 12
     one_more = np.zeros_like(clutter)
     one_more[99, 28] = True
-    with pytest.raises(EstimationError, match="11 snapshots, need >= 12"):
-        select_training_subset(rd, det, window=(1, 2), guard=(0, 1), clutter_mask=one_more)
+    short = select_training_subset(rd, det, window=(1, 2), guard=(0, 1), clutter_mask=one_more)
+    with pytest.raises(EstimationError, match=r"11 snapshots .* \(need >= 12\)"):
+        covariance_from_snapshots(short)
     with pytest.raises(ValueError):
         select_training_subset(rd, det, window=(-1, 2))
 
@@ -174,8 +203,7 @@ def test_music_source_count_validation():
 def test_pick_peaks_parabolic_refinement_is_exact():
     grid = np.arange(-2.0, 2.01, 0.5)
     true_az = 0.37
-    spec = MusicSpectrum(azimuth_deg=grid, values=5.0 - (grid - true_az) ** 2,
-                         n_sources=1)
+    spec = MusicSpectrum(azimuth_deg=grid, values=5.0 - (grid - true_az) ** 2)
     peak = pick_peaks(spec, 1).peaks[0]
     assert peak.azimuth_deg == pytest.approx(true_az, abs=1e-12)
 
@@ -207,18 +235,17 @@ def test_pick_peaks_tie_break_and_completeness():
     values = np.ones(grid.size)
     values[np.searchsorted(grid, -1.0)] = 5.0
     values[np.searchsorted(grid, 1.5)] = 5.0
-    spec = MusicSpectrum(azimuth_deg=grid, values=values, n_sources=2)
+    spec = MusicSpectrum(azimuth_deg=grid, values=values)
     peaks = pick_peaks(spec, 2)
     assert peaks.azimuths[0] == pytest.approx(-1.0)  # tie goes to smaller |az|
     assert peaks.complete
-    ramp = MusicSpectrum(azimuth_deg=grid, values=np.arange(grid.size, dtype=float),
-                         n_sources=1)
+    ramp = MusicSpectrum(azimuth_deg=grid, values=np.arange(grid.size, dtype=float))
     empty = pick_peaks(ramp, 1)
     assert empty.peaks == [] and not empty.complete
     with pytest.raises(ValueError):
         pick_peaks(spec, 0)
     with pytest.raises(ValueError):
-        pick_peaks(MusicSpectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1), 1)
+        pick_peaks(MusicSpectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0])), 1)
 
 
 def test_angular_error_wrapping():

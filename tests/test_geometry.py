@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aesa_chain import ArrayGeometry, beampattern, element_steering, subarray_steering
-from aesa_chain.geometry import geometry_table, subarray_steering_matrix
+from aesa_chain.geometry import N_EL, geometry_table, subarray_steering_matrix
 
 from helpers import (element_positions_oracle, pattern_oracle_db,
                      steering_oracle, subarray_steering_oracle)
@@ -13,8 +13,8 @@ GEOM = ArrayGeometry.demonstrator()
 def test_element_count_and_pitch():
     assert GEOM.n_elements == 48
     assert GEOM.n_subarrays == 6
-    assert GEOM.elements_per_subarray == 8
     assert GEOM.element_pitch == pytest.approx(0.015)
+    assert ArrayGeometry.demonstrator(0.025).element_pitch == pytest.approx(0.0125)
 
 
 def test_element_positions_match_oracle():
@@ -36,9 +36,9 @@ def test_subarray_partition():
 
 
 def test_element_steering_matches_oracle():
-    for az, el in [(0.0, 0.0), (20.0, 0.0), (-35.0, 10.0), (5.0, -3.0)]:
-        got = element_steering(GEOM, az, el)
-        want = steering_oracle(GEOM.wavelength, GEOM.element_positions, az, el)
+    for az in (0.0, 20.0, -35.0, 5.0):
+        got = element_steering(GEOM, az)
+        want = steering_oracle(GEOM.wavelength, GEOM.element_positions, az)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_element_phase_step_at_30_degrees():
     # adjacent azimuth elements at half-wavelength pitch: phase step pi/2
     v = element_steering(GEOM, 30.0)
     col0 = v[0]          # elements ordered column-major along azimuth
-    col1 = v[GEOM.n_el]
+    col1 = v[N_EL]
     step = np.angle(col1 / col0)
     assert step == pytest.approx(np.pi / 2.0, abs=1e-12)
 
@@ -135,7 +135,6 @@ def test_geometry_table_rows():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(wavelength=-1.0, element_pitch=0.015)
-    with pytest.raises(ValueError):
-        ArrayGeometry(wavelength=0.03, element_pitch=0.015, n_az=11)
+    for bad in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            ArrayGeometry(wavelength=bad)

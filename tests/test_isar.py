@@ -109,15 +109,13 @@ def test_range_align_removes_linear_walk():
     hist = RangeProfileHistory(values=vals, prf=2000.0,
                                range_axis=np.arange(n_bins, dtype=float),
                                wavelength=0.03)
-    aligned, applied = range_align(hist, fit_order=2)
+    aligned, applied = range_align(hist)
     # bulk of the walk removed; the running-mean reference leaves at most a
     # slowly varying fraction-of-a-bin residual
     np.testing.assert_allclose(applied, shifts, atol=0.35)
     before = np.abs(vals - vals[0]).max()
     after = np.abs(aligned.values - aligned.values[0]).max()
     assert after < 0.15 * before
-    with pytest.raises(ValueError):
-        range_align(hist, fit_order=-1)
 
 
 @st.composite

@@ -63,8 +63,6 @@ def test_target_amplitude_formula():
         * np.sin(np.radians(10.0)))))
     recovered = amp**2 * g**2 * SMALL.replica_length * SMALL.n_pulses
     assert recovered == pytest.approx(100.0 * 2.0, rel=1e-12)
-    half = target_amplitude(SMALL, 20.0, 2.0, GEOM, 10.0, n_coherent=SMALL.n_pulses // 4)
-    assert half == pytest.approx(2.0 * amp, rel=1e-12)
 
 
 def test_rd_peak_snr_calibration_end_to_end():
