@@ -74,6 +74,11 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
         not fit inside the map are not evaluated.  A cell whose training
         cells all have zero power (a noise-free map) has a zero threshold,
         reported as ``threshold_db = -inf``.
+
+    The training sums are contiguous slices of one cumulative sum over range
+    and the threshold is scaled in place, so beyond the map the temporaries
+    are about two maps of floats (the cumulative sum and the threshold) and
+    the padded copy of ``_local_maxima``.
     """
     p = np.asarray(power_map, dtype=float)
     if p.ndim != 2:
@@ -82,7 +87,7 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
         raise ValueError("power map must be finite and non-negative")
     if n_train < 1 or n_guard < 0:
         raise ConfigError("need n_train >= 1 and n_guard >= 0")
-    n_r, n_d = p.shape
+    n_r = p.shape[0]
     half = n_train + n_guard
     cells = cfar_window_cells(n_train, n_guard)
     if cells > n_r:
@@ -90,19 +95,18 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     n_cells = 2 * n_train
     alpha = ca_cfar_threshold_factor(pfa, n_cells)
 
-    s = np.concatenate([np.zeros((1, n_d)), np.cumsum(p, axis=0)], axis=0)
-    i = np.arange(half, n_r - half)
-    lead = s[i - n_guard] - s[i - half]
-    lag = s[i + half + 1] - s[i + n_guard + 1]
-    noise = (lead + lag) / n_cells
-    threshold = alpha * noise
-    exceeds = p[i, :] > threshold
+    # evaluated rows half..n_r-half-1; threshold = alpha * (lead + lag) / n_cells
+    rows = slice(half, n_r - half)
+    threshold = _training_sum(p, n_train, n_guard)
+    threshold /= n_cells
+    threshold *= alpha
+    exceeds = p[rows] > threshold
 
     is_peak = _local_maxima(p, np.greater)
-    hits = np.argwhere(exceeds & is_peak[i, :])
+    hits = np.argwhere(exceeds & is_peak[rows])
     detections = []
     for row, col in hits:
-        r = int(i[row])
+        r = half + int(row)
         d = int(col)
         level = threshold[row, col]
         detections.append(Detection(
@@ -115,6 +119,26 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
         ))
     detections.sort(key=lambda det: det.peak_power_db, reverse=True)
     return detections
+
+
+def _training_sum(p: np.ndarray, n_train: int, n_guard: int) -> np.ndarray:
+    """Leading plus lagging training-cell power of every evaluated range cell.
+
+    Row ``k`` belongs to cell ``half + k`` with ``half = n_train + n_guard``.
+    Each side is a difference of two contiguous slices of one cumulative sum,
+    and the lagging side is added in place, so the only arrays held at once
+    are the cumulative sum, the result and one side's difference.
+    """
+    n_r, n_d = p.shape
+    half = n_train + n_guard
+    n_eval = n_r - 2 * half
+    s = np.empty((n_r + 1, n_d))
+    s[0] = 0.0
+    np.cumsum(p, axis=0, out=s[1:])
+    total = s[n_train:n_train + n_eval] - s[:n_eval]
+    lag = half + n_guard + 1
+    total += s[2 * half + 1:] - s[lag:lag + n_eval]
+    return total
 
 
 def _local_maxima(values: np.ndarray, compare) -> np.ndarray:

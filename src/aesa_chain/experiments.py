@@ -23,15 +23,14 @@ from .beamform import (BeamscanCurve, TrainingRegion, _set_box, apply_beamformer
                        beamscan, conventional_weights, covariance_from_snapshots,
                        estimate_covariance, exclusion_mask, mvdr_weights, rejection_db)
 from .config import ExperimentConfig
-from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks,
-                     music_spectrum, pick_peaks, select_training_subset,
+from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cells,
+                     load_tracks, music_spectrum, pick_peaks, select_training_subset,
                      target_angular_span)
-from .errors import ConfigError
 from .geometry import ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (AutofocusSearch, cross_range_scale, extract_target_history,
                    form_image, icba_autofocus, range_align)
-from .rdproc import doppler_process, range_compress, rd_map
+from .rdproc import _rd_stream, doppler_process, range_compress
 from .scene import simulate_dwell, simulate_isar_sequence
 from .version import __version__
 
@@ -168,14 +167,18 @@ def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
 
 
 def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> tuple:
-    """Simulate and process the configured dwell; returns (geometry, rd, clutter mask)."""
+    """Simulate and process the configured dwell; returns (geometry, rd, clutter mask).
+
+    Unless ``emit_raw`` keeps the raw cube for its grids, the range-Doppler
+    cube is written over the raw cube's storage, so only one cube is held.
+    """
     geom = _geom(cfg)
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                          cfg.seed, cfg.clutter)
     if emit_raw:
         _raw_grids(report, raw)
-    rd = rd_map(raw, window=cfg.processing.window,
-                oversample=cfg.processing.doppler_oversample)
+    rd = _rd_stream(raw, cfg.processing.window, cfg.processing.doppler_oversample,
+                    reuse_raw=not emit_raw)
     return geom, rd, _clutter_mask(cfg, rd.values.shape[1:])
 
 
@@ -412,18 +415,17 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     rd0 = doppler_process(compressed[0], window=proc.window,
                           oversample=proc.doppler_oversample)
     bmap = apply_beamformer(rd0, weights)
-    try:
+    n_bins = compressed[0].values.shape[1]
+    # a CFAR window too large for the short imaging swath, or no detection,
+    # falls back to the strongest range bin
+    dets = []
+    if cfar_window_cells(proc.cfar_train, proc.cfar_guard) <= n_bins:
         dets = _cfar(cfg, rd0, bmap)
-    except ConfigError:
-        # Window too large for the short imaging swath; fall back to the
-        # strongest range bin.
-        dets = []
     if dets:
         center_bin = dets[0].range_bin
     else:
         center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
 
-    n_bins = compressed[0].values.shape[1]
     hw = isar_cfg.window_halfwidth_bins
     lo = max(center_bin - hw, 0)
     hi = min(center_bin + hw + 1, n_bins)

@@ -14,13 +14,21 @@ Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.  ``rd_map``
 streams the dwell through both stages in blocks of channels whose padded
 fast-time spectrum fits in ``BLOCK_BYTES`` (one channel at a time for the
-full swath, the whole cube for short dwells), into one preallocated
-range-Doppler cube, so the whole compressed cube never exists.
+full swath, the whole cube for short dwells), into one range-Doppler cube,
+so the whole compressed cube never exists.  ``rd_map`` writes a several-block
+map into a fresh cube.  ``_rd_stream`` with ``reuse_raw`` writes it over the
+raw cube's own storage instead, so a dwell whose raw cube is not kept holds
+one cube, not two: each channel's range-Doppler slot (``oversample * n_r *
+n_pulses`` samples) is no larger than its raw channel (``n_fast * n_pulses``)
+whenever ``oversample * n_r <= n_fast``, blocks run in increasing channel
+order, and ``range_compress`` copies a block's input before any of that
+block's output is written, so no slot overlaps raw data still to be read.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,7 +163,17 @@ def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDat
 
     A block holds as many channels as fit their padded fast-time spectrum in
     ``BLOCK_BYTES``, and one channel at least.  Each block's compressed dwell
-    lives only until its Doppler transform is copied into the output cube.
+    lives only until its Doppler transform is copied into the output cube,
+    which is a fresh array; ``raw`` is left as it was.
+    """
+    return _rd_stream(raw, window, oversample, reuse_raw=False)
+
+
+def _rd_stream(raw: RawDatacube, window: str, oversample: int,
+               reuse_raw: bool) -> RDDatacube:
+    """``rd_map``; with ``reuse_raw`` a several-block map is written over the
+    storage of ``raw.values``, which is then consumed, whenever the map fits in
+    it (see the module docstring).  The bytes of the map are the same either way.
     """
     n_ch, _, n_p = raw.values.shape
     channel_bytes = n_p * sfft.next_fast_len(raw.params.n_fast) * np.dtype(complex).itemsize
@@ -166,10 +184,17 @@ def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDat
         return doppler_process(range_compress(part), window=window, oversample=oversample)
 
     rd = block(0)
-    if step < n_ch:
-        values = np.empty((n_ch,) + rd.values.shape[1:], dtype=rd.values.dtype)
-        values[:step] = rd.values
-        rd.values = values
-        for c in range(step, n_ch, step):
-            values[c:c + step] = block(c).values
+    if step >= n_ch:
+        return rd
+    shape = (n_ch,) + rd.values.shape[1:]
+    size = math.prod(shape)
+    store = raw.values
+    if reuse_raw and store.dtype == rd.values.dtype and size <= store.size:
+        values = store.reshape(-1)[:size].reshape(shape)
+    else:
+        values = np.empty(shape, dtype=rd.values.dtype)
+    values[:step] = rd.values
+    rd.values = values
+    for c in range(step, n_ch, step):
+        values[c:c + step] = block(c).values
     return rd

@@ -12,7 +12,9 @@ Every echo (point target, clutter bin or rigid-body scatterer) is added by
 ``_add_echo`` only over the fast-time rows where its envelope is non-zero.
 A dense add would contribute exactly zero outside them, so for finite inputs
 (the scene dataclasses reject non-finite ones) the cube is bit-identical to
-adding every return over the whole cube.  Noise is added in place.
+adding every return over the whole cube.  Noise is added in place, drawn
+through one real buffer the size of a channel, so a dwell holds its cube and
+one channel's draw (not a second, real cube) while it adds noise.
 
 Randomness flows through counter-based Philox generators so that a
 (scenario, seed) pair is bit-reproducible.  Dwell ``d`` of a coherent
@@ -254,17 +256,23 @@ def _rng(seed: int) -> np.random.Generator:
 def _add_noise(rng: np.random.Generator, out: np.ndarray, power: float) -> None:
     """Add circular complex Gaussian samples of variance ``power`` to ``out``.
 
-    The real parts are drawn first, then the imaginary parts, so the stream
-    matches one ``standard_normal((2,) + out.shape)`` draw.  Each part is
-    scaled and added in place through one real buffer of ``out.shape``, with
-    the same roundings as adding the complex sample ``(z0 + j z1) * scale``.
+    ``out`` is one channel ``(n_fast, n_pulses)`` or a cube
+    ``(n_channels, n_fast, n_pulses)``.  The real parts are drawn first, then
+    the imaginary parts, so the stream matches one
+    ``standard_normal((2,) + out.shape)`` draw.  Each part is drawn channel by
+    channel into one real buffer the size of a channel (the generator fills
+    in stream order, so the split does not move a sample), then scaled and
+    added in place, with the same roundings as adding the complex sample
+    ``(z0 + j z1) * scale``.
     """
     scale = np.sqrt(power / 2.0)
-    z = np.empty(out.shape)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=z)
-        z *= scale
-        part += z
+    channels = out[None] if out.ndim == 2 else out
+    z = np.empty(channels.shape[1:])
+    for part in (channels.real, channels.imag):
+        for channel in part:
+            rng.standard_normal(out=z)
+            z *= scale
+            channel += z
 
 
 def _add_echo(cube: np.ndarray, gain: np.ndarray, env: np.ndarray,
@@ -289,14 +297,16 @@ def _channel_gain(sv: np.ndarray) -> float:
 
 
 def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
-                     geom: ArrayGeometry, azimuth_deg: float) -> float:
+                     azimuth_deg: float) -> float:
     """Raw envelope amplitude giving a per-channel RD-peak SNR of snr_db.
 
     The calibration assumes the unit-energy matched filter and the
     rectangular-window unitary Doppler transform over the dwell, whose
-    combined peak power gain is ``replica_length * n_pulses``.
+    combined peak power gain is ``replica_length * n_pulses``, and the
+    demonstrator array at ``params.wavelength``.
     """
     gain = params.replica_length * params.n_pulses
+    geom = ArrayGeometry.demonstrator(params.wavelength)
     g = _channel_gain(subarray_steering(geom, azimuth_deg))
     return float(np.sqrt(10.0 ** (snr_db / 10.0) * noise_power / gain) / g)
 
@@ -344,7 +354,7 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         tau = 2.0 * tgt.range_m / SPEED_OF_LIGHT
         env = _pulse_envelope(params, t_fast - tau)
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength) * t_slow)
-        amp = target_amplitude(params, tgt.snr_db, noise_power, geom, tgt.azimuth_deg)
+        amp = target_amplitude(params, tgt.snr_db, noise_power, tgt.azimuth_deg)
         sv = subarray_steering(geom, tgt.azimuth_deg)
         _add_echo(cube, amp * sv, env[:, None], doppler)
 

@@ -197,7 +197,7 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
         env = _pulse_envelope(params, t_fast - 2.0 * tgt.range_m / SPEED_OF_LIGHT)
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength)
                          * t_slow)
-        amp = target_amplitude(params, tgt.snr_db, noise_power, geom, tgt.azimuth_deg)
+        amp = target_amplitude(params, tgt.snr_db, noise_power, tgt.azimuth_deg)
         sv = subarray_steering(geom, tgt.azimuth_deg)
         cube += amp * sv[:, None, None] * env[None, :, None] * doppler[None, None, :]
     rng = _rng(seed)
@@ -280,3 +280,17 @@ def roll_align_oracle(values, prf):
     ramp = np.exp(2j * np.pi * freqs[None, :] * smooth[:, None])
     aligned = np.fft.ifft(np.fft.fft(values, axis=1) * ramp, axis=1)
     return aligned, smooth, shifts
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the result and the tracemalloc peak in
+    bytes of the call, with the result still alive."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

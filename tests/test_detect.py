@@ -14,7 +14,7 @@ from aesa_chain import (ArrayGeometry, ConfigError, CovarianceEstimate,
                         subarray_steering, target_angular_span)
 from aesa_chain.detect import _local_maxima, _parabolic_offset
 
-from helpers import cfar_oracle, music_spectrum_oracle
+from helpers import cfar_oracle, music_spectrum_oracle, traced_peak
 
 GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
@@ -134,6 +134,16 @@ def test_cfar_false_alarm_rate_smoke():
     evaluated = (5000 - 2 * 18) * 32
     rate = len(dets) / evaluated
     assert 0.7e-3 < rate < 1.4e-3
+
+
+def test_cfar_detect_peak_memory_on_full_swath_map():
+    # the 9174x128 map of the full swath: the training sums are slices of one
+    # cumulative sum and the threshold is scaled in place, so the temporaries
+    # stay near two maps and the padded copy (gathered slices took over five)
+    p = np.random.default_rng(0).exponential(size=(9174, 128))
+    cfar_detect(p, pfa=1e-3)
+    _dets, peak = traced_peak(cfar_detect, p, pfa=1e-3)
+    assert peak < 3.5 * p.nbytes
 
 
 def _detection(rbin, dbin):

@@ -12,11 +12,14 @@ import pytest
 import yaml
 
 import aesa_chain
-from aesa_chain import (experiments, load_config, read_grid, run_experiment,
-                        simulate_dwell, write_report)
+from aesa_chain import (apply_beamformer, conventional_weights, experiments, load_config,
+                        rd_map, rdproc, read_grid, run_experiment, simulate_dwell,
+                        simulate_isar_sequence, write_report)
 from aesa_chain.cli import _steer_list, main
 
+from helpers import traced_peak
 from test_config import MALFORMED
+from test_rdproc import _channel_bytes
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -184,29 +187,86 @@ def test_dump_geometry_and_emit_raw(tmp_path):
                                   cube[0].astype(np.complex64))
 
 
+def _empty_report(cfg):
+    return experiments.ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256="",
+                                        package_version="", adaptive=cfg.adaptive)
+
+
 @pytest.mark.parametrize("make", (small_t1, small_t2))
 def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
-    cubes, alive = [], []
-    simulate, cfar = experiments.simulate_dwell, experiments.cfar_detect
+    cubes, maps, states = [], [], []
+    simulate, stream = experiments.simulate_dwell, experiments._rd_stream
+    cfar = experiments.cfar_detect
 
     def recording_simulate(*args, **kwargs):
         raw = simulate(*args, **kwargs)
         cubes.append(weakref.ref(raw.values))
         return raw
 
+    def recording_stream(*args, **kwargs):
+        rd = stream(*args, **kwargs)
+        maps.append(weakref.ref(rd.values))
+        return rd
+
     def checking_cfar(*args, **kwargs):
-        alive.append(cubes[-1]() is not None)
+        # "kept" is a raw array alive apart from the range-Doppler cube: a second cube
+        raw, rd = cubes[-1](), maps[-1]()
+        states.append("dead" if raw is None
+                      else "shared" if np.shares_memory(raw, rd) else "kept")
         return cfar(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "simulate_dwell", recording_simulate)
+    monkeypatch.setattr(experiments, "_rd_stream", recording_stream)
     monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
     cfg = load_config(make(tmp_path))
-    run_experiment(cfg)
-    assert alive and not any(alive)
-    # the raw grids of --emit-raw are what keeps the cube
-    alive.clear()
-    run_experiment(cfg, emit_raw=True)
-    assert alive and all(alive)
+    # one block: the raw cube is dead at detection time; one channel per
+    # block: it lives on only as the storage of the range-Doppler cube
+    for per_block, state in ((6, "dead"), (1, "shared")):
+        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(cfg.radar))
+        states.clear()
+        run_experiment(cfg)
+        assert states and set(states) == {state}
+        # the raw grids of --emit-raw are what keeps the cube
+        states.clear()
+        run_experiment(cfg, emit_raw=True)
+        assert states and set(states) == {"kept"}
+
+
+@pytest.mark.parametrize("per_block", [1, 4, 6])
+def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, per_block):
+    # a budget of 1, 4 or 6 channels splits the 6 channels as 1x6, 4+2 or 6;
+    # at oversample 2 the map does not fit the raw storage and gets a fresh cube
+    for oversample in (1, 2):
+        cfg = load_config(small_t1(tmp_path, processing={"doppler_oversample": oversample}))
+        params = cfg.radar
+        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(params))
+        raw = simulate_dwell(params, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
+                             cfg.clutter)
+        want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
+        for emit_raw in (False, True):
+            report = _empty_report(cfg)
+            _geom, rd, _mask = experiments._dwell(cfg, report, emit_raw)
+            assert rd.values.tobytes() == want.values.tobytes()
+            np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
+            assert rd.values.flags.c_contiguous
+            reused = not emit_raw and oversample == 1 and per_block < 6
+            assert (rd.values.base is not None) == reused
+            if reused:
+                assert rd.values.base.nbytes == raw.values.nbytes
+            if emit_raw:  # the raw grids still hold the simulated cube
+                for c in range(6):
+                    grid = report.grids[f"raw_ch{c}.aesg"].values
+                    assert grid.tobytes() == raw.values[c].tobytes()
+
+
+def test_full_swath_dwell_holds_one_cube():
+    # the t1 map is written over the raw cube's storage one channel at a time,
+    # so the peak is the raw cube plus one block's transforms, not two cubes
+    cfg = load_config(CONFIG_DIR / "t1.yaml")
+    (_geom, rd, _mask), peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
+    raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
+    assert peak < 1.5 * raw_nbytes
+    assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
 
 
 def test_raw_dwells_released_while_compressing(monkeypatch):
@@ -234,6 +294,29 @@ def test_raw_dwells_released_while_compressing(monkeypatch):
     alive.clear()
     run_experiment(cfg, emit_raw=True)
     assert alive[2][:2] == [True, False]
+
+
+def test_t4_falls_back_to_strongest_range_bin():
+    # a CFAR window of 2 * (60 + 2) + 1 = 125 cells does not fit the 84 range
+    # bins of the imaging swath: the window centres on the strongest range bin
+    # of the first dwell's beamformed map, and no CFAR runs
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=4),
+                  processing=replace(cfg.processing, cfar_train=60))
+    n_bins = cfg.radar.n_range_bins
+    assert n_bins == 84
+    first = simulate_isar_sequence(cfg.radar, cfg.isar.body, 1, cfg.seed, cfg.noise_power)[0]
+    rd = rd_map(first, window=cfg.processing.window,
+                oversample=cfg.processing.doppler_oversample)
+    bmap = apply_beamformer(rd, conventional_weights(experiments._geom(cfg),
+                                                     cfg.steering_deg[0]))
+    center = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
+    hw = cfg.isar.window_halfwidth_bins
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "cfar_detect", None)
+        report = run_experiment(cfg)
+    assert report.metrics["window_range_bins"] == [max(center - hw, 0),
+                                                   min(center + hw + 1, n_bins)]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -7,9 +7,8 @@ from aesa_chain import (ArrayGeometry, ClutterBand, JammerSource, PointTarget,
                         transmit_pulse)
 
 from helpers import compress_oracle as _compress
-from helpers import dense_dwell_oracle, dense_isar_oracle
+from helpers import dense_dwell_oracle, dense_isar_oracle, traced_peak
 
-GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
 
@@ -55,11 +54,13 @@ def test_bin_helpers():
 
 
 def test_target_amplitude_formula():
-    # definition: amp^2 * g^2 * M * N = snr * noise_power
-    amp = target_amplitude(SMALL, 20.0, 2.0, GEOM, 10.0)
+    # definition: amp^2 * g^2 * M * N = snr * noise_power, with g the channel
+    # gain of the demonstrator array at the dwell's own wavelength
+    amp = target_amplitude(SMALL, 20.0, 2.0, 10.0)
+    geom = ArrayGeometry.demonstrator(SMALL.wavelength)
     g = np.abs(np.mean(np.exp(
         1j * 2 * np.pi / SMALL.wavelength
-        * GEOM.element_positions[GEOM.subarray_index == 0, 0]
+        * geom.element_positions[geom.subarray_index == 0, 0]
         * np.sin(np.radians(10.0)))))
     recovered = amp**2 * g**2 * SMALL.replica_length * SMALL.n_pulses
     assert recovered == pytest.approx(100.0 * 2.0, rel=1e-12)
@@ -156,6 +157,16 @@ def test_simulate_dwell_matches_dense_oracle():
                 got = simulate_dwell(SMALL, seed=seed, noise=noise, **case).values
                 want = dense_dwell_oracle(SMALL, seed=seed, noise=noise, **case)
                 assert got.tobytes() == want.tobytes(), (case, noise, seed)
+
+
+def test_simulate_dwell_peak_memory_is_one_cube():
+    # the noise is drawn through one channel's buffer, not a real cube of
+    # half the complex cube's size
+    params = RadarParams(r_min=1500.0, r_max=6000.0, n_pulses=64)
+    tgt = PointTarget(range_m=3000.0, radial_velocity=3.0, azimuth_deg=4.0, snr_db=20.0)
+    simulate_dwell(params, [tgt], seed=1)
+    raw, peak = traced_peak(simulate_dwell, params, [tgt], seed=1)
+    assert peak < 1.25 * raw.values.nbytes
 
 
 def test_clutter_band_statistics():
