@@ -6,8 +6,10 @@ referenced to the smallest eigenvalue of that one eigendecomposition.
 Adaptive weights ``w0 = R^-1 v / (v^H R^-1 v)`` come from the same factors
 and are rescaled to unit norm so the white-noise floor at the beamformer
 output equals the per-channel floor, which keeps conventional and adaptive
-maps directly comparable.  ``beamscan(rd, geom, grid, cov=None)`` scans
-conventional weights, or MVDR weights when given a covariance.
+maps directly comparable.  ``beamscan(rd, grid, cov=None)`` scans
+conventional weights, or MVDR weights when given a covariance.  Steering
+vectors depend on azimuth alone: at the array's half-wavelength pitch the
+element phase ``pi * n * sin(az)`` does not involve the carrier.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EstimationError, NumericalError
-from .geometry import ArrayGeometry, subarray_steering
+from .geometry import subarray_steering
 from .rdproc import RDDatacube
 
 #: diagonal loading above the estimated noise floor, dB
@@ -159,18 +161,17 @@ def estimate_covariance(rd: RDDatacube, region: TrainingRegion,
     return covariance_from_snapshots(snaps, loading_db=loading_db)
 
 
-def conventional_weights(geom: ArrayGeometry, azimuth_deg: float) -> BeamformerWeights:
+def conventional_weights(azimuth_deg: float) -> BeamformerWeights:
     """Phase-conjugate (matched) weights, unit norm."""
-    return BeamformerWeights(values=subarray_steering(geom, azimuth_deg))
+    return BeamformerWeights(values=subarray_steering(azimuth_deg))
 
 
-def mvdr_distortionless_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
-                                azimuth_deg: float) -> np.ndarray:
+def mvdr_distortionless_weights(cov: CovarianceEstimate, azimuth_deg: float) -> np.ndarray:
     """Unnormalized minimum-variance weights with w0^H v = 1, from
     ``R^-1 v = E diag(1/lambda) E^H v``; for a Hermitian positive-definite
     matrix ``lambda_max / lambda_min`` is its 2-norm condition number."""
     lam, vecs = cov.eig
-    v = subarray_steering(geom, azimuth_deg)
+    v = subarray_steering(azimuth_deg)
     if lam.size != v.size:
         raise ValueError("covariance size does not match the channel count")
     if lam[0] <= 0.0:
@@ -185,10 +186,9 @@ def mvdr_distortionless_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
     return g / (v.conj() @ g)
 
 
-def mvdr_weights(cov: CovarianceEstimate, geom: ArrayGeometry,
-                 azimuth_deg: float) -> BeamformerWeights:
+def mvdr_weights(cov: CovarianceEstimate, azimuth_deg: float) -> BeamformerWeights:
     """Unit-norm minimum-variance distortionless weights."""
-    return BeamformerWeights(values=mvdr_distortionless_weights(cov, geom, azimuth_deg))
+    return BeamformerWeights(values=mvdr_distortionless_weights(cov, azimuth_deg))
 
 
 def apply_beamformer(rd, weights) -> np.ndarray:
@@ -214,7 +214,7 @@ class BeamscanCurve:
     energy: np.ndarray          # linear total output energy per angle
 
 
-def beamscan(rd: RDDatacube, geom: ArrayGeometry, azimuth_grid_deg,
+def beamscan(rd: RDDatacube, azimuth_grid_deg,
              cov: CovarianceEstimate | None = None) -> BeamscanCurve:
     """Total beamformed map energy as a function of steering azimuth.
 
@@ -224,8 +224,8 @@ def beamscan(rd: RDDatacube, geom: ArrayGeometry, azimuth_grid_deg,
     scan cost is independent of the map size.
     """
     grid = np.asarray(azimuth_grid_deg, dtype=float)
-    w = np.stack([(conventional_weights(geom, az) if cov is None
-                   else mvdr_weights(cov, geom, az)).values for az in grid], axis=1)
+    w = np.stack([(conventional_weights(az) if cov is None
+                   else mvdr_weights(cov, az)).values for az in grid], axis=1)
     x = rd.values.reshape(rd.values.shape[0], -1)
     energy = np.einsum("ca,ca->a", w.conj(), (x @ x.conj().T) @ w).real
     return BeamscanCurve(azimuth_deg=grid, energy=energy)

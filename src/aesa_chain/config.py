@@ -24,14 +24,12 @@ import yaml
 
 from .detect import cfar_window_cells
 from .errors import ConfigError
+from .geometry import SECTOR_HALF_WIDTH_DEG
 from .rdproc import WINDOWS
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
                     RigidBodyTarget)
 
 MODES = ("t1", "t2", "t3", "t4")
-
-#: maximum steering / target azimuth magnitude, degrees
-SECTOR_HALF_WIDTH_DEG = 22.5
 
 #: scenario key -> scene dataclass field, where the two differ
 _FIELD_OF = {
@@ -348,9 +346,11 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         if abs(target.radial_velocity) > radar.unambiguous_velocity:
             errors.append(f"targets[{i}] velocity {target.radial_velocity} aliases "
                           f"(|v| <= {radar.unambiguous_velocity:.3f} m/s)")
-    if mode in ("t2", "t3") and not jam["active"]:
+    # an inactive jammer is no jammer (None), so its values go unchecked
+    jam_active = jam.pop("active")
+    if mode in ("t2", "t3") and not jam_active:
         errors.append(f"mode {mode} requires jammer.active = true")
-    if mode in ("t1", "t4") and jam["active"]:
+    if mode in ("t1", "t4") and jam_active:
         errors.append(f"mode {mode} requires jammer.active = false")
     if mode in ("t1", "t3") and not targets:
         errors.append(f"mode {mode} requires at least one target")
@@ -376,7 +376,7 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     values.update(
         radar=radar,
         targets=tuple(targets),
-        jammer=_build("jammer", JammerSource, jam, errors) if jam["active"] else None,
+        jammer=_build("jammer", JammerSource, jam, errors) if jam_active else None,
         clutter=_build("clutter", ClutterBand, values["clutter"], errors),
         processing=ProcessingParams(**proc),
         isar=IsarParams(body=body, **isar) if mode == "t4" else None,

@@ -16,11 +16,8 @@ import numpy as np
 
 from .beamform import CovarianceEstimate, TrainingRegion, _box_around
 from .errors import ConfigError
-from .geometry import ArrayGeometry, subarray_steering_matrix
+from .geometry import subarray_steering_matrix
 from .rdproc import RDDatacube
-
-#: default azimuth grid step for the pseudo-spectrum, degrees
-DOA_GRID_STEP_DEG = 0.05
 
 
 @dataclass
@@ -188,8 +185,8 @@ class MusicSpectrum:
         return 10.0 * np.log10(self.values / self.values.max())
 
 
-def music_spectrum(cov: CovarianceEstimate, geom: ArrayGeometry,
-                   azimuth_grid_deg, n_sources: int) -> MusicSpectrum:
+def music_spectrum(cov: CovarianceEstimate, azimuth_grid_deg,
+                   n_sources: int) -> MusicSpectrum:
     """Noise-subspace pseudo-spectrum ``1 / ||E_n^H v(az)||^2``.
 
     ``n_sources`` must leave at least one noise dimension.  Steering vectors
@@ -202,7 +199,7 @@ def music_spectrum(cov: CovarianceEstimate, geom: ArrayGeometry,
     if not 1 <= n_sources <= n_ch - 1:
         raise ValueError(f"n_sources must lie in [1, {n_ch - 1}]")
     noise_sub = vecs[:, : n_ch - n_sources]
-    v = subarray_steering_matrix(geom, azimuth_grid_deg)
+    v = subarray_steering_matrix(azimuth_grid_deg)
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     q = np.sum(np.abs(noise_sub.conj().T @ v) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(q, np.finfo(float).tiny)

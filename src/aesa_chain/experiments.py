@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cells,
                      load_tracks, music_spectrum, pick_peaks, select_training_subset,
                      target_angular_span)
-from .geometry import ArrayGeometry, geometry_table
+from .geometry import SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (AutofocusSearch, cross_range_scale, extract_target_history,
                    form_image, icba_autofocus, range_align)
@@ -46,9 +46,6 @@ FIELD_REFERENCE_REJECTION_DB = {
 
 #: mean of the field-trial reference rejections, dB
 FIELD_REFERENCE_AVERAGE_DB = 30.6
-
-#: azimuth grid half-width used for scans and pseudo-spectra, deg
-SCAN_HALF_WIDTH_DEG = 22.5
 
 #: beamscan grid step, deg
 BEAMSCAN_STEP_DEG = 0.5
@@ -80,10 +77,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _geom(cfg: ExperimentConfig) -> ArrayGeometry:
-    return ArrayGeometry.demonstrator(cfg.radar.wavelength)
-
-
 def _clutter_mask(cfg: ExperimentConfig, shape) -> np.ndarray | None:
     """Cells dominated by the simulated clutter band (full Doppler extent)."""
     if not cfg.clutter.enabled:
@@ -95,8 +88,8 @@ def _clutter_mask(cfg: ExperimentConfig, shape) -> np.ndarray | None:
 
 def _music_grid(cfg: ExperimentConfig) -> np.ndarray:
     step = cfg.processing.music_grid_step_deg
-    n = int(round(2.0 * SCAN_HALF_WIDTH_DEG / step))
-    return -SCAN_HALF_WIDTH_DEG + step * np.arange(n + 1)
+    n = int(round(2.0 * SECTOR_HALF_WIDTH_DEG / step))
+    return -SECTOR_HALF_WIDTH_DEG + step * np.arange(n + 1)
 
 
 def _detection_matches(det, range_bin: int, doppler_bin: int, tol: int = 3) -> bool:
@@ -123,9 +116,10 @@ def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentR
     """Run the configured chain test and return its report; only ``emit_raw``
     keeps a raw cube (the first dwell's) past its range-Doppler processing."""
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
+    geom = ArrayGeometry.demonstrator(cfg.radar.wavelength)
     report = ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256=cfg.hash(),
                               package_version=__version__, adaptive=cfg.adaptive,
-                              geometry_rows=geometry_table(_geom(cfg)))
+                              geometry_rows=geometry_table(geom))
     runner(cfg, report, emit_raw)
     return report
 
@@ -167,19 +161,18 @@ def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
 
 
 def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> tuple:
-    """Simulate and process the configured dwell; returns (geometry, rd, clutter mask).
+    """Simulate and process the configured dwell; returns (rd, clutter mask).
 
     Unless ``emit_raw`` keeps the raw cube for its grids, the range-Doppler
     cube is written over the raw cube's storage, so only one cube is held.
     """
-    geom = _geom(cfg)
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                          cfg.seed, cfg.clutter)
     if emit_raw:
         _raw_grids(report, raw)
     rd = _rd_stream(raw, cfg.processing.window, cfg.processing.doppler_oversample,
                     reuse_raw=not emit_raw)
-    return geom, rd, _clutter_mask(cfg, rd.values.shape[1:])
+    return rd, _clutter_mask(cfg, rd.values.shape[1:])
 
 
 def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
@@ -196,8 +189,8 @@ def _covariance(cfg: ExperimentConfig, rd, mask: np.ndarray):
                                cfg.processing.loading_db, clutter_mask=~mask)
 
 
-def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
-           cmask, default_sources: int) -> tuple:
+def _music(cfg: ExperimentConfig, report: ExperimentReport, rd, det, cmask,
+           default_sources: int) -> tuple:
     """Subspace direction finding on the cells around a detection.
 
     Adds ``spectrum.csv`` to the report; returns (covariance, peaks).
@@ -208,7 +201,7 @@ def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
                                    guard=proc.music_guard_bins,
                                    clutter_mask=cmask)
     cov = covariance_from_snapshots(snaps, loading_db=proc.loading_db)
-    spectrum = music_spectrum(cov, geom, _music_grid(cfg), n_sources)
+    spectrum = music_spectrum(cov, _music_grid(cfg), n_sources)
     report.tables["spectrum.csv"] = _spectrum_rows(spectrum)
     return cov, pick_peaks(spectrum, n_sources)
 
@@ -220,10 +213,10 @@ def _music(cfg: ExperimentConfig, report: ExperimentReport, geom, rd, det,
 def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
     # a malformed truth-track file fails before the dwell is simulated
     tracks = load_tracks(cfg.truth_tracks) if cfg.truth_tracks is not None else None
-    geom, rd, cmask = _dwell(cfg, report, emit_raw)
+    rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
-    detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(geom, steer)))
+    detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(steer)))
     if cmask is not None:
         detections = [d for d in detections if not cmask[d.range_bin, d.doppler_bin]]
 
@@ -236,7 +229,7 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
         det = detections[0]
         metrics["detection_range_m"] = det.range_m
         metrics["detection_velocity_mps"] = det.radial_velocity
-        cov, peaks = _music(cfg, report, geom, rd, det, cmask, default_sources=1)
+        cov, peaks = _music(cfg, report, rd, det, cmask, default_sources=1)
         metrics["azimuth_estimate_deg"] = peaks.peaks[0].azimuth_deg
         metrics["music_snapshots"] = cov.snapshot_count
 
@@ -263,7 +256,7 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    geom, rd, cmask = _dwell(cfg, report, emit_raw)
+    rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
     metrics = report.metrics
     metrics["steering_deg"] = list(cfg.steering_deg)
@@ -271,7 +264,7 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     if not cfg.adaptive:
         # Manual jammer flag off: conventional maps only, no rejection study.
         for steer in cfg.steering_deg:
-            conv = apply_beamformer(rd, conventional_weights(geom, steer))
+            conv = apply_beamformer(rd, conventional_weights(steer))
             _map_grids(report, rd, steer, {"conventional": conv})
         return
 
@@ -280,7 +273,7 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     # First pass: detections on the adaptive maps define the guard cells.
     detections = []
     for steer in cfg.steering_deg:
-        detections += _cfar(cfg, rd, apply_beamformer(rd, mvdr_weights(cov0, geom, steer)))
+        detections += _cfar(cfg, rd, apply_beamformer(rd, mvdr_weights(cov0, steer)))
     meas_mask = exclusion_mask(rd.values.shape[1:], detections,
                                guard=proc.detection_guard, clutter_mask=cmask)
 
@@ -289,15 +282,15 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
     rejections = []
     for steer in cfg.steering_deg:
-        conv = apply_beamformer(rd, conventional_weights(geom, steer))
-        adap = apply_beamformer(rd, mvdr_weights(cov, geom, steer))
+        conv = apply_beamformer(rd, conventional_weights(steer))
+        adap = apply_beamformer(rd, mvdr_weights(cov, steer))
         rejections.append(rejection_db(conv, adap, meas_mask))
         _map_grids(report, rd, steer, {"conventional": conv, "mvdr": adap})
 
-    grid = np.arange(-SCAN_HALF_WIDTH_DEG, SCAN_HALF_WIDTH_DEG + BEAMSCAN_STEP_DEG / 2,
+    grid = np.arange(-SECTOR_HALF_WIDTH_DEG, SECTOR_HALF_WIDTH_DEG + BEAMSCAN_STEP_DEG / 2,
                      BEAMSCAN_STEP_DEG)
-    scan_conv = beamscan(rd, geom, grid)
-    scan_mvdr = beamscan(rd, geom, grid, cov=cov)
+    scan_conv = beamscan(rd, grid)
+    scan_mvdr = beamscan(rd, grid, cov=cov)
 
     metrics["rejection_db"] = rejections
     metrics["average_rejection_db"] = float(np.mean(rejections))
@@ -336,7 +329,7 @@ def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
 
 
 def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    geom, rd, cmask = _dwell(cfg, report, emit_raw)
+    rd, cmask = _dwell(cfg, report, emit_raw)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
 
@@ -346,12 +339,12 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     nfft = cfg.radar.n_pulses * proc.doppler_oversample
     true_dbin = (true_dbin_unshifted * proc.doppler_oversample + nfft // 2) % nfft
 
-    conv = apply_beamformer(rd, conventional_weights(geom, steer))
+    conv = apply_beamformer(rd, conventional_weights(steer))
     conv_dets = _cfar(cfg, rd, conv)
     conv_hit = any(_detection_matches(d, true_rbin, true_dbin) for d in conv_dets)
 
     cov = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
-    adap = apply_beamformer(rd, mvdr_weights(cov, geom, steer))
+    adap = apply_beamformer(rd, mvdr_weights(cov, steer))
     adap_dets = _cfar(cfg, rd, adap)
     matching = [d for d in adap_dets if _detection_matches(d, true_rbin, true_dbin)]
     adap_hit = bool(matching)
@@ -370,8 +363,7 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     report.tables["detections_mvdr.csv"] = _detection_rows(adap_dets)
 
     if adap_hit:
-        _cov, peaks = _music(cfg, report, geom, rd, matching[0], cmask,
-                             default_sources=2)
+        _cov, peaks = _music(cfg, report, rd, matching[0], cmask, default_sources=2)
         metrics["music_peaks_deg"] = peaks.azimuths
         metrics["music_complete"] = peaks.complete
 
@@ -398,7 +390,6 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    geom = _geom(cfg)
     proc = cfg.processing
     isar_cfg = cfg.isar
     body = isar_cfg.body
@@ -410,7 +401,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     dwells.reverse()
     compressed = [range_compress(dwells.pop()) for _ in range(len(dwells))]
     steer = cfg.steering_deg[0]
-    weights = conventional_weights(geom, steer)
+    weights = conventional_weights(steer)
 
     rd0 = doppler_process(compressed[0], window=proc.window,
                           oversample=proc.doppler_oversample)

@@ -14,7 +14,10 @@ Conventions
 * Azimuth is positive toward +x.
 * Angles are degrees at every public interface; radians are internal only.
 * Steering vectors are plain complex ndarrays (one entry per element or per
-  subarray channel), with the element entry ``exp(j * 2*pi/lambda * x*sin(az))``.
+  subarray channel), with the element entry ``exp(j * pi * n * sin(az))`` for
+  the element's column offset ``n`` from the array centre.  At half-wavelength
+  pitch that is the path phase ``2*pi/lambda * x * sin(az)`` at any carrier,
+  so steering depends on azimuth alone.
 """
 
 from dataclasses import dataclass
@@ -36,6 +39,9 @@ N_SUBARRAYS = N_AZ // SUBARRAY_AZ
 #: element pitch along both axes, in wavelengths
 PITCH_WAVELENGTHS = 0.5
 
+#: half-width of the azimuth sector that targets, steering and scans cover, deg
+SECTOR_HALF_WIDTH_DEG = 22.5
+
 #: subarray id of each element, column by column
 _SUBARRAY_INDEX = np.repeat(np.arange(N_AZ) // SUBARRAY_AZ, N_EL)
 _SUBARRAY_INDEX.flags.writeable = False
@@ -46,10 +52,16 @@ _AGGREGATION[_SUBARRAY_INDEX, np.arange(N_ELEMENTS)] = 1.0
 _AGGREGATION /= SUBARRAY_AZ * N_EL
 _AGGREGATION.flags.writeable = False
 
+#: element phase per unit sin(az), ``2*pi * pitch * n``, in element order
+_PHASE_STEP = 2.0 * np.pi * PITCH_WAVELENGTHS * (
+    np.repeat(np.arange(N_AZ), N_EL) - (N_AZ - 1) / 2.0)
+_PHASE_STEP.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """The demonstrator array at one carrier wavelength (metres)."""
+    """Physical element positions of the demonstrator array at one carrier
+    wavelength (metres); steering does not need them."""
 
     wavelength: float
 
@@ -107,29 +119,27 @@ def _check_angle(name: str, value: float) -> float:
     return np.deg2rad(value)
 
 
-def _element_phases(geom: ArrayGeometry, az_rad) -> np.ndarray:
+def _element_phases(az_rad) -> np.ndarray:
     """(n_elements, n_angles) phase matrix for a vector of azimuths."""
-    k = 2.0 * np.pi / geom.wavelength
-    x = geom.element_positions[:, 0]
-    return k * (x[:, None] * np.sin(np.atleast_1d(az_rad))[None, :])
+    return _PHASE_STEP[:, None] * np.sin(np.atleast_1d(az_rad))[None, :]
 
 
-def element_steering(geom: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
+def element_steering(azimuth_deg: float) -> np.ndarray:
     """Element-level steering vector, one unit-modulus entry per element."""
     az = _check_angle("azimuth", azimuth_deg)
-    return np.exp(1j * _element_phases(geom, az))[:, 0]
+    return np.exp(1j * _element_phases(az))[:, 0]
 
 
-def subarray_steering(geom: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
+def subarray_steering(azimuth_deg: float) -> np.ndarray:
     """Channel-level steering vector: per-subarray mean of element entries.
 
     Entries are the element steering entries of each subarray averaged over
     its eight elements, so the broadside vector is all ones.
     """
-    return subarray_steering_matrix(geom, [azimuth_deg])[:, 0]
+    return subarray_steering_matrix([azimuth_deg])[:, 0]
 
 
-def subarray_steering_matrix(geom: ArrayGeometry, azimuth_grid_deg) -> np.ndarray:
+def subarray_steering_matrix(azimuth_grid_deg) -> np.ndarray:
     """(n_subarrays, n_angles) steering matrix over an azimuth grid."""
     grid = np.asarray(azimuth_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -137,17 +147,17 @@ def subarray_steering_matrix(geom: ArrayGeometry, azimuth_grid_deg) -> np.ndarra
     bad = grid[~(np.abs(grid) < 90.0)]  # NaN included
     if bad.size:
         raise ValueError(f"azimuth must satisfy |angle| < 90 deg, got {bad[0]}")
-    elem = np.exp(1j * _element_phases(geom, np.deg2rad(grid)))
+    elem = np.exp(1j * _element_phases(np.deg2rad(grid)))
     return _AGGREGATION @ elem
 
 
-def beampattern(geom: ArrayGeometry, weights, azimuth_grid_deg) -> np.ndarray:
+def beampattern(weights, azimuth_grid_deg) -> np.ndarray:
     """Normalized receive power pattern of a channel weight vector.
 
     Parameters
     ----------
     weights : ndarray or object with a ``values`` attribute
-        Complex channel weights, length ``geom.n_subarrays``.
+        Complex channel weights, length ``N_SUBARRAYS``.
     azimuth_grid_deg : array_like
         Azimuth sample grid in degrees.
 
@@ -157,11 +167,9 @@ def beampattern(geom: ArrayGeometry, weights, azimuth_grid_deg) -> np.ndarray:
         ``|w^H v(az)|^2`` in dB, normalized so the maximum is 0 dB.
     """
     w = np.asarray(getattr(weights, "values", weights), dtype=complex)
-    if w.shape != (geom.n_subarrays,):
-        raise ValueError(
-            f"weights must have shape ({geom.n_subarrays},), got {w.shape}"
-        )
-    v = subarray_steering_matrix(geom, azimuth_grid_deg)
+    if w.shape != (N_SUBARRAYS,):
+        raise ValueError(f"weights must have shape ({N_SUBARRAYS},), got {w.shape}")
+    v = subarray_steering_matrix(azimuth_grid_deg)
     power = np.abs(w.conj() @ v) ** 2
     peak = power.max()
     if peak <= 0.0:

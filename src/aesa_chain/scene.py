@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, _check_angle, subarray_steering
+from .geometry import (N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, SPEED_OF_LIGHT, _check_angle,
+                       subarray_steering)
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,8 @@ class PointTarget:
         if not np.all(np.isfinite((self.range_m, self.radial_velocity,
                                    self.azimuth_deg, self.snr_db))):
             raise ValueError("target range, velocity, azimuth and snr_db must be finite")
-        if abs(self.azimuth_deg) > 22.5:
-            raise ValueError("target azimuth outside the +/-22.5 deg sector")
+        if abs(self.azimuth_deg) > SECTOR_HALF_WIDTH_DEG:
+            raise ValueError(f"target azimuth outside the +/-{SECTOR_HALF_WIDTH_DEG} deg sector")
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,11 @@ class JammerSource:
 
     azimuth_deg: float
     jnr_db: float
-    active: bool = True
 
     def __post_init__(self):
-        if self.active:
-            if not np.isfinite(self.jnr_db):
-                raise ValueError("active jammer requires a finite jnr_db")
-            _check_angle("jammer azimuth", self.azimuth_deg)
+        if not np.isfinite(self.jnr_db):
+            raise ValueError("jammer requires a finite jnr_db")
+        _check_angle("jammer azimuth", self.azimuth_deg)
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,8 @@ class RigidBodyTarget:
                                     self.translational_velocity)))
                 and np.all(np.isfinite(self.scatterers))):
             raise ValueError("rigid body motion, azimuth and scatterers must be finite")
-        if abs(self.azimuth_deg) > 22.5:
-            raise ValueError("body azimuth outside the +/-22.5 deg sector")
+        if abs(self.azimuth_deg) > SECTOR_HALF_WIDTH_DEG:
+            raise ValueError(f"body azimuth outside the +/-{SECTOR_HALF_WIDTH_DEG} deg sector")
 
     def scatterer_range(self, t) -> np.ndarray:
         """(n_scatterers, n_times) instantaneous ranges."""
@@ -303,11 +302,10 @@ def target_amplitude(params: RadarParams, snr_db: float, noise_power: float,
     The calibration assumes the unit-energy matched filter and the
     rectangular-window unitary Doppler transform over the dwell, whose
     combined peak power gain is ``replica_length * n_pulses``, and the
-    demonstrator array at ``params.wavelength``.
+    demonstrator array's channel gain at ``azimuth_deg``.
     """
     gain = params.replica_length * params.n_pulses
-    geom = ArrayGeometry.demonstrator(params.wavelength)
-    g = _channel_gain(subarray_steering(geom, azimuth_deg))
+    g = _channel_gain(subarray_steering(azimuth_deg))
     return float(np.sqrt(10.0 ** (snr_db / 10.0) * noise_power / gain) / g)
 
 
@@ -339,11 +337,10 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
     """
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
-    geom = ArrayGeometry.demonstrator(params.wavelength)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     t_slow = np.arange(params.n_pulses) / params.prf
 
-    cube = np.zeros((geom.n_subarrays, params.n_fast, params.n_pulses), dtype=complex)
+    cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
 
     for tgt in targets:
         if not (params.r_min <= tgt.range_m <= params.r_max):
@@ -355,17 +352,19 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         env = _pulse_envelope(params, t_fast - tau)
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength) * t_slow)
         amp = target_amplitude(params, tgt.snr_db, noise_power, tgt.azimuth_deg)
-        sv = subarray_steering(geom, tgt.azimuth_deg)
+        sv = subarray_steering(tgt.azimuth_deg)
         _add_echo(cube, amp * sv, env[:, None], doppler)
 
     rng = _rng(seed)
 
-    if jammer is not None and jammer.active:
-        sv = subarray_steering(geom, jammer.azimuth_deg)
+    if jammer is not None:
+        sv = subarray_steering(jammer.azimuth_deg)
         scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / _channel_gain(sv)
         wave = np.zeros(cube.shape[1:], dtype=complex)
         _add_noise(rng, wave, 1.0)
-        cube += scale * sv[:, None, None] * wave[None, :, :]
+        # one channel at a time, so no cube-sized temporary is built
+        for channel, gain in zip(cube, scale * sv):
+            channel += gain * wave
 
     if clutter is not None and clutter.enabled:
         n_bins = min(clutter.n_range_bins, params.n_range_bins)
@@ -373,9 +372,9 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
         # exponential across bins (complex Gaussian amplitude).
         amp_scale = np.sqrt(clutter.mean_power * noise_power / params.replica_length)
         for b in range(n_bins):
-            az = float(rng.uniform(-22.5, 22.5))
+            az = float(rng.uniform(-SECTOR_HALF_WIDTH_DEG, SECTOR_HALF_WIDTH_DEG))
             amp = amp_scale * (rng.normal() + 1j * rng.normal()) * np.sqrt(0.5)
-            sv = subarray_steering(geom, az)
+            sv = subarray_steering(az)
             amp /= _channel_gain(sv)
             tau = 2.0 * (params.r_min + b * params.range_bin_m) / SPEED_OF_LIGHT
             env = _pulse_envelope(params, t_fast - tau)
@@ -411,9 +410,8 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
             "regime; cross-range scaling will be approximate",
             stacklevel=2,
         )
-    geom = ArrayGeometry.demonstrator(params.wavelength)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
-    sv = subarray_steering(geom, body.azimuth_deg)
+    sv = subarray_steering(body.azimuth_deg)
 
     dwells = []
     for d in range(n_dwells):
@@ -421,7 +419,7 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
         ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
         if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
             raise ValueError("rigid body leaves the receive window during the sequence")
-        cube = np.zeros((geom.n_subarrays, params.n_fast, params.n_pulses), dtype=complex)
+        cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
         for (_down, _cross, amp), r in zip(body.scatterers, ranges):
             env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)
             phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)

@@ -32,24 +32,24 @@ def steering_oracle(wavelength, positions, az_deg):
     return np.array(out)
 
 
-def subarray_steering_oracle(wavelength, az_deg, n_az=12, n_el=4, sub_az=2):
+def subarray_steering_oracle(az_deg, n_az=12, n_el=4, sub_az=2):
     """Channel steering as the plain average of each subarray's elements, at
-    zero elevation; each subarray spans ``sub_az`` columns of all rows."""
-    pitch = wavelength / 2.0
+    zero elevation; each subarray spans ``sub_az`` columns of all rows.  At
+    half-wavelength pitch the element phase ``2*pi/lambda * x * sin(az)`` is
+    ``pi * n * sin(az)`` for the column offset ``n``, whatever the carrier."""
     n_sub = n_az // sub_az
     acc = np.zeros(n_sub, dtype=complex)
     count = np.zeros(n_sub)
     for col in range(n_az):
         for _row in range(n_el):
-            x = (col - (n_az - 1) / 2.0) * pitch
             sub = col // sub_az
-            phase = 2.0 * np.pi / wavelength * (x * np.sin(np.radians(az_deg)))
+            phase = np.pi * (col - (n_az - 1) / 2.0) * np.sin(np.radians(az_deg))
             acc[sub] += complex(np.cos(phase), np.sin(phase))
             count[sub] += 1
     return acc / count
 
 
-def pattern_oracle_db(wavelength, channel_weights, az_grid_deg):
+def pattern_oracle_db(channel_weights, az_grid_deg):
     """Receive power pattern of channel weights, by direct double summation.
 
     Channels are the six 2x4 subarrays of the 12x4 grid; each channel output
@@ -59,7 +59,7 @@ def pattern_oracle_db(wavelength, channel_weights, az_grid_deg):
     w = np.asarray(channel_weights)
     power = []
     for az in az_grid_deg:
-        v = subarray_steering_oracle(wavelength, az)
+        v = subarray_steering_oracle(az)
         y = 0.0 + 0.0j
         for c in range(w.size):
             y += np.conj(w[c]) * v[c]
@@ -144,13 +144,13 @@ def cfar_oracle(power, pfa, n_train, n_guard):
     return hits
 
 
-def music_spectrum_oracle(cov, wavelength, az_grid_deg, n_sources):
+def music_spectrum_oracle(cov, az_grid_deg, n_sources):
     """Subspace pseudo-spectrum from an explicit eigendecomposition."""
     vals, vecs = np.linalg.eigh(cov)
     noise = vecs[:, : cov.shape[0] - n_sources]
     out = []
     for az in az_grid_deg:
-        v = subarray_steering_oracle(wavelength, az)
+        v = subarray_steering_oracle(az)
         v = v / np.sqrt(np.sum(np.abs(v) ** 2))
         q = 0.0
         for k in range(noise.shape[1]):
@@ -184,11 +184,10 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
     calibration and generator are the package's own, in the same order, so
     the result must equal the simulator's byte for byte.
     """
-    from aesa_chain.geometry import SPEED_OF_LIGHT, ArrayGeometry, subarray_steering
+    from aesa_chain.geometry import N_SUBARRAYS, SPEED_OF_LIGHT, subarray_steering
     from aesa_chain.scene import _pulse_envelope, _rng, target_amplitude
 
-    geom = ArrayGeometry.demonstrator(params.wavelength)
-    shape = (geom.n_subarrays, params.n_fast, params.n_pulses)
+    shape = (N_SUBARRAYS, params.n_fast, params.n_pulses)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     t_slow = np.arange(params.n_pulses) / params.prf
 
@@ -198,11 +197,11 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
         doppler = np.exp(1j * 2.0 * np.pi * (2.0 * tgt.radial_velocity / params.wavelength)
                          * t_slow)
         amp = target_amplitude(params, tgt.snr_db, noise_power, tgt.azimuth_deg)
-        sv = subarray_steering(geom, tgt.azimuth_deg)
+        sv = subarray_steering(tgt.azimuth_deg)
         cube += amp * sv[:, None, None] * env[None, :, None] * doppler[None, None, :]
     rng = _rng(seed)
-    if jammer is not None and jammer.active:
-        sv = subarray_steering(geom, jammer.azimuth_deg)
+    if jammer is not None:
+        sv = subarray_steering(jammer.azimuth_deg)
         scale = np.sqrt(10.0 ** (jammer.jnr_db / 10.0) * noise_power) / np.abs(sv[0])
         wave = _complex_noise(rng, shape[1:], 1.0)
         cube += scale * sv[:, None, None] * wave[None, :, :]
@@ -211,7 +210,7 @@ def dense_dwell_oracle(params, targets=(), jammer=None, noise_power=1.0, seed=0,
         for b in range(min(clutter.n_range_bins, params.n_range_bins)):
             az = float(rng.uniform(-22.5, 22.5))
             amp = amp_scale * (rng.normal() + 1j * rng.normal()) * np.sqrt(0.5)
-            sv = subarray_steering(geom, az)
+            sv = subarray_steering(az)
             amp /= np.abs(sv[0])
             tau = 2.0 * (params.r_min + b * params.range_bin_m) / SPEED_OF_LIGHT
             env = _pulse_envelope(params, t_fast - tau)
@@ -230,13 +229,12 @@ def dense_isar_oracle(params, body, n_dwells, seed=0, noise_power=1.0, noise=Tru
     the package's own, in the same order, so the result must equal the
     simulator's byte for byte.
     """
-    from aesa_chain.geometry import SPEED_OF_LIGHT, ArrayGeometry, subarray_steering
+    from aesa_chain.geometry import N_SUBARRAYS, SPEED_OF_LIGHT, subarray_steering
     from aesa_chain.scene import _pulse_envelope, _rng
 
-    geom = ArrayGeometry.demonstrator(params.wavelength)
-    shape = (geom.n_subarrays, params.n_fast, params.n_pulses)
+    shape = (N_SUBARRAYS, params.n_fast, params.n_pulses)
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
-    sv = subarray_steering(geom, body.azimuth_deg)
+    sv = subarray_steering(body.azimuth_deg)
     cubes = []
     for d in range(n_dwells):
         ranges = body.scatterer_range((d * params.n_pulses + np.arange(params.n_pulses))
@@ -294,3 +292,54 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def subarray_steering_derivative_oracle(az_deg, n_az=12, n_el=4, sub_az=2):
+    """Azimuth derivative (per radian) of ``subarray_steering_oracle``: each
+    element phasor ``exp(j pi n sin(az))`` contributes
+    ``j pi n cos(az) exp(j pi n sin(az))`` to its subarray's average."""
+    az = np.radians(az_deg)
+    n_sub = n_az // sub_az
+    acc = np.zeros(n_sub, dtype=complex)
+    count = np.zeros(n_sub)
+    for col in range(n_az):
+        for _row in range(n_el):
+            n = col - (n_az - 1) / 2.0
+            phase = np.pi * n * np.sin(az)
+            rate = np.pi * n * np.cos(az)
+            acc[col // sub_az] += 1j * rate * complex(np.cos(phase), np.sin(phase))
+            count[col // sub_az] += 1
+    return acc / count
+
+
+def single_source_crb_std_deg(az_deg, snr_db, n_snapshots):
+    """Square root of the deterministic Cramér–Rao bound on the azimuth of one
+    source, in degrees (Stoica and Nehorai, IEEE TASSP 1989).
+
+    Snapshots are ``a(az) s(t) + n(t)`` with unit noise power per channel and
+    ``mean |s|^2 = 10^(snr_db/10)``; the bound is
+    ``1 / (2 K P d^H P_a^perp d)`` with ``d = da/daz`` and ``P_a^perp`` the
+    projector off ``a``.
+    """
+    a = subarray_steering_oracle(az_deg)
+    d = subarray_steering_derivative_oracle(az_deg)
+    aa = ad = dd = 0.0
+    for c in range(a.size):
+        aa += abs(a[c]) ** 2
+        ad += np.conj(a[c]) * d[c]
+        dd += abs(d[c]) ** 2
+    projected = dd - abs(ad) ** 2 / aa
+    power = 10.0 ** (snr_db / 10.0)
+    crb_rad2 = 1.0 / (2.0 * n_snapshots * power * projected)
+    return float(np.degrees(np.sqrt(crb_rad2)))
+
+
+def rmb_sinr_loss_moments(n_snapshots, n_channels):
+    """Mean and standard deviation of the SINR loss of the unloaded sample
+    matrix inversion beamformer, which is Beta(K - N + 2, N - 1) distributed
+    (Reed, Mallett and Brennan, IEEE TAES 1974)."""
+    a = n_snapshots - n_channels + 2.0
+    b = n_channels - 1.0
+    mean = a / (a + b)
+    var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+    return mean, float(np.sqrt(var))

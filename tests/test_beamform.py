@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aesa_chain import (ArrayGeometry, BeamformerWeights, CovarianceEstimate,
+from aesa_chain import (BeamformerWeights, CovarianceEstimate,
                         EstimationError, JammerSource, NumericalError,
                         RadarParams, RDDatacube, TrainingRegion,
                         apply_beamformer, beampattern, beamscan,
@@ -15,32 +15,32 @@ from aesa_chain import (ArrayGeometry, BeamformerWeights, CovarianceEstimate,
                         mvdr_distortionless_weights, mvdr_weights, rd_map,
                         rejection_db, simulate_dwell, subarray_steering)
 
-from helpers import gaussian_elimination_solve
+from helpers import (gaussian_elimination_solve, rmb_sinr_loss_moments,
+                     subarray_steering_oracle)
 
-GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
 Cell = namedtuple("Cell", "range_bin doppler_bin")
 
 
 def jammer_covariance(jnr=1.0e5, az=21.4, noise=1.0):
-    v = subarray_steering(GEOM, az)
+    v = subarray_steering(az)
     r = noise * np.eye(6) + jnr * np.outer(v, v.conj())
     return CovarianceEstimate(matrix=r, snapshot_count=10**6, diagonal_loading=0.0)
 
 
 def test_mvdr_matches_elimination_oracle():
     cov = jammer_covariance()
-    v = subarray_steering(GEOM, -4.0)
+    v = subarray_steering(-4.0)
     g = gaussian_elimination_solve(cov.matrix, v)
     ref = g / (v.conj() @ g)
-    w0 = mvdr_distortionless_weights(cov, GEOM, -4.0)
+    w0 = mvdr_distortionless_weights(cov, -4.0)
     np.testing.assert_allclose(w0, ref, rtol=1e-9)
 
 
 def test_mvdr_distortionless_constraint():
-    w0 = mvdr_distortionless_weights(jammer_covariance(), GEOM, 7.5)
-    v = subarray_steering(GEOM, 7.5)
+    w0 = mvdr_distortionless_weights(jammer_covariance(), 7.5)
+    v = subarray_steering(7.5)
     assert v.conj() @ w0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -48,14 +48,14 @@ def test_white_noise_collapses_to_conventional():
     cov = CovarianceEstimate(matrix=3.0 * np.eye(6), snapshot_count=100,
                              diagonal_loading=0.0)
     for az in (0.0, -15.0, 21.4):
-        w_ad = mvdr_weights(cov, GEOM, az).values
-        w_cv = conventional_weights(GEOM, az).values
+        w_ad = mvdr_weights(cov, az).values
+        w_cv = conventional_weights(az).values
         assert abs(np.vdot(w_ad, w_cv)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mvdr_null_depth_at_jammer():
-    w = mvdr_weights(jammer_covariance(), GEOM, 0.0)
-    pattern = beampattern(GEOM, w.values, np.array([0.0, 21.4]))
+    w = mvdr_weights(jammer_covariance(), 0.0)
+    pattern = beampattern(w.values, np.array([0.0, 21.4]))
     assert pattern[1] - pattern[0] < -40.0
 
 
@@ -85,17 +85,41 @@ def test_mvdr_properties_over_generated_covariances(x, loading_db, azimuths):
     rd = RDDatacube(values=x[:, :, None], range_axis=np.arange(x.shape[1]),
                     velocity_axis=np.zeros(1), params=SMALL)
     for cov in (loaded, direct):
-        scan = beamscan(rd, GEOM, azimuths, cov=cov)
+        scan = beamscan(rd, azimuths, cov=cov)
         for az, energy in zip(azimuths, scan.energy):
-            v = subarray_steering(GEOM, az)
-            w0 = mvdr_distortionless_weights(cov, GEOM, az)
+            v = subarray_steering(az)
+            w0 = mvdr_distortionless_weights(cov, az)
             assert v.conj() @ w0 == pytest.approx(1.0, abs=1e-10)
             g = np.linalg.solve(cov.matrix, v)
             ref = g / (v.conj() @ g)
             assert np.linalg.norm(w0 - ref) <= 1e-10 * np.linalg.norm(ref)
-            w = mvdr_weights(cov, GEOM, az)
+            w = mvdr_weights(cov, az)
             assert energy == pytest.approx(np.sum(np.abs(apply_beamformer(rd, w)) ** 2),
                                            rel=1e-9)
+
+
+def test_mvdr_sinr_loss_matches_rmb_mean():
+    # a 30 dB jammer at 12 deg in unit noise, unloaded MVDR looking at 0 deg
+    # from K jammer-plus-noise snapshots: the mean SINR loss
+    # |w^H v|^2 / (w^H R w * v^H R^-1 v) lies within 4 Monte-Carlo standard
+    # errors of the Reed-Mallett-Brennan mean (K + 2 - N) / (K + 1)
+    seed, trials = 20260414, 2000
+    rng = np.random.default_rng(seed)
+    n_ch, jnr = 6, 10.0 ** 3.0
+    aj = subarray_steering_oracle(12.0)
+    v = subarray_steering_oracle(0.0)
+    r = np.eye(n_ch) + jnr * np.outer(aj, aj.conj())
+    optimum = np.real(np.vdot(v, gaussian_elimination_solve(r, v)))
+    for k in (12, 24, 96):
+        loss = np.empty(trials)
+        for t in range(trials):
+            z = (rng.standard_normal((n_ch + 1, k))
+                 + 1j * rng.standard_normal((n_ch + 1, k))) * np.sqrt(0.5)
+            x = np.sqrt(jnr) * np.outer(aj, z[-1]) + z[:-1]
+            w = mvdr_weights(covariance_from_snapshots(x, loading_db=-300.0), 0.0).values
+            loss[t] = abs(np.vdot(w, v)) ** 2 / (np.real(np.vdot(w, r @ w)) * optimum)
+        mean, std = rmb_sinr_loss_moments(k, n_ch)
+        assert abs(loss.mean() - mean) <= 4.0 * std / np.sqrt(trials), (k, loss.mean(), mean)
 
 
 def test_one_eigendecomposition_per_covariance(monkeypatch):
@@ -108,21 +132,21 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rng = np.random.default_rng(6)
     x = (rng.normal(size=(6, 200)) + 1j * rng.normal(size=(6, 200))) / np.sqrt(2)
-    x += 100.0 * np.outer(subarray_steering(GEOM, 21.4), rng.normal(size=200))
+    x += 100.0 * np.outer(subarray_steering(21.4), rng.normal(size=200))
     grid = np.arange(-22.5, 22.51, 0.5)
     assert grid.size == 91
     cov = covariance_from_snapshots(x)
     for az in grid:
-        mvdr_weights(cov, GEOM, az)
-    music_spectrum(cov, GEOM, grid, 1)
+        mvdr_weights(cov, az)
+    music_spectrum(cov, grid, 1)
     assert calls == {"eigh": 1}
     # built directly from a matrix, an estimate factors once, on first use
     direct = CovarianceEstimate(matrix=cov.matrix, snapshot_count=200,
                                 diagonal_loading=cov.diagonal_loading)
     assert calls == {"eigh": 1}
     for az in grid:
-        mvdr_weights(direct, GEOM, az)
-    music_spectrum(direct, GEOM, grid, 1)
+        mvdr_weights(direct, az)
+    music_spectrum(direct, grid, 1)
     assert calls == {"eigh": 2}
 
 
@@ -164,11 +188,11 @@ def test_condition_number_refusal():
     bad = CovarianceEstimate(matrix=np.diag([1.0e13, 1, 1, 1, 1, 1]),
                              snapshot_count=100, diagonal_loading=0.0)
     with pytest.raises(NumericalError, match="condition"):
-        mvdr_weights(bad, GEOM, 0.0)
+        mvdr_weights(bad, 0.0)
     indef = CovarianceEstimate(matrix=-np.eye(6), snapshot_count=100,
                                diagonal_loading=0.0)
     with pytest.raises(NumericalError, match="positive definite"):
-        mvdr_weights(indef, GEOM, 0.0)
+        mvdr_weights(indef, 0.0)
     q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)) + 0j)
     for lam in ([0.0, 1, 2, 3, 4, 5],     # singular, positive semidefinite
                 [-1.0, 1, 2, 3, 4, 5]):   # indefinite
@@ -176,7 +200,7 @@ def test_condition_number_refusal():
                                  else q @ np.diag(lam) @ q.conj().T,
                                  snapshot_count=100, diagonal_loading=0.0)
         with pytest.raises(NumericalError, match="positive definite"):
-            mvdr_weights(cov, GEOM, 0.0)
+            mvdr_weights(cov, 0.0)
 
 
 def test_covariance_validation():
@@ -220,7 +244,7 @@ def test_training_region_mask_and_counts():
 def test_apply_beamformer_contract():
     rng = np.random.default_rng(1)
     cube = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
-    w = conventional_weights(GEOM, 10.0)
+    w = conventional_weights(10.0)
     out = apply_beamformer(cube, w)
     ref = np.zeros((4, 3), dtype=complex)
     for c in range(6):
@@ -237,10 +261,10 @@ def test_beamscan_equals_direct_application():
     grid = np.arange(-20.0, 21.0, 5.0)
     cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
     for scan_cov in (None, cov):
-        curve = beamscan(rd, GEOM, grid, cov=scan_cov)
+        curve = beamscan(rd, grid, cov=scan_cov)
         for i, az in enumerate(grid):
-            w = (conventional_weights(GEOM, az) if scan_cov is None
-                 else mvdr_weights(cov, GEOM, az))
+            w = (conventional_weights(az) if scan_cov is None
+                 else mvdr_weights(cov, az))
             ref = np.sum(np.abs(apply_beamformer(rd, w)) ** 2)
             assert curve.energy[i] == pytest.approx(ref, rel=1e-9), (scan_cov is None, az)
 
@@ -250,10 +274,10 @@ def test_beamscan_localizes_jammer():
                          noise_power=1.0, seed=3)
     rd = rd_map(raw)
     grid = np.arange(-22.5, 22.51, 0.5)
-    conv = beamscan(rd, GEOM, grid)
+    conv = beamscan(rd, grid)
     assert grid[np.argmax(conv.energy)] == pytest.approx(21.5, abs=0.51)
     cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
-    mvdr = beamscan(rd, GEOM, grid, cov=cov)
+    mvdr = beamscan(rd, grid, cov=cov)
     # distortionless at the jammer: the adaptive scan peaks there too
     assert grid[np.argmax(mvdr.energy)] == pytest.approx(21.5, abs=0.51)
     # steered elsewhere it nulls the jammer that conventional sidelobes leak

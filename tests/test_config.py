@@ -118,6 +118,9 @@ def test_mode_jammer_consistency():
         resolve_config({"mode": "t2"})
     with pytest.raises(ConfigError, match="at least one target"):
         resolve_config({"mode": "t3", "jammer": {"active": True}})
+    # an inactive jammer is no jammer: its values are not checked
+    idle = {"active": False, "azimuth_deg": 95.0, "jnr_db": float("inf")}
+    assert resolve_config(t1_tree(jammer=idle)).jammer is None
     with pytest.raises(ConfigError, match="mode must be one of"):
         resolve_config({"mode": "t9"})
     with pytest.raises(ConfigError, match="seed"):

@@ -37,19 +37,19 @@ def test_subarray_partition():
 
 def test_element_steering_matches_oracle():
     for az in (0.0, 20.0, -35.0, 5.0):
-        got = element_steering(GEOM, az)
+        got = element_steering(az)
         want = steering_oracle(GEOM.wavelength, GEOM.element_positions, az)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_broadside_steering_is_all_ones():
-    np.testing.assert_allclose(element_steering(GEOM, 0.0), np.ones(48), atol=1e-15)
-    np.testing.assert_allclose(subarray_steering(GEOM, 0.0), np.ones(6), atol=1e-15)
+    np.testing.assert_allclose(element_steering(0.0), np.ones(48), atol=1e-15)
+    np.testing.assert_allclose(subarray_steering(0.0), np.ones(6), atol=1e-15)
 
 
 def test_element_phase_step_at_30_degrees():
     # adjacent azimuth elements at half-wavelength pitch: phase step pi/2
-    v = element_steering(GEOM, 30.0)
+    v = element_steering(30.0)
     col0 = v[0]          # elements ordered column-major along azimuth
     col1 = v[N_EL]
     step = np.angle(col1 / col0)
@@ -58,8 +58,8 @@ def test_element_phase_step_at_30_degrees():
 
 def test_subarray_steering_matches_oracle_and_phase_step():
     for az in (-15.0, 7.5, 21.4):
-        got = subarray_steering(GEOM, az)
-        want = subarray_steering_oracle(GEOM.wavelength, az)
+        got = subarray_steering(az)
+        want = subarray_steering_oracle(az)
         np.testing.assert_allclose(got, want, atol=1e-12)
         # adjacent channels one wavelength apart: step 2*pi*sin(az)
         step = np.angle(got[1] / got[0])
@@ -69,29 +69,29 @@ def test_subarray_steering_matches_oracle_and_phase_step():
 
 def test_subarray_steering_matrix_consistent():
     grid = np.array([-10.0, 0.0, 12.5])
-    m = subarray_steering_matrix(GEOM, grid)
+    m = subarray_steering_matrix(grid)
     assert m.shape == (6, 3)
     for j, az in enumerate(grid):
-        np.testing.assert_allclose(m[:, j], subarray_steering(GEOM, az), atol=1e-14)
+        np.testing.assert_allclose(m[:, j], subarray_steering(az), atol=1e-14)
     with pytest.raises(ValueError):
-        subarray_steering_matrix(GEOM, np.array([]))
+        subarray_steering_matrix(np.array([]))
     with pytest.raises(ValueError):
-        subarray_steering_matrix(GEOM, np.array([95.0]))
+        subarray_steering_matrix(np.array([95.0]))
 
 
 def test_steering_rejects_endfire():
     with pytest.raises(ValueError):
-        element_steering(GEOM, 90.0)
+        element_steering(90.0)
     for az in (-95.0, np.nan):
         with pytest.raises(ValueError, match="azimuth"):
-            subarray_steering(GEOM, az)
+            subarray_steering(az)
 
 
 def test_beampattern_matches_brute_force():
-    w = subarray_steering(GEOM, 10.0) / np.sqrt(6.0)
+    w = subarray_steering(10.0) / np.sqrt(6.0)
     grid = np.arange(-60.0, 60.0, 0.25)
-    got = beampattern(GEOM, w, grid)
-    want = pattern_oracle_db(GEOM.wavelength, w, grid)
+    got = beampattern(w, grid)
+    want = pattern_oracle_db(w, grid)
     np.testing.assert_allclose(got, want, atol=1e-9)
     assert got.max() == pytest.approx(0.0, abs=1e-12)
 
@@ -100,7 +100,7 @@ def test_broadside_first_sidelobe_level():
     # six uniform channels at one-wavelength pitch: first sidelobe -13.06 dB
     w = np.ones(6) / np.sqrt(6.0)
     grid = np.arange(-30.0, 30.0001, 0.01)
-    db = beampattern(GEOM, w, grid)
+    db = beampattern(w, grid)
     interior = (np.abs(grid) > 8.0) & (np.abs(grid) < 20.0)
     assert db[interior].max() == pytest.approx(-13.06, abs=0.05)
 
@@ -113,8 +113,8 @@ def test_grating_lobe_levels():
     for steer, expect_db, tol in [(10.0, -10.18, 0.2), (20.0, -4.29, 0.2),
                                   (25.0, -2.04, 0.2), (30.0, 0.0, 0.02),
                                   (35.0, 1.94, 0.2)]:
-        w = subarray_steering(GEOM, steer) / np.sqrt(6.0)
-        db = beampattern(GEOM, w, grid)
+        w = subarray_steering(steer) / np.sqrt(6.0)
+        db = beampattern(w, grid)
         target = np.degrees(np.arcsin(np.sin(np.radians(steer)) - 1.0))
         lobe = db[np.abs(grid - target) < 3.0].max()
         main = db[np.abs(grid - steer) < 3.0].max()

@@ -245,7 +245,7 @@ def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, per_block):
         want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
         for emit_raw in (False, True):
             report = _empty_report(cfg)
-            _geom, rd, _mask = experiments._dwell(cfg, report, emit_raw)
+            rd, _mask = experiments._dwell(cfg, report, emit_raw)
             assert rd.values.tobytes() == want.values.tobytes()
             np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
             assert rd.values.flags.c_contiguous
@@ -263,7 +263,7 @@ def test_full_swath_dwell_holds_one_cube():
     # the t1 map is written over the raw cube's storage one channel at a time,
     # so the peak is the raw cube plus one block's transforms, not two cubes
     cfg = load_config(CONFIG_DIR / "t1.yaml")
-    (_geom, rd, _mask), peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
+    (rd, _mask), peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
     assert peak < 1.5 * raw_nbytes
     assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
@@ -308,8 +308,7 @@ def test_t4_falls_back_to_strongest_range_bin():
     first = simulate_isar_sequence(cfg.radar, cfg.isar.body, 1, cfg.seed, cfg.noise_power)[0]
     rd = rd_map(first, window=cfg.processing.window,
                 oversample=cfg.processing.doppler_oversample)
-    bmap = apply_beamformer(rd, conventional_weights(experiments._geom(cfg),
-                                                     cfg.steering_deg[0]))
+    bmap = apply_beamformer(rd, conventional_weights(cfg.steering_deg[0]))
     center = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
     hw = cfg.isar.window_halfwidth_bins
     with pytest.MonkeyPatch.context() as mp:
@@ -370,3 +369,12 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
         assert names == sorted(p.name for p in two.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(one, two, names, shallow=False)
         assert mismatch == [] and errors == [], name
+
+
+def test_readme_library_example_runs(capsys):
+    # the "Library use" block of the README runs as written against this API
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    range_m, velocity = map(float, capsys.readouterr().out.split())
+    assert range_m == pytest.approx(1740.0, abs=2.4) and velocity == pytest.approx(3.75)

@@ -14,13 +14,11 @@ from aesa_chain import (AutofocusSearch, ConfigError, PhasePolynomial,
                         image_contrast, range_align, range_compress,
                         simulate_isar_sequence)
 from aesa_chain import isar
-from aesa_chain.geometry import ArrayGeometry
 from aesa_chain.isar import _fractional_peak
 from aesa_chain.rdproc import WINDOWS
 
 from helpers import dft_oracle, roll_align_oracle, unit_window_oracle
 
-GEOM = ArrayGeometry.demonstrator()
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
 
@@ -55,7 +53,7 @@ def test_extract_target_history_matches_manual_stack():
                            scatterers=[(0.0, 0.0, 1.0)])
     dwells = [range_compress(d)
               for d in simulate_isar_sequence(SMALL, body, 2, seed=1)]
-    w = conventional_weights(GEOM, 0.0)
+    w = conventional_weights(0.0)
     hist = extract_target_history(dwells, w, (110, 140))
     assert hist.n_slow == 2 * 64
     np.testing.assert_allclose(hist.range_axis, dwells[0].range_axis[110:140])
@@ -75,7 +73,7 @@ def test_extract_target_history_validation():
                            scatterers=[(0.0, 0.0, 1.0)])
     dwells = [range_compress(d)
               for d in simulate_isar_sequence(SMALL, body, 1, seed=1)]
-    w = conventional_weights(GEOM, 0.0)
+    w = conventional_weights(0.0)
     with pytest.raises(ValueError, match="range span"):
         extract_target_history(dwells, w, (100, 3000))
     with pytest.raises(ValueError, match="at least one"):

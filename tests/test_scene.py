@@ -115,7 +115,6 @@ def test_jammer_power_and_spatial_rank():
 def test_jammer_requires_finite_jnr():
     with pytest.raises(ValueError):
         JammerSource(azimuth_deg=0.0, jnr_db=np.inf)
-    JammerSource(azimuth_deg=0.0, jnr_db=np.inf, active=False)  # inactive is fine
 
 
 def test_scene_inputs_must_be_finite():
@@ -161,12 +160,15 @@ def test_simulate_dwell_matches_dense_oracle():
 
 def test_simulate_dwell_peak_memory_is_one_cube():
     # the noise is drawn through one channel's buffer, not a real cube of
-    # half the complex cube's size
+    # half the complex cube's size; the jammer waveform is one channel and
+    # is added channel by channel, not through cube-sized temporaries
     params = RadarParams(r_min=1500.0, r_max=6000.0, n_pulses=64)
     tgt = PointTarget(range_m=3000.0, radial_velocity=3.0, azimuth_deg=4.0, snr_db=20.0)
-    simulate_dwell(params, [tgt], seed=1)
-    raw, peak = traced_peak(simulate_dwell, params, [tgt], seed=1)
-    assert peak < 1.25 * raw.values.nbytes
+    jam = JammerSource(azimuth_deg=21.4, jnr_db=50.0)
+    for jammer, bound in ((None, 1.25), (jam, 1.4)):
+        simulate_dwell(params, [tgt], jammer, seed=1)
+        raw, peak = traced_peak(simulate_dwell, params, [tgt], jammer, seed=1)
+        assert peak < bound * raw.values.nbytes, jammer
 
 
 def test_clutter_band_statistics():
