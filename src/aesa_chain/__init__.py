@@ -13,7 +13,7 @@ from .beamform import (apply_beamformer, beamscan, BeamscanCurve,
                        CovarianceEstimate, covariance_from_snapshots,
                        estimate_covariance, exclusion_mask,
                        mvdr_distortionless_weights, mvdr_weights,
-                       rejection_db, TrainingRegion)
+                       rejection_db)
 from .config import (dump_config, ExperimentConfig, load_config, load_tree,
                      resolve_config)
 from .detect import (angular_error, AngularSpan, ca_cfar_threshold_factor,
@@ -26,10 +26,9 @@ from .geometry import (ArrayGeometry, beampattern, element_steering,
                        geometry_table, SPEED_OF_LIGHT, subarray_steering,
                        subarray_steering_matrix)
 from .gridio import Grid, GridAxis, read_grid, write_csv, write_grid
-from .isar import (AutofocusResult, AutofocusSearch, cross_range_scale,
-                   extract_target_history, form_image, icba_autofocus,
-                   image_contrast, IsarImage, PhasePolynomial, range_align,
-                   RangeProfileHistory)
+from .isar import (AutofocusResult, cross_range_scale, extract_target_history,
+                   form_image, icba_autofocus, image_contrast, IsarImage,
+                   PhasePolynomial, range_align, RangeProfileHistory)
 from .rdproc import (CompressedDwell, doppler_process, range_compress,
                      RDDatacube, rd_map)
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
@@ -39,14 +38,14 @@ from .version import __version__
 
 __all__ = [
     "__version__",
-    "AngularSpan", "ArrayGeometry", "AutofocusResult", "AutofocusSearch",
+    "AngularSpan", "ArrayGeometry", "AutofocusResult",
     "BeamformerWeights", "BeamscanCurve", "ChainError", "ClutterBand",
     "CompressedDwell", "ConfigError", "CovarianceEstimate", "Detection",
     "EstimationError", "ExperimentConfig", "ExperimentReport",
     "GroundTruthTrack", "Grid", "GridAxis", "IsarImage", "JammerSource",
     "MusicSpectrum", "NumericalError", "PeakSet", "PhasePolynomial",
     "PointTarget", "RDDatacube", "RadarParams", "RangeProfileHistory",
-    "RawDatacube", "RigidBodyTarget", "SPEED_OF_LIGHT", "TrainingRegion",
+    "RawDatacube", "RigidBodyTarget", "SPEED_OF_LIGHT",
     "angular_error", "apply_beamformer", "beampattern", "beamscan",
     "ca_cfar_threshold_factor", "cfar_detect", "conventional_weights",
     "covariance_from_snapshots", "cross_range_scale", "doppler_process",

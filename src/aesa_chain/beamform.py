@@ -1,8 +1,8 @@
 """Conventional and minimum-variance adaptive beamforming on the RD cube.
 
 A snapshot is the 6-channel vector of one range-Doppler cell.  The sample
-covariance over a training region is factored once; the diagonal loading is
-referenced to the smallest eigenvalue of that one eigendecomposition.
+covariance over a boolean mask of training cells is factored once; the diagonal
+loading is referenced to the smallest eigenvalue of that one eigendecomposition.
 Adaptive weights ``w0 = R^-1 v / (v^H R^-1 v)`` come from the same factors
 and are rescaled to unit norm so the white-noise floor at the beamformer
 output equals the per-channel floor, which keeps conventional and adaptive
@@ -26,43 +26,6 @@ DEFAULT_LOADING_DB = 10.0
 
 #: covariance condition number beyond which the solve is refused
 MAX_CONDITION = 1.0e12
-
-
-@dataclass(frozen=True)
-class TrainingRegion:
-    """Index block of RD cells used for covariance estimation.
-
-    Spans are half-open bin ranges.  ``exclusion`` is an optional guard block
-    (same format) removed from the region, typically centred on a detection.
-    """
-
-    range_span: tuple
-    doppler_span: tuple
-    exclusion: tuple | None = None  # ((r_lo, r_hi), (d_lo, d_hi))
-
-    def __post_init__(self):
-        r0, r1 = self.range_span
-        d0, d1 = self.doppler_span
-        if r0 >= r1 or d0 >= d1:
-            raise ValueError("training region spans must be non-empty")
-
-    def mask(self, shape) -> np.ndarray:
-        """Boolean (n_range, n_doppler) mask of included cells."""
-        m = np.zeros(shape, dtype=bool)
-        _set_box(m, self.range_span, self.doppler_span, True)
-        if self.exclusion is not None:
-            _set_box(m, *self.exclusion, False)
-        return m
-
-    def snapshots(self, rd: RDDatacube, clutter_mask: np.ndarray | None = None) -> np.ndarray:
-        """(n_channels, K) snapshots of the region's cells, minus the cells
-        ``clutter_mask`` marks (True = exclude)."""
-        m = self.mask(rd.values.shape[1:])
-        if clutter_mask is not None:
-            if clutter_mask.shape != m.shape:
-                raise ValueError("clutter mask shape does not match the RD map")
-            m &= ~clutter_mask
-        return rd.values[:, m]
 
 
 def _set_box(mask: np.ndarray, row_span, col_span, value: bool) -> None:
@@ -147,17 +110,18 @@ def covariance_from_snapshots(snapshots: np.ndarray,
     return cov
 
 
-def estimate_covariance(rd: RDDatacube, region: TrainingRegion,
-                        loading_db: float = DEFAULT_LOADING_DB,
-                        clutter_mask: np.ndarray | None = None) -> CovarianceEstimate:
-    """Sample covariance over a training region of the RD cube.
+def estimate_covariance(rd: RDDatacube, mask: np.ndarray,
+                        loading_db: float = DEFAULT_LOADING_DB) -> CovarianceEstimate:
+    """Sample covariance over the training cells of the RD cube.
 
-    ``clutter_mask`` marks cells to exclude (True = clutter) in addition to
-    the region's own exclusion block.
+    ``mask`` is a boolean (n_range, n_doppler) array, True for a training
+    cell; the snapshots are ``rd.values[:, mask]`` in row-major cell order.
     """
-    snaps = region.snapshots(rd, clutter_mask)
+    if mask.shape != rd.values.shape[1:]:
+        raise ValueError("training mask shape does not match the RD map")
+    snaps = rd.values[:, mask]
     if snaps.size == 0:
-        raise EstimationError("training region is empty after exclusions")
+        raise EstimationError("training mask is empty")
     return covariance_from_snapshots(snaps, loading_db=loading_db)
 
 

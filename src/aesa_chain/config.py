@@ -25,6 +25,7 @@ import yaml
 from .detect import cfar_window_cells
 from .errors import ConfigError
 from .geometry import SECTOR_HALF_WIDTH_DEG
+from .isar import MIN_IMAGING_SAMPLES
 from .rdproc import WINDOWS
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
                     RigidBodyTarget)
@@ -367,6 +368,9 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         errors.append("isar.body.rotation_rate_rad_s must be positive when "
                       "isar.omega_for_scaling_rad_s does not set the cross-range scale")
     body = _build("isar.body", RigidBodyTarget, body, errors)
+    if (mode == "t4" and radar is not None
+            and isar["n_dwells"] * radar.n_pulses < MIN_IMAGING_SAMPLES):
+        errors.append(f"isar.n_dwells * radar.n_pulses must be >= {MIN_IMAGING_SAMPLES}")
     truth = values["truth_tracks"]
     if truth is not None:
         if base_dir is not None and not truth.is_absolute():

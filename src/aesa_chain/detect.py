@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import CovarianceEstimate, TrainingRegion, _box_around
+from .beamform import CovarianceEstimate, _box_around, _set_box
 from .errors import ConfigError
 from .geometry import subarray_steering_matrix
 from .rdproc import RDDatacube
@@ -169,9 +169,15 @@ def select_training_subset(rd: RDDatacube, detection: Detection,
     if int(window[0]) < 0 or int(window[1]) < 0:
         raise ValueError("window half-widths must be non-negative")
     cell = (detection.range_bin, detection.doppler_bin)
-    guard_box = None if guard is None else _box_around(*cell, guard)
-    region = TrainingRegion(*_box_around(*cell, window), exclusion=guard_box)
-    return region.snapshots(rd, clutter_mask)
+    mask = np.zeros(rd.values.shape[1:], dtype=bool)
+    _set_box(mask, *_box_around(*cell, window), True)
+    if guard is not None:
+        _set_box(mask, *_box_around(*cell, guard), False)
+    if clutter_mask is not None:
+        if clutter_mask.shape != mask.shape:
+            raise ValueError("clutter mask shape does not match the RD map")
+        mask &= ~clutter_mask
+    return rd.values[:, mask]
 
 
 @dataclass
@@ -208,25 +214,16 @@ def music_spectrum(cov: CovarianceEstimate, azimuth_grid_deg,
 
 
 @dataclass
-class PeakEstimate:
-    azimuth_deg: float
-
-
-@dataclass
 class PeakSet:
-    """Refined spectrum peaks, strongest first; ``complete`` is False when
-    fewer local maxima exist than were requested."""
+    """Refined spectrum peak azimuths in degrees, strongest first;
+    ``complete`` is False when fewer local maxima exist than were requested."""
 
-    peaks: list
+    azimuths: list
     requested: int
 
     @property
     def complete(self) -> bool:
-        return len(self.peaks) >= self.requested
-
-    @property
-    def azimuths(self) -> list:
-        return [p.azimuth_deg for p in self.peaks]
+        return len(self.azimuths) >= self.requested
 
 
 def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
@@ -254,11 +251,11 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakSet:
     candidates = idx[is_max]
     # Strongest first; ties toward smaller |azimuth|.
     order = sorted(candidates, key=lambda i: (-p[i], abs(az[i])))
-    peaks = []
+    azimuths = []
     for i in order[:k]:
         offset = _parabolic_offset(p[i - 1], p[i], p[i + 1])
-        peaks.append(PeakEstimate(azimuth_deg=float(az[i] + offset * (az[i + 1] - az[i]))))
-    return PeakSet(peaks=peaks, requested=int(k))
+        azimuths.append(float(az[i] + offset * (az[i + 1] - az[i])))
+    return PeakSet(azimuths=azimuths, requested=int(k))
 
 
 @dataclass(frozen=True)

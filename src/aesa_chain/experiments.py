@@ -19,17 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import (BeamscanCurve, TrainingRegion, _set_box, apply_beamformer,
-                       beamscan, conventional_weights, covariance_from_snapshots,
-                       estimate_covariance, exclusion_mask, mvdr_weights, rejection_db)
+from .beamform import (BeamscanCurve, apply_beamformer, beamscan, conventional_weights,
+                       covariance_from_snapshots, estimate_covariance, exclusion_mask,
+                       mvdr_weights, rejection_db)
 from .config import ExperimentConfig
 from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cells,
                      load_tracks, music_spectrum, pick_peaks, select_training_subset,
                      target_angular_span)
 from .geometry import SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
-from .isar import (AutofocusSearch, cross_range_scale, extract_target_history,
-                   form_image, icba_autofocus, range_align)
+from .isar import (cross_range_scale, extract_target_history, form_image,
+                   icba_autofocus, range_align)
 from .rdproc import _rd_stream, doppler_process, range_compress
 from .scene import simulate_dwell, simulate_isar_sequence
 from .version import __version__
@@ -49,6 +49,12 @@ FIELD_REFERENCE_AVERAGE_DB = 30.6
 
 #: beamscan grid step, deg
 BEAMSCAN_STEP_DEG = 0.5
+
+#: floor of the dB range-Doppler map grids below their joint peak, dB
+MAP_FLOOR_DB = -200.0
+
+#: most scatterers reported from a t4 image, and their floor below its peak (dB)
+MAX_IMAGE_PEAKS, IMAGE_PEAK_FLOOR_DB = 10, -25.0
 
 
 @dataclass
@@ -82,7 +88,7 @@ def _clutter_mask(cfg: ExperimentConfig, shape) -> np.ndarray | None:
     if not cfg.clutter.enabled:
         return None
     mask = np.zeros(shape, dtype=bool)
-    _set_box(mask, (0, cfg.clutter.n_range_bins), (0, shape[1]), True)
+    mask[:cfg.clutter.n_range_bins] = True
     return mask
 
 
@@ -138,14 +144,13 @@ def _axis(values: np.ndarray, unit: str) -> GridAxis:
     return GridAxis(start=float(values[0]), step=float(values[1] - values[0]), unit=unit)
 
 
-def _joint_db(complex_map: np.ndarray, joint_peak: float,
-              floor_db: float = -200.0) -> np.ndarray:
+def _joint_db(complex_map: np.ndarray, joint_peak: float) -> np.ndarray:
     power = np.abs(complex_map) ** 2
     ref = joint_peak**2
     if ref <= 0.0:
-        return np.full(complex_map.shape, floor_db)
-    return np.maximum(10.0 * np.log10(np.maximum(power / ref, 10.0 ** (floor_db / 10.0))),
-                      floor_db)
+        return np.full(complex_map.shape, MAP_FLOOR_DB)
+    return np.maximum(10.0 * np.log10(np.maximum(power / ref, 10.0 ** (MAP_FLOOR_DB / 10.0))),
+                      MAP_FLOOR_DB)
 
 
 def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
@@ -180,13 +185,6 @@ def _cfar(cfg: ExperimentConfig, rd, complex_map: np.ndarray) -> list:
     proc = cfg.processing
     return cfar_detect(np.abs(complex_map) ** 2, proc.pfa, proc.cfar_train,
                        proc.cfar_guard, rd.range_axis, rd.velocity_axis)
-
-
-def _covariance(cfg: ExperimentConfig, rd, mask: np.ndarray):
-    """Loaded covariance over the cells of the map that ``mask`` keeps."""
-    shape = rd.values.shape[1:]
-    return estimate_covariance(rd, TrainingRegion((0, shape[0]), (0, shape[1])),
-                               cfg.processing.loading_db, clutter_mask=~mask)
 
 
 def _music(cfg: ExperimentConfig, report: ExperimentReport, rd, det, cmask,
@@ -230,7 +228,7 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
         metrics["detection_range_m"] = det.range_m
         metrics["detection_velocity_mps"] = det.radial_velocity
         cov, peaks = _music(cfg, report, rd, det, cmask, default_sources=1)
-        metrics["azimuth_estimate_deg"] = peaks.peaks[0].azimuth_deg
+        metrics["azimuth_estimate_deg"] = peaks.azimuths[0]
         metrics["music_snapshots"] = cov.snapshot_count
 
         if tracks is not None:
@@ -238,7 +236,7 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                         if abs(t.range_m - det.range_m) <= proc.assoc_tolerance_m]
             if in_range:
                 track = min(in_range, key=lambda t: abs(t.range_m - det.range_m))
-                err = angular_error(peaks.peaks[0].azimuth_deg, track)
+                err = angular_error(peaks.azimuths[0], track)
                 los = cfg.radar_heading_deg + track.azimuth_deg
                 span = target_angular_span(track, los, err)
                 metrics["track_name"] = track.name
@@ -268,7 +266,8 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
             _map_grids(report, rd, steer, {"conventional": conv})
         return
 
-    cov0 = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
+    cov0 = estimate_covariance(rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask),
+                               proc.loading_db)
 
     # First pass: detections on the adaptive maps define the guard cells.
     detections = []
@@ -278,7 +277,7 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                                guard=proc.detection_guard, clutter_mask=cmask)
 
     # Second pass: final covariance excludes the detection guards.
-    cov = _covariance(cfg, rd, meas_mask)
+    cov = estimate_covariance(rd, meas_mask, proc.loading_db)
 
     rejections = []
     for steer in cfg.steering_deg:
@@ -343,7 +342,8 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     conv_dets = _cfar(cfg, rd, conv)
     conv_hit = any(_detection_matches(d, true_rbin, true_dbin) for d in conv_dets)
 
-    cov = _covariance(cfg, rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask))
+    cov = estimate_covariance(rd, exclusion_mask(rd.values.shape[1:], clutter_mask=cmask),
+                              proc.loading_db)
     adap = apply_beamformer(rd, mvdr_weights(cov, steer))
     adap_dets = _cfar(cfg, rd, adap)
     matching = [d for d in adap_dets if _detection_matches(d, true_rbin, true_dbin)]
@@ -367,20 +367,17 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
         metrics["music_peaks_deg"] = peaks.azimuths
         metrics["music_complete"] = peaks.complete
 
-        if cfg.jammer is not None and peaks.peaks:
+        if cfg.jammer is not None and peaks.azimuths:
             jammer_az = cfg.jammer.azimuth_deg
-            by_jammer = min(peaks.peaks,
-                            key=lambda p: abs(p.azimuth_deg - jammer_az))
-            others = [p for p in peaks.peaks if p is not by_jammer]
-            metrics["jammer_estimate_deg"] = by_jammer.azimuth_deg
-            metrics["jammer_error_deg"] = angular_error(by_jammer.azimuth_deg,
-                                                        jammer_az)
+            others = list(peaks.azimuths)
+            by_jammer = others.pop(min(range(len(others)),
+                                       key=lambda i: abs(others[i] - jammer_az)))
+            metrics["jammer_estimate_deg"] = by_jammer
+            metrics["jammer_error_deg"] = angular_error(by_jammer, jammer_az)
             if others:
-                tgt_peak = min(others,
-                               key=lambda p: abs(p.azimuth_deg - target.azimuth_deg))
-                metrics["target_estimate_deg"] = tgt_peak.azimuth_deg
-                metrics["target_error_deg"] = angular_error(tgt_peak.azimuth_deg,
-                                                            target.azimuth_deg)
+                tgt_az = min(others, key=lambda a: abs(a - target.azimuth_deg))
+                metrics["target_estimate_deg"] = tgt_az
+                metrics["target_error_deg"] = angular_error(tgt_az, target.azimuth_deg)
 
     _map_grids(report, rd, steer, {"conventional": conv, "mvdr": adap})
 
@@ -422,14 +419,12 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     hi = min(center_bin + hw + 1, n_bins)
     history = extract_target_history(compressed, weights, (lo, hi))
     aligned, shifts = range_align(history)
-    search = AutofocusSearch(grid_points=isar_cfg.autofocus_grid_points,
-                             phase_span_rad=isar_cfg.autofocus_phase_span_rad)
-    focus = icba_autofocus(aligned, order=isar_cfg.autofocus_order, search=search)
+    focus = icba_autofocus(aligned, isar_cfg.autofocus_order, isar_cfg.autofocus_grid_points,
+                           isar_cfg.autofocus_phase_span_rad)
     image = form_image(focus.history, window=isar_cfg.image_window)
     omega = isar_cfg.omega_for_scaling_rad_s or body.rotation_rate
     image = cross_range_scale(image, omega)
-
-    peaks = _image_peaks(image, max_peaks=10, floor_db=-25.0)
+    peaks = _image_peaks(image)
 
     report.metrics.update({
         "steer_azimuth_deg": float(steer),
@@ -458,16 +453,16 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                                            col_axis=_axis(image.cross_range_axis_m, "m"))
 
 
-def _image_peaks(image, max_peaks: int = 10, floor_db: float = -25.0) -> list:
-    """Local maxima of the image magnitude above a relative floor."""
+def _image_peaks(image) -> list:
+    """The strongest local maxima of the image magnitude above a relative floor."""
     m = image.magnitude
     peak = m.max()
     if peak <= 0.0:
         return []
     is_peak = _local_maxima(m, np.greater_equal)
-    is_peak &= m > peak * 10.0 ** (floor_db / 20.0)
+    is_peak &= m > peak * 10.0 ** (IMAGE_PEAK_FLOOR_DB / 20.0)
     coords = np.argwhere(is_peak)
-    order = np.argsort(m[is_peak])[::-1][:max_peaks]
+    order = np.argsort(m[is_peak])[::-1][:MAX_IMAGE_PEAKS]
     out = []
     for idx in order:
         r, d = coords[idx]

@@ -198,20 +198,6 @@ class PhasePolynomial:
                    np.zeros_like(t))
 
 
-@dataclass(frozen=True)
-class AutofocusSearch:
-    """Knobs of the contrast-maximization search."""
-
-    grid_points: int = 21
-    phase_span_rad: float = 32.0 * np.pi  # max |c_n| * (T/2)^n on the grid
-
-    def __post_init__(self):
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be an odd integer >= 3")
-        if self.phase_span_rad <= 0.0:
-            raise ValueError("phase_span_rad must be positive")
-
-
 @dataclass
 class AutofocusResult:
     polynomial: PhasePolynomial
@@ -259,29 +245,32 @@ def _contrast_evaluator(values: np.ndarray, basis: np.ndarray):
     return evaluate
 
 
-def icba_autofocus(history: RangeProfileHistory, order: int = 3,
-                   search: AutofocusSearch | None = None) -> AutofocusResult:
+def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: int = 21,
+                   phase_span_rad: float = 32.0 * np.pi) -> AutofocusResult:
     """Image-contrast-based autofocus over a phase polynomial.
 
-    Coefficients c_2..c_order (centred slow time) maximize the contrast of
-    the unwindowed Doppler image: c_2 is swept on a symmetric grid whose ends
-    put ``phase_span_rad`` of phase at the edge of the interval, then L-BFGS-B
-    refines all of them on the analytic gradient.  The focused history carries
-    the correction; when nothing beats the unfocused contrast the result has
-    zero coefficients and ``improved=False``.
+    Coefficients c_2..c_order (centred slow time) maximize the contrast of the
+    unwindowed Doppler image: c_2 is swept on a symmetric grid of ``grid_points``
+    (odd, >= 3) values whose ends put ``phase_span_rad`` (> 0) of phase at the
+    interval's edge, then L-BFGS-B refines all of them on the analytic gradient.
+    The focused history carries the correction; when nothing beats the unfocused
+    contrast the result has zero coefficients and ``improved=False``.
     """
     if not 2 <= order <= 4:
         raise ValueError("polynomial order must lie in [2, 4]")
-    search = search or AutofocusSearch()
+    if grid_points < 3 or grid_points % 2 == 0:
+        raise ValueError("grid_points must be an odd integer >= 3")
+    if phase_span_rad <= 0.0:
+        raise ValueError("phase_span_rad must be positive")
     if history.n_slow < MIN_IMAGING_SAMPLES:
         raise ValueError(f"autofocus needs >= {MIN_IMAGING_SAMPLES} slow-time samples, "
                          f"got {history.n_slow}")
     t = history.slow_time()
     powers = np.arange(2, order + 1)
-    scale = search.phase_span_rad / t[-1] ** powers  # c_n per grid unit
+    scale = phase_span_rad / t[-1] ** powers  # c_n per grid unit
     contrast = _contrast_evaluator(history.values, t ** powers[:, None])
     best, contrast0 = np.zeros(order - 1), contrast(np.zeros(order - 1))
-    grid = np.outer(np.linspace(-1.0, 1.0, search.grid_points), np.eye(order - 1)[0])
+    grid = np.outer(np.linspace(-1.0, 1.0, grid_points), np.eye(order - 1)[0])
     seeds = [contrast(u * scale) for u in grid]
     k = int(np.argmax(seeds))
     best, best_contrast = (grid[k], seeds[k]) if seeds[k] > contrast0 else (best, contrast0)
@@ -310,21 +299,17 @@ class IsarImage:
     range_axis: np.ndarray          # m
     doppler_axis_hz: np.ndarray
     wavelength: float
-    contrast: float
     cross_range_axis_m: np.ndarray | None = None
-    rotation_rate: float | None = None
 
 
 def form_image(history: RangeProfileHistory, window: str = "hann") -> IsarImage:
     """The Doppler stage's windowed unitary DFT along slow time; rows are range bins."""
     spec, doppler = _slow_time_dft(history.values.T, window, history.prf)
-    magnitude = np.abs(spec)  # (n_range, n_doppler)
     return IsarImage(
-        magnitude=magnitude,
+        magnitude=np.abs(spec),  # (n_range, n_doppler)
         range_axis=history.range_axis.copy(),
         doppler_axis_hz=doppler,
         wavelength=history.wavelength,
-        contrast=image_contrast(magnitude),
     )
 
 
@@ -339,4 +324,4 @@ def cross_range_scale(image: IsarImage, rotation_rate: float) -> IsarImage:
     if rotation_rate <= 0.0:
         raise ValueError("rotation_rate must be positive for cross-range scaling")
     cross = image.doppler_axis_hz * image.wavelength / (2.0 * rotation_rate)
-    return replace(image, cross_range_axis_m=cross, rotation_rate=float(rotation_rate))
+    return replace(image, cross_range_axis_m=cross)

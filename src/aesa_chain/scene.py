@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import (N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, SPEED_OF_LIGHT, _check_angle,
                        subarray_steering)
 
@@ -418,7 +419,7 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
         t_slow = (d * params.n_pulses + np.arange(params.n_pulses)) / params.prf
         ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
         if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
-            raise ValueError("rigid body leaves the receive window during the sequence")
+            raise ConfigError("rigid body leaves the receive window during the sequence")
         cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
         for (_down, _cross, amp), r in zip(body.scatterers, ranges):
             env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)

@@ -343,3 +343,11 @@ def rmb_sinr_loss_moments(n_snapshots, n_channels):
     mean = a / (a + b)
     var = a * b / ((a + b) ** 2 * (a + b + 1.0))
     return mean, float(np.sqrt(var))
+
+
+def swerling1_ca_cfar_pd(alpha, n_cells, snr):
+    """Detection probability of a cell-averaging CFAR with threshold factor
+    ``alpha`` over ``n_cells`` exponential training cells, for a Swerling-1
+    target of mean signal-to-noise ratio ``snr`` (linear):
+    ``(1 + alpha / (N (1 + SNR)))^(-N)`` (Finn and Johnson, RCA Review 1968)."""
+    return (1.0 + alpha / (n_cells * (1.0 + snr))) ** (-n_cells)

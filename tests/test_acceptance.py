@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from aesa_chain import (PointTarget, RadarParams,
-                        RangeProfileHistory, TrainingRegion, apply_beamformer,
+                        RangeProfileHistory, apply_beamformer,
                         cfar_detect, conventional_weights,
                         covariance_from_snapshots, cross_range_scale,
                         estimate_covariance, extract_target_history,
@@ -29,7 +29,6 @@ from aesa_chain import (PointTarget, RadarParams,
                         simulate_isar_sequence, subarray_steering,
                         target_angular_span, write_report)
 from aesa_chain.detect import Detection
-from aesa_chain.isar import AutofocusSearch
 
 from helpers import gaussian_elimination_solve, pattern_oracle_db
 
@@ -64,8 +63,7 @@ def test_criterion_02_noise_floor_preserved():
     params = RadarParams()  # full swath: the map holds > 1e6 cells
     rd = rd_map(simulate_dwell(params, [], noise_power=1.0, seed=0))
     n_cells = rd.values.shape[1] * rd.values.shape[2]
-    region = TrainingRegion((0, rd.values.shape[1]), (0, rd.values.shape[2]))
-    cov = estimate_covariance(rd, region)
+    cov = estimate_covariance(rd, np.ones(rd.values.shape[1:], dtype=bool))
     cases = [conventional_weights(0.0), conventional_weights(-15.0),
              mvdr_weights(cov, 0.0), mvdr_weights(cov, 10.0)]
     worst = 0.0
@@ -84,8 +82,7 @@ def _jammed_covariance(seed=0):
     raw = simulate_dwell(params, [], JammerSource(azimuth_deg=JAMMER_AZ, jnr_db=50.0),
                          noise_power=1.0, seed=seed)
     rd = rd_map(raw)
-    region = TrainingRegion((0, rd.values.shape[1]), (0, rd.values.shape[2]))
-    return estimate_covariance(rd, region)
+    return estimate_covariance(rd, np.ones(rd.values.shape[1:], dtype=bool))
 
 
 def test_criterion_03_null_depth():
@@ -144,7 +141,7 @@ def test_criterion_05_direction_finding_accuracy():
             snaps = select_training_subset(rd, det, window=(4, 4))
             cov = covariance_from_snapshots(snaps)
             spec = music_spectrum(cov, grid, n_sources=1)
-            errors.append(pick_peaks(spec, 1).peaks[0].azimuth_deg - az)
+            errors.append(pick_peaks(spec, 1).azimuths[0] - az)
         rms[az] = float(np.sqrt(np.mean(np.square(errors))))
     elapsed = time.monotonic() - t0
     ok = (rms[0.0] < 0.15 and rms[15.0] < 0.3 and rms[-15.0] < 0.3
@@ -227,9 +224,9 @@ def test_criterion_08_imaging_with_injected_phase():
         values=aligned.values * np.exp(1j * 50.0 * t**2)[:, None],
         prf=aligned.prf, range_axis=aligned.range_axis,
         wavelength=aligned.wavelength)
-    search = AutofocusSearch(grid_points=cfg.isar.autofocus_grid_points,
-                             phase_span_rad=cfg.isar.autofocus_phase_span_rad)
-    focus = icba_autofocus(injected, order=cfg.isar.autofocus_order, search=search)
+    focus = icba_autofocus(injected, order=cfg.isar.autofocus_order,
+                           grid_points=cfg.isar.autofocus_grid_points,
+                           phase_span_rad=cfg.isar.autofocus_phase_span_rad)
     c2 = focus.polynomial.coefficients[0]
     image = cross_range_scale(form_image(focus.history, cfg.isar.image_window),
                               body.rotation_rate)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aesa_chain import (BeamformerWeights, CovarianceEstimate,
                         EstimationError, JammerSource, NumericalError,
-                        RadarParams, RDDatacube, TrainingRegion,
+                        RadarParams, RDDatacube,
                         apply_beamformer, beampattern, beamscan,
                         conventional_weights,
                         covariance_from_snapshots, estimate_covariance,
@@ -218,27 +218,31 @@ def test_covariance_validation():
 
 
 def test_training_region_mask_and_counts():
-    region = TrainingRegion(range_span=(2, 5), doppler_span=(1, 4),
-                            exclusion=((3, 4), (2, 3)))
-    mask = region.mask((10, 8))
-    assert mask.sum() == 8
-    assert not mask[3, 2]
     rd = rd_map(simulate_dwell(SMALL, [], noise_power=1.0, seed=0))
-    assert region.snapshots(rd).shape == (6, 8)
-    clutter = np.zeros((SMALL.n_range_bins, 64), dtype=bool)
+    shape = rd.values.shape[1:]
+    # a 4 x 4 and a 3 x 3 block, each less the cell (3, 2)
+    wide, small = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    wide[2:6, 1:5] = True
+    small[2:5, 1:4] = True
+    wide[3, 2] = small[3, 2] = False
+    clutter = np.zeros(shape, dtype=bool)
     clutter[2, :] = True
-    assert region.snapshots(rd, clutter).shape == (6, 5)
-    # the estimate counts the region's cells, and refuses fewer than 2 N_ch
-    wide = TrainingRegion(range_span=(2, 6), doppler_span=(1, 5), exclusion=((3, 4), (2, 3)))
-    assert estimate_covariance(rd, wide).snapshot_count == 15
+    # the snapshots are the mask's cells in row-major order
+    cov = estimate_covariance(rd, wide)
+    assert cov.snapshot_count == 15
+    cells = [rd.values[:, r, d] for r in range(shape[0]) for d in range(shape[1]) if wide[r, d]]
+    ref = covariance_from_snapshots(np.stack(cells, axis=1))
+    np.testing.assert_array_equal(cov.matrix, ref.matrix)
+    assert cov.diagonal_loading == ref.diagonal_loading
+    # fewer than 2 N_ch snapshots, an empty mask and a mask of another shape are refused
     with pytest.raises(EstimationError, match="11 snapshots"):
-        estimate_covariance(rd, wide, clutter_mask=clutter)
+        estimate_covariance(rd, wide & ~clutter)
     with pytest.raises(EstimationError, match="8 snapshots"):
-        estimate_covariance(rd, region)
+        estimate_covariance(rd, small)
     with pytest.raises(EstimationError, match="empty"):
-        estimate_covariance(rd, TrainingRegion((2, 3), (1, 2), ((2, 3), (1, 2))))
-    with pytest.raises(ValueError):
-        TrainingRegion(range_span=(5, 5), doppler_span=(0, 4))
+        estimate_covariance(rd, np.zeros(shape, dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        estimate_covariance(rd, wide[:, :-1])
 
 
 def test_apply_beamformer_contract():
@@ -259,7 +263,7 @@ def test_beamscan_equals_direct_application():
                          noise_power=1.0, seed=2)
     rd = rd_map(raw)
     grid = np.arange(-20.0, 21.0, 5.0)
-    cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
+    cov = estimate_covariance(rd, np.ones((SMALL.n_range_bins, 64), dtype=bool))
     for scan_cov in (None, cov):
         curve = beamscan(rd, grid, cov=scan_cov)
         for i, az in enumerate(grid):
@@ -276,7 +280,7 @@ def test_beamscan_localizes_jammer():
     grid = np.arange(-22.5, 22.51, 0.5)
     conv = beamscan(rd, grid)
     assert grid[np.argmax(conv.energy)] == pytest.approx(21.5, abs=0.51)
-    cov = estimate_covariance(rd, TrainingRegion((0, SMALL.n_range_bins), (0, 64)))
+    cov = estimate_covariance(rd, np.ones((SMALL.n_range_bins, 64), dtype=bool))
     mvdr = beamscan(rd, grid, cov=cov)
     # distortionless at the jammer: the adaptive scan peaks there too
     assert grid[np.argmax(mvdr.energy)] == pytest.approx(21.5, abs=0.51)

@@ -167,6 +167,10 @@ def test_isar_body_validation():
         resolve_config({**base, "isar": {"autofocus_order": 5}})
     with pytest.raises(ConfigError, match="rotation_rate"):
         resolve_config({**base, "isar": {"body": {"rotation_rate_rad_s": 0.0}}})
+    # 32 slow-time samples are too few for autofocus; 64 are enough
+    with pytest.raises(ConfigError, match=r"isar\.n_dwells"):
+        resolve_config({**base, "radar": {"n_pulses": 32}, "isar": {"n_dwells": 1}})
+    assert resolve_config({**base, "radar": {"n_pulses": 32}, "isar": {"n_dwells": 2}}).isar
     cfg = resolve_config({**base, "isar": {"omega_for_scaling_rad_s": 0.025}})
     assert cfg.isar.omega_for_scaling_rad_s == 0.025
     assert cfg.isar.body.center_range_m == 1700.0

@@ -15,7 +15,7 @@ from aesa_chain import (ConfigError, CovarianceEstimate,
 from aesa_chain.detect import _local_maxima, _parabolic_offset
 
 from helpers import (cfar_oracle, music_spectrum_oracle, single_source_crb_std_deg,
-                     subarray_steering_oracle, traced_peak)
+                     subarray_steering_oracle, swerling1_ca_cfar_pd, traced_peak)
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
@@ -136,6 +136,37 @@ def test_cfar_false_alarm_rate_smoke():
     assert 0.7e-3 < rate < 1.4e-3
 
 
+def test_cfar_pd_matches_swerling1_closed_form():
+    # Swerling-1 targets in unit exponential noise: a target cell's power is
+    # (1 + SNR) times a unit exponential.  Each target's 8 neighbours are set
+    # to zero so that it is a strict local maximum; with n_guard >= 1 they lie
+    # outside its training cells.  Targets sit every 40 range bins in every
+    # third Doppler column of 2 maps of 4000 x 64 cells: 2 x 99 x 21 = 4158
+    # trials per SNR.  The measured Pd lies within 4 binomial standard errors
+    # of (1 + alpha / (N (1 + SNR)))^(-N).
+    seed, n_maps = 20260415, 2
+    pfa, n_train, n_guard = 1e-4, 16, 2
+    rng = np.random.default_rng(seed)
+    rows, cols = (a.ravel() for a in np.meshgrid(np.arange(40, 3961, 40), np.arange(1, 64, 3),
+                                                 indexing="ij"))
+    trials = n_maps * rows.size
+    assert trials == 4158
+    alpha = ca_cfar_threshold_factor(pfa, 2 * n_train)
+    for snr_db in (10.0, 15.0, 20.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        hits = 0
+        for _ in range(n_maps):
+            p = rng.exponential(size=(4000, 64))
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    p[rows + dr, cols + dc] = 0.0
+            p[rows, cols] = (1.0 + snr) * rng.exponential(size=rows.size)
+            found = {(d.range_bin, d.doppler_bin) for d in cfar_detect(p, pfa, n_train, n_guard)}
+            hits += sum((r, c) in found for r, c in zip(rows.tolist(), cols.tolist()))
+        pd, want = hits / trials, swerling1_ca_cfar_pd(alpha, 2 * n_train, snr)
+        assert abs(pd - want) <= 4.0 * np.sqrt(want * (1.0 - want) / trials), (snr_db, pd, want)
+
+
 def test_cfar_detect_peak_memory_on_full_swath_map():
     # the 9174x128 map of the full swath: the training sums are slices of one
     # cumulative sum and the threshold is scaled in place, so the temporaries
@@ -177,6 +208,8 @@ def test_select_training_subset_counts():
         covariance_from_snapshots(short)
     with pytest.raises(ValueError):
         select_training_subset(rd, det, window=(-1, 2))
+    with pytest.raises(ValueError, match="clutter mask shape"):
+        select_training_subset(rd, det, clutter_mask=clutter[:-1])
 
 
 def two_source_covariance(az1=-5.0, az2=8.0, p=100.0, noise=1.0):
@@ -222,7 +255,7 @@ def test_music_rmse_near_deterministic_crb():
                          + 1j * rng.standard_normal((6, n_snap))) * np.sqrt(0.5)
                 cov = covariance_from_snapshots(np.outer(a, s) + noise)
                 spec = music_spectrum(cov, grid, n_sources=1)
-                errors.append(pick_peaks(spec, 1).peaks[0].azimuth_deg - az)
+                errors.append(pick_peaks(spec, 1).azimuths[0] - az)
             rmse = float(np.sqrt(np.mean(np.square(errors))))
             bound = single_source_crb_std_deg(az, snr_db, n_snap)
             assert rmse <= 1.25 * bound, (snr_db, az, rmse, bound)
@@ -239,8 +272,7 @@ def test_pick_peaks_parabolic_refinement_is_exact():
     grid = np.arange(-2.0, 2.01, 0.5)
     true_az = 0.37
     spec = MusicSpectrum(azimuth_deg=grid, values=5.0 - (grid - true_az) ** 2)
-    peak = pick_peaks(spec, 1).peaks[0]
-    assert peak.azimuth_deg == pytest.approx(true_az, abs=1e-12)
+    assert pick_peaks(spec, 1).azimuths[0] == pytest.approx(true_az, abs=1e-12)
 
 
 def _clipped_vertex(y_left, y_mid, y_right):
@@ -276,7 +308,7 @@ def test_pick_peaks_tie_break_and_completeness():
     assert peaks.complete
     ramp = MusicSpectrum(azimuth_deg=grid, values=np.arange(grid.size, dtype=float))
     empty = pick_peaks(ramp, 1)
-    assert empty.peaks == [] and not empty.complete
+    assert empty.azimuths == [] and not empty.complete
     with pytest.raises(ValueError):
         pick_peaks(spec, 0)
     with pytest.raises(ValueError):

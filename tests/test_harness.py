@@ -143,6 +143,18 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
         caplog.clear()
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert re.search(path, caplog.text), path
+    # t4 with too few slow-time samples for autofocus, and with a body that
+    # leaves the receive window mid-sequence
+    short = yaml.safe_load((CONFIG_DIR / "t4.yaml").read_text())
+    short["radar"]["n_pulses"], short["isar"]["n_dwells"] = 32, 1
+    fast = yaml.safe_load((CONFIG_DIR / "t4.yaml").read_text())
+    fast["isar"]["body"]["translational_velocity_mps"] = 150.0
+    for tree, message in ((short, "isar.n_dwells"), (fast, "receive window")):
+        scenario = tmp_path / "t4.yaml"
+        scenario.write_text(yaml.safe_dump(tree))
+        caplog.clear()
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        assert message in caplog.text
     # a malformed truth-track file is reported before any dwell is simulated
     monkeypatch.setattr(experiments, "simulate_dwell", None)
     tracks = tmp_path / "tracks.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aesa_chain import (ArrayGeometry, ClutterBand, JammerSource, PointTarget,
+from aesa_chain import (ArrayGeometry, ClutterBand, ConfigError, JammerSource, PointTarget,
                         RadarParams, RigidBodyTarget, simulate_dwell,
                         simulate_isar_sequence, target_amplitude,
                         transmit_pulse)
@@ -272,5 +272,5 @@ def test_isar_body_leaving_window_rejected():
     body = RigidBodyTarget(center_range_m=2090.0, azimuth_deg=0.0,
                            rotation_rate=0.02, translational_velocity=200.0,
                            scatterers=[(0.0, 0.0, 1.0)])
-    with pytest.raises(ValueError, match="receive window"):
+    with pytest.raises(ConfigError, match="receive window"):
         simulate_isar_sequence(SMALL, body, 4, seed=0, noise=False)
