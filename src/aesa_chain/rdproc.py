@@ -11,24 +11,28 @@ per-channel noise power for every supported window.
 Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
 ``n_fast`` itself, whose prime factors can be large (the full swath has
 9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
-kept lags ``0..n_fast - replica_length`` stay free of wrap-around.  ``rd_map``
-streams the dwell through both stages in blocks of channels whose padded
-fast-time spectrum fits in ``BLOCK_BYTES`` (one channel at a time for the
-full swath, the whole cube for short dwells), into one range-Doppler cube,
-so the whole compressed cube never exists.  ``rd_map`` writes a several-block
-map into a fresh cube.  ``_rd_stream`` with ``reuse_raw`` writes it over the
-raw cube's own storage instead, so a dwell whose raw cube is not kept holds
-one cube, not two: each channel's range-Doppler slot (``oversample * n_r *
-n_pulses`` samples) is no larger than its raw channel (``n_fast * n_pulses``)
-whenever ``oversample * n_r <= n_fast``, blocks run in increasing channel
-order, and ``range_compress`` copies a block's input before any of that
-block's output is written, so no slot overlaps raw data still to be read.
+kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
+
+A dwell whose padded fast-time spectra fit in ``BLOCK_BYTES`` (every short
+dwell) goes through both stages at once.  A larger one (the full swath) is
+fused: each channel is copied into one padded ``(oversample * n_pulses,
+nfft)`` spectrum, compressed, windowed and Doppler-transformed in place, and
+divided, fftshifted, into its slot of the cube, on up to ``MAX_WORKERS``
+threads with the same bytes for any count.  ``_rd_stream`` with ``reuse_raw``
+writes that map over the raw cube's storage, so a dwell holds one cube, not
+two.  The rule that makes this safe: a channel copies its input first and
+writes its slot only after every earlier channel has copied its input.  Slot
+``c`` (``oversample * n_r * n_pulses`` samples) ends within raw channel ``c``
+(``n_fast * n_pulses``) when ``oversample * n_r <= n_fast``, so it overlaps
+only copied input; as every copy comes before any wait, no thread deadlocks.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history.
 """
 
-import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +54,10 @@ WINDOWS = {
 #: 128-pulse swath channel (19 MB) goes alone, while a whole 6-channel dwell
 #: of 750 samples (9 MB) keeps one batched call per stage
 BLOCK_BYTES = 16 * 2**20
+
+#: threads of the fused front end; each holds one padded channel spectrum
+#: (19 MB on the full swath), so a dwell holds its cube and two spectra at most
+MAX_WORKERS = 2
 
 
 @dataclass
@@ -75,34 +83,63 @@ class RDDatacube:
     params: RadarParams
 
 
-def range_compress(raw: RawDatacube) -> CompressedDwell:
-    """Matched-filter each pulse against the transmit replica.
-
-    Only full-overlap correlation lags are kept, so output bin ``m``
-    corresponds to range ``r_min + m * c / (2 fs)``.
-    """
+def _matched_filter(raw: RawDatacube) -> tuple:
+    """``(match, n_r)``: the unit-energy conjugate replica spectrum at
+    ``next_fast_len(n_fast)`` and the number of kept lags; checks ``n_fast``."""
     params = raw.params
-    x = raw.values
-    n_ch, n_fast, n_p = x.shape
+    n_fast = raw.values.shape[1]
     if n_fast != params.n_fast:
         raise ValueError(
             f"fast-time length {n_fast} does not match params.n_fast={params.n_fast}"
         )
     replica = transmit_pulse(params)
     m = replica.size
-    n_r = n_fast - m + 1
     # circular correlation; lags 0..n_fast-m are wrap-free at any nfft >= n_fast
     nfft = sfft.next_fast_len(n_fast)
-    match = np.conj(np.fft.fft(replica, n=nfft)) / np.sqrt(m)
+    return np.conj(np.fft.fft(replica, n=nfft)) / np.sqrt(m), n_fast - m + 1
+
+
+def range_compress(raw: RawDatacube) -> CompressedDwell:
+    """Matched-filter each pulse against the transmit replica.
+
+    Only full-overlap correlation lags are kept, so output bin ``m``
+    corresponds to range ``r_min + m * c / (2 fs)``.
+    """
+    match, n_r = _matched_filter(raw)
+    x = raw.values
+    n_ch, n_fast, n_p = x.shape
     # the padded spectrum is (n_ch, n_p, nfft), fast time on the contiguous axis
-    spec = np.zeros((n_ch, n_p, nfft), dtype=complex)
+    spec = np.zeros((n_ch, n_p, match.size), dtype=complex)
     spec[..., :n_fast] = x.transpose(0, 2, 1)
     np.fft.fft(spec, out=spec)
     spec *= match
     np.fft.ifft(spec, out=spec)
     out = np.empty((n_ch, n_r, n_p), dtype=complex)
     out[...] = spec[..., :n_r].transpose(0, 2, 1)
-    return CompressedDwell(values=out, range_axis=params.range_axis(), params=params)
+    return CompressedDwell(values=out, range_axis=raw.params.range_axis(), params=raw.params)
+
+
+def _unit_window(window: str, n: int) -> np.ndarray:
+    """The named periodic window of length ``n``, scaled to unit mean square so
+    the post-transform noise floor equals the input power."""
+    try:
+        name = WINDOWS[window.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"unknown window {window!r}; choose one of {sorted(WINDOWS)}"
+        ) from None
+    w = get_window(name, n, fftbins=True).astype(float)
+    w *= np.sqrt(n / np.sum(w**2))
+    return w
+
+
+def _shift_scaled(spec: np.ndarray, out: np.ndarray) -> None:
+    """``out = fftshift(spec) / sqrt(n)`` over a last axis of length ``n``, as
+    one division per half; ``out`` must not overlap ``spec``."""
+    n = spec.shape[-1]
+    h, scale = n // 2, np.sqrt(n)
+    np.divide(spec[..., n - h:], scale, out=out[..., :h])
+    np.divide(spec[..., :n - h], scale, out=out[..., h:])
 
 
 def _slow_time_dft(x: np.ndarray, window: str, prf: float, oversample: int = 1) -> tuple:
@@ -111,26 +148,17 @@ def _slow_time_dft(x: np.ndarray, window: str, prf: float, oversample: int = 1) 
 
     Returns the spectrum and its frequency axis in Hz.
     """
-    try:
-        name = WINDOWS[window.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown window {window!r}; choose one of {sorted(WINDOWS)}"
-        ) from None
     n = x.shape[-1]
-    w = get_window(name, n, fftbins=True).astype(float)
-    # Unit mean-square so the post-transform noise floor equals the input power.
-    w *= np.sqrt(n / np.sum(w**2))
+    w = _unit_window(window, n)
     nfft = n * oversample
     spec = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
     np.multiply(x, w, out=spec[..., :n])
     np.fft.fft(spec, out=spec)
-    # Scale and fftshift in place; only the half that moves right is copied.
-    scale = np.sqrt(nfft)
-    h = nfft // 2
-    head = spec[..., : nfft - h] / scale
-    np.divide(spec[..., nfft - h:], scale, out=spec[..., :h])
-    spec[..., h:] = head
+    # Scale and fftshift in place, through copies of at most 1 MiB of rows.
+    rows = spec.reshape(-1, nfft)
+    step = max(1, 2**20 // (nfft * spec.itemsize))
+    for r in range(0, len(rows), step):
+        _shift_scaled(rows[r:r + step].copy(), rows[r:r + step])
     return spec, np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / prf))
 
 
@@ -159,42 +187,73 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
 
 
 def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDatacube:
-    """Range compression followed by Doppler processing, a block of channels at a time.
-
-    A block holds as many channels as fit their padded fast-time spectrum in
-    ``BLOCK_BYTES``, and one channel at least.  Each block's compressed dwell
-    lives only until its Doppler transform is copied into the output cube,
-    which is a fresh array; ``raw`` is left as it was.
+    """Range compression followed by Doppler processing, into a fresh cube;
+    ``raw`` is left as it was.  A dwell larger than ``BLOCK_BYTES`` is fused
+    channel by channel (see the module docstring).
     """
     return _rd_stream(raw, window, oversample, reuse_raw=False)
 
 
+def _workers(n_ch: int) -> int:
+    """Threads of the fused front end: one per usable core, ``MAX_WORKERS`` and
+    one per channel at most."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, MAX_WORKERS, n_ch)
+
+
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
                reuse_raw: bool) -> RDDatacube:
-    """``rd_map``; with ``reuse_raw`` a several-block map is written over the
-    storage of ``raw.values``, which is then consumed, whenever the map fits in
-    it (see the module docstring).  The bytes of the map are the same either way.
+    """``rd_map``; with ``reuse_raw`` a fused map is written over the storage
+    of ``raw.values``, which is then consumed, whenever the map fits in it.
+    The bytes of the map are the same either way.
     """
-    n_ch, _, n_p = raw.values.shape
+    x = raw.values
+    n_ch, n_fast, n_p = x.shape
     channel_bytes = n_p * sfft.next_fast_len(raw.params.n_fast) * np.dtype(complex).itemsize
-    step = max(1, BLOCK_BYTES // channel_bytes)
-
-    def block(c: int) -> RDDatacube:
-        part = replace(raw, values=raw.values[c:c + step])
-        return doppler_process(range_compress(part), window=window, oversample=oversample)
-
-    rd = block(0)
-    if step >= n_ch:
-        return rd
-    shape = (n_ch,) + rd.values.shape[1:]
-    size = math.prod(shape)
-    store = raw.values
-    if reuse_raw and store.dtype == rd.values.dtype and size <= store.size:
-        values = store.reshape(-1)[:size].reshape(shape)
+    if BLOCK_BYTES // channel_bytes >= n_ch:
+        return doppler_process(range_compress(raw), window=window, oversample=oversample)
+    # the stages on no channels make their checks and give the map's axes
+    rd = doppler_process(range_compress(replace(raw, values=x[:0])),
+                         window=window, oversample=oversample)
+    n_r, n_dop = rd.values.shape[1:]
+    size = n_ch * n_r * n_dop
+    if reuse_raw and x.dtype == rd.values.dtype and size <= x.size:
+        rd.values = x.reshape(-1)[:size].reshape(n_ch, n_r, n_dop)
     else:
-        values = np.empty(shape, dtype=rd.values.dtype)
-    values[:step] = rd.values
-    rd.values = values
-    for c in range(step, n_ch, step):
-        values[c:c + step] = block(c).values
+        rd.values = np.empty((n_ch, n_r, n_dop), dtype=rd.values.dtype)
+    out, match, w = rd.values, _matched_filter(raw)[0], _unit_window(window, n_p)
+    workers = _workers(n_ch)
+    # allocated here, not in the threads, whose malloc arenas would keep them
+    bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(workers)]
+    copied = [threading.Event() for _ in range(n_ch)]
+    failed = threading.Event()
+
+    def run(t: int) -> None:
+        """Channels t, t + workers, ... through one padded spectrum."""
+        rows, kept = bufs[t][:n_p], bufs[t][:, :n_r]
+        try:
+            for c in range(t, n_ch, workers):
+                rows[:, :n_fast] = x[c].T
+                copied[c].set()
+                rows[:, n_fast:] = 0
+                kept[n_p:] = 0
+                np.fft.fft(rows, out=rows)
+                rows *= match
+                np.fft.ifft(rows, out=rows)
+                rows[:, :n_r] *= w[:, None]
+                np.fft.fft(kept, axis=0, out=kept)
+                for event in copied[:c]:  # slot c overlaps raw channels <= c only
+                    event.wait()
+                if failed.is_set():
+                    return
+                _shift_scaled(kept.T, out[c])
+        except BaseException:
+            failed.set()  # before waking the waiting threads, which then stop
+            for event in copied:
+                event.set()
+            raise
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="rd_stream") as pool:
+        for future in [pool.submit(run, t) for t in range(workers)]:
+            future.result()
     return rd

@@ -281,6 +281,16 @@ def test_full_swath_dwell_holds_one_cube():
     assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
 
 
+def test_full_swath_dwell_peak_over_raw_is_two_spectra(monkeypatch):
+    # two threads hold one padded channel spectrum each, and nothing else of
+    # the channel's size: no compressed block, no Doppler copy
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
+    cfg = load_config(CONFIG_DIR / "t1.yaml")
+    _, peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
+    raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
+    assert peak - raw_nbytes <= 2.2 * _channel_bytes(cfg.radar)
+
+
 def test_raw_dwells_released_while_compressing(monkeypatch):
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=4))

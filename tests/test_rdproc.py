@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -12,11 +15,13 @@ from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process,
 from aesa_chain import rdproc
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
 
-from helpers import compress_oracle, dft_oracle, unit_window_oracle
+from helpers import compress_oracle, dft_oracle, traced_peak, unit_window_oracle
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 #: n_fast = 333, which the range transform pads to 336
 PADDED = RadarParams(r_min=1500.0, r_max=2000.0, n_pulses=16)
+#: an odd pulse count, so an odd Doppler length at oversample 1
+ODD = RadarParams(r_min=1500.0, r_max=1900.0, n_pulses=25)
 #: receive windows whose n_fast is 250, 292 (pads to 294), 333 (336), 354 (360), 375
 R_MAX = (1800.0, 1900.0, 2000.0, 2050.0, 2100.0)
 
@@ -92,6 +97,106 @@ def test_rd_map_block_budget():
     assert rdproc.BLOCK_BYTES < 2 * _channel_bytes(swath)
     # a short six-channel dwell goes in one block
     assert rdproc.BLOCK_BYTES >= 6 * _channel_bytes(SMALL)
+
+
+@pytest.fixture
+def fast_switching():
+    """A shortened interpreter switch interval, so that threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
+def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_switching,
+                                                            workers):
+    # one channel per block sends every dwell through the fused kernel
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
+    for params in (SMALL, PADDED, ODD):
+        monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(params))
+        target = PointTarget(range_m=params.r_min + 40.0, radial_velocity=2.0,
+                             azimuth_deg=4.0, snr_db=20.0)
+        raw = simulate_dwell(params, [target], noise_power=2.0, seed=3)
+        for window, oversample in (("hann", 1), ("hamming", 2), ("rectangular", 2)):
+            want = doppler_process(range_compress(raw), window=window, oversample=oversample)
+            for reuse_raw in (True, False):
+                cube = raw.values.copy()
+                rd = rdproc._rd_stream(replace(raw, values=cube), window, oversample, reuse_raw)
+                assert rd.values.tobytes() == want.values.tobytes()
+                np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
+                np.testing.assert_array_equal(rd.range_axis, want.range_axis)
+                assert np.shares_memory(rd.values, cube) == (reuse_raw and oversample == 1)
+
+
+class _TransformFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers, failing_call", [(2, 1), (2, 6), (6, 1), (6, 4)])
+def test_fused_front_end_failure_reaches_caller(monkeypatch, fast_switching, workers,
+                                                failing_call):
+    # the failing_call-th channel inverse transform raises (the empty call of
+    # the stages that give the map's axes is not counted), late enough that
+    # another thread waits on a channel the failing thread will never copy
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
+    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(SMALL))
+    raw = _noise_dwell()
+    inverse, lock, calls = np.fft.ifft, threading.Lock(), []
+
+    def failing_ifft(a, *args, **kwargs):
+        with lock:
+            if a.size:
+                calls.append(a.size)
+            fail = a.size and len(calls) == failing_call
+        if fail:
+            time.sleep(0.2)
+            raise _TransformFailed
+        return inverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", failing_ifft)
+    raised = []
+
+    def call():
+        try:
+            rdproc._rd_stream(raw, "hann", 1, reuse_raw=True)
+        except _TransformFailed as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert len(raised) == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
+
+
+def test_fused_front_end_keeps_stage_checks(monkeypatch):
+    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(SMALL))
+    with pytest.raises(ConfigError, match="blackman"):
+        rd_map(_noise_dwell(), window="blackman")
+    with pytest.raises(ConfigError, match="oversample"):
+        rd_map(_noise_dwell(), oversample=0)
+    raw = _noise_dwell()
+    raw.values = raw.values[:, :-3, :]
+    with pytest.raises(ValueError, match="n_fast"):
+        rd_map(raw)
+
+
+@pytest.mark.parametrize("n_pulses, oversample", [(128, 1), (25, 2)])
+def test_doppler_process_peak_memory(n_pulses, oversample):
+    # the input exists before tracing starts, so the traced peak is what the
+    # call adds beyond input + output: at most 1.5 MiB of shift copies
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(6, 1000, n_pulses)) + 1j * rng.normal(size=(6, 1000, n_pulses))
+    params = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=n_pulses)
+    comp = CompressedDwell(values=x, range_axis=np.arange(1000.0), params=params)
+    rd, peak = traced_peak(doppler_process, comp, "hann", oversample)
+    assert peak <= rd.values.nbytes + 1.5 * 2**20
+    # the same bytes as a padded transform scaled after an out-of-place shift
+    nfft = n_pulses * oversample
+    spec = np.fft.fft(x * rdproc._unit_window("hann", n_pulses), n=nfft)
+    assert rd.values.tobytes() == (np.fft.fftshift(spec, axes=-1) / np.sqrt(nfft)).tobytes()
 
 
 def test_range_compress_rejects_wrong_length():
