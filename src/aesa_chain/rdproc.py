@@ -13,16 +13,17 @@ Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
 9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
 
-A dwell whose padded fast-time spectra fit in ``BLOCK_BYTES`` (every short
-dwell) goes through both stages at once.  A larger one (the full swath) is
-fused: each channel is copied into one padded ``(oversample * n_pulses,
-nfft)`` spectrum, compressed, windowed and Doppler-transformed in place, and
-divided, fftshifted, into its slot of the cube, on up to ``MAX_WORKERS``
-threads with the same bytes for any count.  ``_rd_stream`` with ``reuse_raw``
-writes that map over the raw cube's storage, so a dwell holds one cube, not
-two.  The rule that makes this safe: a channel copies its input first and
-writes its slot only after every earlier channel has copied its input.  Slot
-``c`` (``oversample * n_r * n_pulses`` samples) ends within raw channel ``c``
+``range_compress`` and ``doppler_process`` are the two stages on their own;
+the t4 imaging run calls them, and ``rd_map`` runs them on no channels for
+their checks and the map's axes.  ``rd_map`` fuses them: each channel is
+copied into one padded ``(oversample * n_pulses, nfft)`` spectrum,
+compressed, windowed and Doppler-transformed in place, and divided,
+fftshifted, into its slot of the cube, on up to ``MAX_WORKERS`` threads with
+the same bytes for any count.  ``_rd_stream`` with ``reuse_raw`` writes that
+map over the raw cube's storage, so a dwell holds one cube, not two.  The
+rule that makes this safe: a channel copies its input first and writes its
+slot only after every earlier channel has copied its input.  Slot ``c``
+(``oversample * n_r * n_pulses`` samples) ends within raw channel ``c``
 (``n_fast * n_pulses``) when ``oversample * n_r <= n_fast``, so it overlaps
 only copied input; as every copy comes before any wait, no thread deadlocks.
 
@@ -48,12 +49,6 @@ WINDOWS = {
     "hann": "hann",
     "hamming": "hamming",
 }
-
-#: bytes of padded fast-time spectrum that rd_map transforms in one block.
-#: Streaming bounds memory only where a cube is large: a 9298-sample,
-#: 128-pulse swath channel (19 MB) goes alone, while a whole 6-channel dwell
-#: of 750 samples (9 MB) keeps one batched call per stage
-BLOCK_BYTES = 16 * 2**20
 
 #: threads of the fused front end; each holds one padded channel spectrum
 #: (19 MB on the full swath), so a dwell holds its cube and two spectra at most
@@ -187,31 +182,28 @@ def doppler_process(compressed: CompressedDwell, window: str = "hann",
 
 
 def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDatacube:
-    """Range compression followed by Doppler processing, into a fresh cube;
-    ``raw`` is left as it was.  A dwell larger than ``BLOCK_BYTES`` is fused
-    channel by channel (see the module docstring).
+    """Range compression followed by Doppler processing, fused channel by
+    channel (see the module docstring) into a fresh cube; ``raw`` is left as
+    it was.
     """
     return _rd_stream(raw, window, oversample, reuse_raw=False)
 
 
 def _workers(n_ch: int) -> int:
     """Threads of the fused front end: one per usable core, ``MAX_WORKERS`` and
-    one per channel at most."""
+    one per channel at most, and one for a dwell of no channels."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, MAX_WORKERS, n_ch)
+    return min(cores or 1, MAX_WORKERS, max(n_ch, 1))
 
 
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
                reuse_raw: bool) -> RDDatacube:
-    """``rd_map``; with ``reuse_raw`` a fused map is written over the storage
-    of ``raw.values``, which is then consumed, whenever the map fits in it.
+    """``rd_map``; with ``reuse_raw`` the map is written over the storage of
+    ``raw.values``, which is then consumed, whenever the map fits in it.
     The bytes of the map are the same either way.
     """
     x = raw.values
     n_ch, n_fast, n_p = x.shape
-    channel_bytes = n_p * sfft.next_fast_len(raw.params.n_fast) * np.dtype(complex).itemsize
-    if BLOCK_BYTES // channel_bytes >= n_ch:
-        return doppler_process(range_compress(raw), window=window, oversample=oversample)
     # the stages on no channels make their checks and give the map's axes
     rd = doppler_process(range_compress(replace(raw, values=x[:0])),
                          window=window, oversample=oversample)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.fft import next_fast_len
 
 import aesa_chain
 from aesa_chain import (apply_beamformer, conventional_weights, experiments, load_config,
@@ -19,7 +20,6 @@ from aesa_chain.cli import _steer_list, main
 
 from helpers import traced_peak
 from test_config import MALFORMED
-from test_rdproc import _channel_bytes
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -231,27 +231,20 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     monkeypatch.setattr(experiments, "_rd_stream", recording_stream)
     monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
     cfg = load_config(make(tmp_path))
-    # one block: the raw cube is dead at detection time; one channel per
-    # block: it lives on only as the storage of the range-Doppler cube
-    for per_block, state in ((6, "dead"), (1, "shared")):
-        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(cfg.radar))
-        states.clear()
-        run_experiment(cfg)
-        assert states and set(states) == {state}
-        # the raw grids of --emit-raw are what keeps the cube
-        states.clear()
-        run_experiment(cfg, emit_raw=True)
-        assert states and set(states) == {"kept"}
+    # the raw cube lives on only as the storage of the range-Doppler cube
+    run_experiment(cfg)
+    assert states and set(states) == {"shared"}
+    # the raw grids of --emit-raw are what keeps the cube
+    states.clear()
+    run_experiment(cfg, emit_raw=True)
+    assert states and set(states) == {"kept"}
 
 
-@pytest.mark.parametrize("per_block", [1, 4, 6])
-def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, per_block):
-    # a budget of 1, 4 or 6 channels splits the 6 channels as 1x6, 4+2 or 6;
+def test_dwell_rd_cube_matches_rd_map(tmp_path):
     # at oversample 2 the map does not fit the raw storage and gets a fresh cube
     for oversample in (1, 2):
         cfg = load_config(small_t1(tmp_path, processing={"doppler_oversample": oversample}))
         params = cfg.radar
-        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(params))
         raw = simulate_dwell(params, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
                              cfg.clutter)
         want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
@@ -261,7 +254,7 @@ def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, per_block):
             assert rd.values.tobytes() == want.values.tobytes()
             np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
             assert rd.values.flags.c_contiguous
-            reused = not emit_raw and oversample == 1 and per_block < 6
+            reused = not emit_raw and oversample == 1
             assert (rd.values.base is not None) == reused
             if reused:
                 assert rd.values.base.nbytes == raw.values.nbytes
@@ -281,14 +274,18 @@ def test_full_swath_dwell_holds_one_cube():
     assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
 
 
-def test_full_swath_dwell_peak_over_raw_is_two_spectra(monkeypatch):
+@pytest.mark.parametrize("scenario, spectra", [("t1.yaml", 2.2), ("t2.yaml", 3.0)],
+                         ids=["t1", "t2"])
+def test_dwell_peak_over_raw_is_two_spectra(monkeypatch, scenario, spectra):
     # two threads hold one padded channel spectrum each, and nothing else of
-    # the channel's size: no compressed block, no Doppler copy
+    # the channel's size: no compressed block, no Doppler copy; a short dwell
+    # has less room for the fixed costs (replica, window, the stages' checks)
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
-    cfg = load_config(CONFIG_DIR / "t1.yaml")
+    cfg = load_config(CONFIG_DIR / scenario)
     _, peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
-    assert peak - raw_nbytes <= 2.2 * _channel_bytes(cfg.radar)
+    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
+    assert peak - raw_nbytes <= spectra * spectrum_nbytes
 
 
 def test_raw_dwells_released_while_compressing(monkeypatch):

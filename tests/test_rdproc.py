@@ -55,30 +55,24 @@ def test_range_compress_at_padded_length_matches_direct_correlation():
     assert peak[0] > 0.5 * peak.max() and peak[-1] > 0.5 * peak.max()
 
 
-def _channel_bytes(params):
-    return params.n_pulses * next_fast_len(params.n_fast) * 16
-
-
-@pytest.mark.parametrize("per_block", [1, 4, 6])
-def test_rd_map_streams_channel_blocks(monkeypatch, per_block):
+def test_rd_map_matches_stages():
     for params in (SMALL, PADDED):
-        # a budget of 1, 4 or 6 channels splits the 6 channels as 1x6, 4+2 or 6
-        monkeypatch.setattr(rdproc, "BLOCK_BYTES", per_block * _channel_bytes(params))
         raw = simulate_dwell(params, [], noise_power=2.0, seed=5)
         for window, oversample in (("hann", 1), ("hamming", 2)):
             rd = rd_map(raw, window=window, oversample=oversample)
             ref = doppler_process(range_compress(raw), window=window, oversample=oversample)
-            np.testing.assert_allclose(rd.values, ref.values, rtol=0, atol=1e-12)
+            assert rd.values.tobytes() == ref.values.tobytes()
             np.testing.assert_array_equal(rd.velocity_axis, ref.velocity_axis)
+        # a dwell of no channels gives an empty map, as the stages do
+        empty = replace(raw, values=raw.values[:0])
+        assert rd_map(empty).values.shape == doppler_process(range_compress(empty)).values.shape
         for values in (rd.values, range_compress(raw).values):
             assert values.flags.c_contiguous and values.base is None
 
 
-def test_rd_map_peak_memory_is_one_cube(monkeypatch):
-    # one channel per block: neither the compressed cube nor a padded
-    # transform of it is ever whole
+def test_rd_map_peak_memory_is_one_cube():
+    # neither the compressed cube nor a padded transform of it is ever whole
     params = RadarParams(r_min=1500.0, r_max=6000.0, n_pulses=64)
-    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(params))
     raw = simulate_dwell(params, [], seed=1)
     rd_map(raw)
     tracemalloc.start()
@@ -88,15 +82,6 @@ def test_rd_map_peak_memory_is_one_cube(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * nbytes
-
-
-def test_rd_map_block_budget():
-    # the full 9298-sample swath goes one channel at a time
-    swath = RadarParams()
-    assert swath.n_fast == 9298
-    assert rdproc.BLOCK_BYTES < 2 * _channel_bytes(swath)
-    # a short six-channel dwell goes in one block
-    assert rdproc.BLOCK_BYTES >= 6 * _channel_bytes(SMALL)
 
 
 @pytest.fixture
@@ -111,10 +96,8 @@ def fast_switching():
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_switching,
                                                             workers):
-    # one channel per block sends every dwell through the fused kernel
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     for params in (SMALL, PADDED, ODD):
-        monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(params))
         target = PointTarget(range_m=params.r_min + 40.0, radial_velocity=2.0,
                              azimuth_deg=4.0, snr_db=20.0)
         raw = simulate_dwell(params, [target], noise_power=2.0, seed=3)
@@ -127,6 +110,8 @@ def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_s
                 np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
                 np.testing.assert_array_equal(rd.range_axis, want.range_axis)
                 assert np.shares_memory(rd.values, cube) == (reuse_raw and oversample == 1)
+                if not reuse_raw:
+                    assert cube.tobytes() == raw.values.tobytes()
 
 
 class _TransformFailed(Exception):
@@ -140,7 +125,6 @@ def test_fused_front_end_failure_reaches_caller(monkeypatch, fast_switching, wor
     # the stages that give the map's axes is not counted), late enough that
     # another thread waits on a channel the failing thread will never copy
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
-    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(SMALL))
     raw = _noise_dwell()
     inverse, lock, calls = np.fft.ifft, threading.Lock(), []
 
@@ -171,8 +155,7 @@ def test_fused_front_end_failure_reaches_caller(monkeypatch, fast_switching, wor
     assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
 
 
-def test_fused_front_end_keeps_stage_checks(monkeypatch):
-    monkeypatch.setattr(rdproc, "BLOCK_BYTES", _channel_bytes(SMALL))
+def test_fused_front_end_keeps_stage_checks():
     with pytest.raises(ConfigError, match="blackman"):
         rd_map(_noise_dwell(), window="blackman")
     with pytest.raises(ConfigError, match="oversample"):
