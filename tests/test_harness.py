@@ -240,8 +240,11 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     assert states and set(states) == {"kept"}
 
 
-def test_dwell_rd_cube_matches_rd_map(tmp_path):
+@pytest.mark.parametrize("workers", [1, 4, 6])
+def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, workers):
+    # 1, 4 or 6 threads share the 6 channels as 6, 2+2+1+1 or 1 each;
     # at oversample 2 the map does not fit the raw storage and gets a fresh cube
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     for oversample in (1, 2):
         cfg = load_config(small_t1(tmp_path, processing={"doppler_oversample": oversample}))
         params = cfg.radar

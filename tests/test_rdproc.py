@@ -55,9 +55,12 @@ def test_range_compress_at_padded_length_matches_direct_correlation():
     assert peak[0] > 0.5 * peak.max() and peak[-1] > 0.5 * peak.max()
 
 
-def test_rd_map_matches_stages():
+@pytest.mark.parametrize("n_channels", [1, 4, 6])
+def test_rd_map_streams_channel_blocks(n_channels):
     for params in (SMALL, PADDED):
+        # a dwell of 1, 4 or 6 channels streams each channel through the fused kernel
         raw = simulate_dwell(params, [], noise_power=2.0, seed=5)
+        raw = replace(raw, values=raw.values[:n_channels])
         for window, oversample in (("hann", 1), ("hamming", 2)):
             rd = rd_map(raw, window=window, oversample=oversample)
             ref = doppler_process(range_compress(raw), window=window, oversample=oversample)
