@@ -413,7 +413,7 @@ def load_tree(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     try:
         tree = yaml.safe_load(text)

@@ -280,12 +280,16 @@ TRACK_COLUMNS = ("timestamp", "name", "range_m", "azimuth_deg",
 
 
 def load_tracks(path) -> list:
-    """Read ground-truth tracks from CSV with the canonical column set; a
+    """Read ground-truth tracks from UTF-8 CSV with the canonical column set; a
     malformed row raises ConfigError naming the file, the line and the column."""
     path = Path(path)
     tracks = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"track file {path} is not UTF-8 text: {exc}") from None
+        reader = csv.DictReader(lines)
         missing = set(TRACK_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ConfigError(f"track file {path} is missing columns: {sorted(missing)}")

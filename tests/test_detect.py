@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -355,6 +356,14 @@ def test_load_tracks_missing_column(tmp_path):
     path.write_text("timestamp,name,range_m,azimuth_deg,heading_deg,length_m\n"
                     "t0,Alpha,1.0,0.0,0.0,10.0\n")
     with pytest.raises(ConfigError, match="beam_m"):
+        load_tracks(path)
+
+
+def test_load_tracks_rejects_non_utf8(tmp_path):
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(b"timestamp,name,range_m,azimuth_deg,heading_deg,length_m,beam_m\n"
+                     b"t0,Caf\xe9,5000.0,5.0,36.0,93.0,16.0\n")
+    with pytest.raises(ConfigError, match=f"track file {re.escape(str(path))} is not UTF-8"):
         load_tracks(path)
 
 

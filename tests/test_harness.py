@@ -131,6 +131,12 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"mode": "t9"}))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # a scenario file that is not UTF-8 text
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(b"# caf\xe9\nmode: t2\n")
+    caplog.clear()
+    assert main(["run", "--scenario", str(latin1), "--out", str(tmp_path / "o")]) == 2
+    assert str(latin1) in caplog.text
     # no --out and no out_dir in the scenario
     assert main(["run", "--scenario", str(small_t1(tmp_path))]) == 2
     # a value that would only fail mid-run is a configuration error
@@ -165,6 +171,12 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
         scenario = small_t1(tmp_path, truth_tracks="tracks.csv")
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert f"track file {tracks}, line 3, {column}" in caplog.text, row
+    # and so is a truth-track file that is not UTF-8 text
+    tracks.write_bytes(b"timestamp,name,range_m,azimuth_deg,heading_deg,length_m,beam_m\n"
+                       + GOOD_TRACK.encode().replace(b"Stelio", b"St\xe9lio") + b"\n")
+    caplog.clear()
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    assert f"track file {tracks} is not UTF-8" in caplog.text
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -96,6 +96,17 @@ def fast_switching():
     sys.setswitchinterval(interval)
 
 
+class _SlowFirstChannel(np.ndarray):
+    """A cube whose channel 0 takes 50 ms per read, so that a slot written
+    before raw channel 0 is wholly copied overwrites input still to be read."""
+
+    def __getitem__(self, key):
+        first = key[0] if isinstance(key, tuple) else key
+        if self.ndim == 3 and isinstance(first, int) and first == 0:
+            time.sleep(0.05)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_switching,
                                                             workers):
@@ -115,6 +126,12 @@ def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_s
                 assert np.shares_memory(rd.values, cube) == (reuse_raw and oversample == 1)
                 if not reuse_raw:
                     assert cube.tobytes() == raw.values.tobytes()
+            if workers > 1 and oversample == 1:
+                # slot 1 overlaps the tail of raw channel 0, which is read last
+                cube = raw.values.copy().view(_SlowFirstChannel)
+                rd = rdproc._rd_stream(replace(raw, values=cube), window, oversample, True)
+                assert np.shares_memory(rd.values, cube)
+                assert rd.values.tobytes() == want.values.tobytes()
 
 
 class _TransformFailed(Exception):
@@ -125,8 +142,8 @@ class _TransformFailed(Exception):
 def test_fused_front_end_failure_reaches_caller(monkeypatch, fast_switching, workers,
                                                 failing_call):
     # the failing_call-th channel inverse transform raises (the empty call of
-    # the stages that give the map's axes is not counted), late enough that
-    # another thread waits on a channel the failing thread will never copy
+    # the stages that give the map's axes is not counted); no thread waits on
+    # another, so the error reaches the caller once the others run out of channels
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     raw = _noise_dwell()
     inverse, lock, calls = np.fft.ifft, threading.Lock(), []
