@@ -14,6 +14,7 @@ emitted byte.  All artifact numbers are recomputable from the emitted
 intermediates.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,8 +31,8 @@ from .geometry import SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (cross_range_scale, extract_target_history, form_image,
                    icba_autofocus, range_align)
-from .rdproc import _rd_stream, doppler_process, range_compress
-from .scene import simulate_dwell, simulate_isar_sequence
+from .rdproc import _rd_stream, _workers, doppler_process, range_compress
+from .scene import _check_isar_sequence, _isar_dwell, simulate_dwell
 from .version import __version__
 
 #: field-trial jammer rejection reference per steering angle (deg -> dB),
@@ -390,13 +391,24 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     proc = cfg.processing
     isar_cfg = cfg.isar
     body = isar_cfg.body
-    dwells = simulate_isar_sequence(cfg.radar, body, isar_cfg.n_dwells,
-                                    cfg.seed, cfg.noise_power)
-    if emit_raw:
-        _raw_grids(report, dwells[0])
-    # consume the raw list, so each raw dwell dies once it is compressed
-    dwells.reverse()
-    compressed = [range_compress(dwells.pop()) for _ in range(len(dwells))]
+    _check_isar_sequence(cfg.radar, body, isar_cfg.n_dwells, cfg.noise_power)
+
+    def dwell(d: int):
+        """Dwell ``d`` compressed; its raw cube dies here unless it is dwell 0
+        and ``emit_raw`` keeps it for its grids."""
+        raw = _isar_dwell(cfg.radar, body, d, cfg.seed, cfg.noise_power)
+        if emit_raw and d == 0:
+            _raw_grids(report, raw)
+        return range_compress(raw)
+
+    # dwell 0 here, the rest in order on the front end's threads; a failed
+    # dwell cancels those not yet started
+    compressed = [dwell(0)]
+    pool = ThreadPoolExecutor(_workers(isar_cfg.n_dwells - 1), thread_name_prefix="isar_dwell")
+    try:
+        compressed += pool.map(dwell, range(1, isar_cfg.n_dwells))
+    finally:
+        pool.shutdown(cancel_futures=True)
     steer = cfg.steering_deg[0]
     weights = conventional_weights(steer)
 
@@ -418,6 +430,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     lo = max(center_bin - hw, 0)
     hi = min(center_bin + hw + 1, n_bins)
     history = extract_target_history(compressed, weights, (lo, hi))
+    del compressed  # the back end needs only the history
     aligned, shifts = range_align(history)
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order, isar_cfg.autofocus_grid_points,
                            isar_cfg.autofocus_phase_span_rad)

@@ -18,7 +18,9 @@ one channel's draw (not a second, real cube) while it adds noise.
 
 Randomness flows through counter-based Philox generators so that a
 (scenario, seed) pair is bit-reproducible.  Dwell ``d`` of a coherent
-sequence uses key ``seed + d``; a single dwell uses key ``seed``.
+sequence uses key ``seed + d``; a single dwell uses key ``seed``.  A
+sequence dwell depends on nothing but ``d`` and its key, so its dwells may be
+simulated in any order, or on any thread, with the same bytes.
 
 Sign conventions: a point target's ``radial_velocity`` is the closing speed
 (positive toward the radar, giving a positive Doppler shift ``2 v / lambda``).
@@ -398,34 +400,44 @@ def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,
     arise from the exact scatterer ranges; the echo phase is
     ``-4 pi r(t) / lambda``.  Dwell d uses generator key ``seed + d``.
     """
+    _check_isar_sequence(params, body, n_dwells, noise_power)
+    return [_isar_dwell(params, body, d, seed, noise_power, noise) for d in range(n_dwells)]
+
+
+def _check_isar_sequence(params: RadarParams, body: RigidBodyTarget, n_dwells: int,
+                         noise_power: float) -> None:
+    """The checks and warnings of a whole sequence, made once by its caller;
+    the warnings point at the caller's caller."""
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
     if n_dwells < 1:
         raise ValueError("n_dwells must be >= 1")
     if body.rotation_rate == 0.0:
-        warnings.warn("rotation rate is zero: no cross-range diversity", stacklevel=2)
+        warnings.warn("rotation rate is zero: no cross-range diversity", stacklevel=3)
     total_rotation = abs(body.rotation_rate) * n_dwells * params.n_pulses / params.prf
     if total_rotation >= 0.2:
         warnings.warn(
             f"total rotation {total_rotation:.3f} rad exceeds the small-angle "
             "regime; cross-range scaling will be approximate",
-            stacklevel=2,
+            stacklevel=3,
         )
-    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
-    sv = subarray_steering(body.azimuth_deg)
 
-    dwells = []
-    for d in range(n_dwells):
-        t_slow = (d * params.n_pulses + np.arange(params.n_pulses)) / params.prf
-        ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
-        if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
-            raise ConfigError("rigid body leaves the receive window during the sequence")
-        cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
-        for (_down, _cross, amp), r in zip(body.scatterers, ranges):
-            env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)
-            phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)
-            _add_echo(cube, amp * sv, env * phase[None, :])
-        if noise:
-            _add_noise(_rng(seed + d), cube, noise_power)
-        dwells.append(RawDatacube(values=cube, params=params))
-    return dwells
+
+def _isar_dwell(params: RadarParams, body: RigidBodyTarget, d: int, seed: int,
+                noise_power: float = 1.0, noise: bool = True) -> RawDatacube:
+    """Dwell ``d`` of ``simulate_isar_sequence``, which depends on nothing but
+    ``d`` and its key ``seed + d``."""
+    t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
+    t_slow = (d * params.n_pulses + np.arange(params.n_pulses)) / params.prf
+    ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
+    if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
+        raise ConfigError("rigid body leaves the receive window during the sequence")
+    sv = subarray_steering(body.azimuth_deg)
+    cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
+    for (_down, _cross, amp), r in zip(body.scatterers, ranges):
+        env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)
+        phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)
+        _add_echo(cube, amp * sv, env * phase[None, :])
+    if noise:
+        _add_noise(_rng(seed + d), cube, noise_power)
+    return RawDatacube(values=cube, params=params)

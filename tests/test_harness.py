@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -13,9 +15,9 @@ import yaml
 from scipy.fft import next_fast_len
 
 import aesa_chain
-from aesa_chain import (apply_beamformer, conventional_weights, experiments, load_config,
-                        rd_map, rdproc, read_grid, run_experiment, simulate_dwell,
-                        simulate_isar_sequence, write_report)
+from aesa_chain import (ConfigError, apply_beamformer, conventional_weights, experiments,
+                        load_config, range_compress, rd_map, rdproc, read_grid,
+                        run_experiment, simulate_dwell, simulate_isar_sequence, write_report)
 from aesa_chain.cli import _steer_list, main
 
 from helpers import traced_peak
@@ -303,31 +305,110 @@ def test_dwell_peak_over_raw_is_two_spectra(monkeypatch, scenario, spectra):
     assert peak - raw_nbytes <= spectra * spectrum_nbytes
 
 
-def test_raw_dwells_released_while_compressing(monkeypatch):
+def small_t4(n_dwells, **body):
     cfg = load_config(CONFIG_DIR / "t4.yaml")
-    cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=4))
-    raws, alive = [], []
-    simulate, compress = experiments.simulate_isar_sequence, experiments.range_compress
+    return replace(cfg, isar=replace(cfg.isar, n_dwells=n_dwells,
+                                     body=replace(cfg.isar.body, **body)))
 
-    def recording_simulate(*args, **kwargs):
-        dwells = simulate(*args, **kwargs)
-        raws.extend(weakref.ref(d.values) for d in dwells)
-        return dwells
+
+def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
+    # each worker simulates and compresses one dwell at a time, so when any
+    # dwell is compressed at most one raw dwell per worker is alive, plus
+    # dwell 0 when the raw grids of --emit-raw keep it
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    cfg = small_t4(8)
+    lock, raws, alive = threading.Lock(), {}, []
+    simulate, compress = experiments._isar_dwell, experiments.range_compress
+
+    def recording_simulate(params, body, d, *args, **kwargs):
+        raw = simulate(params, body, d, *args, **kwargs)
+        with lock:
+            raws[d] = weakref.ref(raw.values)
+        return raw
 
     def checking_compress(raw):
-        alive.append([ref() is not None for ref in raws])
+        with lock:
+            alive.append(sorted(d for d, ref in raws.items() if ref() is not None))
         return compress(raw)
 
-    monkeypatch.setattr(experiments, "simulate_isar_sequence", recording_simulate)
+    monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
     monkeypatch.setattr(experiments, "range_compress", checking_compress)
-    run_experiment(cfg)
-    # when dwell k is compressed, the dwells before it are gone
-    assert alive == [[False] * k + [True] * (4 - k) for k in range(4)]
-    # the raw grids of --emit-raw keep dwell 0
-    raws.clear()
-    alive.clear()
-    run_experiment(cfg, emit_raw=True)
-    assert alive[2][:2] == [True, False]
+    for emit_raw in (False, True):
+        raws.clear()
+        alive.clear()
+        run_experiment(cfg, emit_raw=emit_raw)
+        assert sorted(raws) == list(range(8)) and len(alive) == 8 and alive[0] == [0]
+        for held in alive[1:]:
+            assert (0 in held) == emit_raw
+            assert 1 <= len(held) - emit_raw <= experiments._workers(7)
+
+
+def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
+    # the raw sequence never exists whole: the run peaks at its compressed
+    # dwells plus, per worker, one raw dwell and its padded range spectrum;
+    # the margin of one more raw dwell covers the fixed costs (replica, axes,
+    # echo temporaries); simulating every raw dwell first peaked at 79.6 MiB
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    params, n_ch = cfg.radar, 6
+    compressed_nbytes = n_ch * params.n_range_bins * params.n_pulses * 16
+    raw_nbytes = n_ch * params.n_fast * params.n_pulses * 16
+    spectrum_nbytes = n_ch * params.n_pulses * next_fast_len(params.n_fast) * 16
+    _, peak = traced_peak(run_experiment, cfg)
+    assert peak <= (cfg.isar.n_dwells * compressed_nbytes + 2 * (raw_nbytes + spectrum_nbytes)
+                    + raw_nbytes)
+
+
+def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch):
+    # the dwells run in any order on any thread and give the same report,
+    # and the history is that of the sequence simulator compressed dwell by dwell
+    cfg = small_t4(6)
+    histories, extract = [], experiments.extract_target_history
+
+    def recording_extract(*args):
+        histories.append(extract(*args))
+        return histories[-1]
+
+    monkeypatch.setattr(experiments, "extract_target_history", recording_extract)
+    for workers in (1, 2, 6):
+        monkeypatch.setattr(experiments, "_workers", lambda n, w=workers: min(w, n))
+        report = run_experiment(cfg)
+        write_report(report, tmp_path / str(workers))
+    dwells = simulate_isar_sequence(cfg.radar, cfg.isar.body, 6, cfg.seed, cfg.noise_power)
+    want = extract([range_compress(d) for d in dwells], conventional_weights(cfg.steering_deg[0]),
+                   tuple(report.metrics["window_range_bins"]))
+    assert [h.values.tobytes() for h in histories] == [want.values.tobytes()] * 3
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    for workers in ("2", "6"):
+        assert names == sorted(p.name for p in (tmp_path / workers).iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / workers, names,
+                                                   shallow=False)
+        assert mismatch == [] and errors == []
+
+
+def test_t4_sequence_warns_once_and_stops_on_failed_dwell(monkeypatch):
+    # the sequence checks run once on the calling thread: 8 dwells at
+    # 1 rad/s rotate the body by 0.5 rad, which warns once, not per dwell
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(small_t4(8, rotation_rate=1.0))
+    assert [str(w.message) for w in caught if "rotation" in str(w.message)] == [
+        "total rotation 0.500 rad exceeds the small-angle regime; "
+        "cross-range scaling will be approximate"]
+    # a dwell that leaves the receive window cancels the dwells not yet started
+    started, simulate = [], experiments._isar_dwell
+
+    def failing_simulate(params, body, d, *args, **kwargs):
+        started.append(d)
+        if d == 3:
+            raise ConfigError("rigid body leaves the receive window during the sequence")
+        return simulate(params, body, d, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_isar_dwell", failing_simulate)
+    with pytest.raises(ConfigError, match="receive window"):
+        run_experiment(small_t4(32))
+    assert 3 in started and len(started) < 32
 
 
 def test_t4_falls_back_to_strongest_range_bin():
