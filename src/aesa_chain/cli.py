@@ -10,6 +10,7 @@ failure (an ill-conditioned covariance, too few snapshots for an estimate).
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -79,6 +80,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out_dir "
                           "in the scenario file")
+    # a file or a dangling link in the way would fail only after the run, in
+    # write_report's mkdir
+    existing = next((p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
 
     log.info("running mode %s, seed %d, config %s",
              cfg.mode, cfg.seed, cfg.hash()[:12])

@@ -9,6 +9,8 @@ Martorella et al., 2005), and forms the image with the Doppler stage's
 windowed unitary slow-time DFT.  Cross-range scaling requires the rotation
 rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
 Alignment keeps its reference as a spectrum: one inverse FFT per profile.
+The optimiser, ``scipy.optimize``, is imported at the first autofocus, so a
+run that forms no ISAR image never loads it.
 """
 
 import math
@@ -16,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .beamform import apply_beamformer
 from .detect import _parabolic_offset
@@ -278,6 +279,9 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: in
     def negative(u):
         value, grad = contrast(u * scale, gradient=True)
         return -value, -grad * scale
+
+    # imported here, not at start-up, since only t4 calls the optimiser
+    from scipy.optimize import minimize
 
     result = minimize(negative, best, jac=True, method="L-BFGS-B",
                       options={"maxfun": AUTOFOCUS_MAX_EVALUATIONS})

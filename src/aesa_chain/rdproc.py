@@ -8,9 +8,10 @@ return therefore integrates to a power gain of ``replica_length * n_pulses``
 with the rectangular window, while the noise floor stays at the raw
 per-channel noise power for every supported window.
 
-Range compression correlates at ``scipy.fft.next_fast_len(n_fast)``, not at
-``n_fast`` itself, whose prime factors can be large (the full swath has
-9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
+Range compression correlates at ``_fast_len(n_fast)``, the smallest
+2-3-5-7-11-smooth length at or above ``n_fast`` (9317 = 7 * 11**3 for the
+full swath), not at ``n_fast`` itself, whose prime factors can be large
+(9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
 
 ``range_compress`` and ``doppler_process`` are the two stages on their own;
@@ -35,17 +36,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.signal import get_window
 
 from .errors import ConfigError
 from .scene import RadarParams, RawDatacube, transmit_pulse
 
-#: canonical window names accepted by doppler_process
+#: window names accepted by doppler_process, each with its generalised
+#: Hamming coefficient ``a`` in ``a + (1 - a) * cos``
 WINDOWS = {
-    "rectangular": "boxcar",
-    "hann": "hann",
-    "hamming": "hamming",
+    "rectangular": 1.0,
+    "hann": 0.5,
+    "hamming": 0.54,
 }
 
 #: threads of the fused front end; each holds one padded channel spectrum
@@ -78,7 +78,7 @@ class RDDatacube:
 
 def _matched_filter(raw: RawDatacube) -> tuple:
     """``(match, n_r)``: the unit-energy conjugate replica spectrum at
-    ``next_fast_len(n_fast)`` and the number of kept lags; checks ``n_fast``."""
+    ``_fast_len(n_fast)`` and the number of kept lags; checks ``n_fast``."""
     params = raw.params
     n_fast = raw.values.shape[1]
     if n_fast != params.n_fast:
@@ -88,8 +88,22 @@ def _matched_filter(raw: RawDatacube) -> tuple:
     replica = transmit_pulse(params)
     m = replica.size
     # circular correlation; lags 0..n_fast-m are wrap-free at any nfft >= n_fast
-    nfft = sfft.next_fast_len(n_fast)
+    nfft = _fast_len(n_fast)
     return np.conj(np.fft.fft(replica, n=nfft)) / np.sqrt(m), n_fast - m + 1
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2-3-5-7-11-smooth integer at or above ``n``, the length
+    ``scipy.fft.next_fast_len`` gives for a complex transform."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def range_compress(raw: RawDatacube) -> CompressedDwell:
@@ -116,21 +130,29 @@ def _unit_window(window: str, n: int) -> np.ndarray:
     """The named periodic window of length ``n``, scaled to unit mean square so
     the post-transform noise floor equals the input power."""
     try:
-        name = WINDOWS[window.lower()]
+        a = WINDOWS[window.lower()]
     except KeyError:
         raise ConfigError(
             f"unknown window {window!r}; choose one of {sorted(WINDOWS)}"
         ) from None
-    w = get_window(name, n, fftbins=True).astype(float)
+    if n <= 1:
+        w = np.ones(n)
+    else:
+        w = a + (1.0 - a) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
     w *= np.sqrt(n / np.sum(w**2))
     return w
 
 
 def _shift_scaled(spec: np.ndarray, out: np.ndarray) -> None:
     """``out = fftshift(spec) / sqrt(n)`` over a last axis of length ``n``, as
-    one division per half; ``out`` must not overlap ``spec``."""
+    one division over a ``(2, n // 2)`` view of the swapped halves when ``n``
+    is even, else one per half; ``out`` must not overlap ``spec``."""
     n = spec.shape[-1]
     h, scale = n // 2, np.sqrt(n)
+    if n % 2 == 0:
+        halves = spec.shape[:-1] + (2, h)
+        np.divide(spec.reshape(halves)[..., ::-1, :], scale, out=out.reshape(halves))
+        return
     np.divide(spec[..., n - h:], scale, out=out[..., :h])
     np.divide(spec[..., :n - h], scale, out=out[..., h:])
 

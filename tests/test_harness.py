@@ -179,6 +179,14 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
     caplog.clear()
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
     assert f"track file {tracks} is not UTF-8" in caplog.text
+    # an output path that runs into a regular file or a dangling link is
+    # refused before the run
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "absent" / "dir")
+    for out, blocker in ((tracks, tracks), (tracks / "sub", tracks), (dangling, dangling)):
+        caplog.clear()
+        assert main(["run", "--scenario", str(CONFIG_DIR / "t2.yaml"), "--out", str(out)]) == 2
+        assert f"{blocker} is not a directory" in caplog.text
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -484,6 +492,29 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
         assert names == sorted(p.name for p in two.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(one, two, names, shallow=False)
         assert mismatch == [] and errors == [], name
+
+
+def test_start_up_and_t2_load_no_scipy_submodule():
+    # a fresh interpreter runs t2 on numpy alone; the optimiser is loaded at
+    # the first autofocus
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from aesa_chain import (RangeProfileHistory, icba_autofocus, load_config,\n"
+              "                        run_experiment)\n"
+              "guarded = ('scipy.signal', 'scipy.fft', 'scipy.stats', 'scipy.optimize')\n"
+              "run_experiment(load_config(sys.argv[1]))\n"
+              "print(' '.join(m for m in guarded if m in sys.modules))\n"
+              "x = np.exp(1j * np.arange(64 * 4).reshape(64, 4))\n"
+              "icba_autofocus(RangeProfileHistory(x, 500.0, np.arange(4.0), 0.03))\n"
+              "print(' '.join(m for m in guarded if m in sys.modules))\n")
+    src = str(Path(aesa_chain.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR / "t2.yaml")],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    after_t2, after_autofocus = proc.stdout.split("\n")[:2]
+    assert after_t2 == ""
+    assert "scipy.optimize" in after_autofocus.split()
 
 
 def test_readme_library_example_runs(capsys):

@@ -3,14 +3,16 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
+from scipy.signal import get_window
 
-from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process,
+from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process, load_config,
                         range_compress, rd_map, simulate_dwell, transmit_pulse)
 from aesa_chain import rdproc
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
@@ -24,6 +26,9 @@ PADDED = RadarParams(r_min=1500.0, r_max=2000.0, n_pulses=16)
 ODD = RadarParams(r_min=1500.0, r_max=1900.0, n_pulses=25)
 #: receive windows whose n_fast is 250, 292 (pads to 294), 333 (336), 354 (360), 375
 R_MAX = (1800.0, 1900.0, 2000.0, 2050.0, 2100.0)
+#: the scipy name of each window in rdproc.WINDOWS
+SCIPY_WINDOWS = {"rectangular": "boxcar", "hann": "hann", "hamming": "hamming"}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _noise_dwell(seed=0, noise_power=2.0):
@@ -200,6 +205,33 @@ def test_doppler_process_peak_memory(n_pulses, oversample):
     nfft = n_pulses * oversample
     spec = np.fft.fft(x * rdproc._unit_window("hann", n_pulses), n=nfft)
     assert rd.values.tobytes() == (np.fft.fftshift(spec, axes=-1) / np.sqrt(nfft)).tobytes()
+
+
+def test_fast_len_matches_scipy():
+    bundled = [load_config(CONFIG_DIR / f"t{i}.yaml").radar.n_fast for i in range(1, 5)]
+    for n in [*range(1, 20001), *bundled]:
+        assert rdproc._fast_len(n) == next_fast_len(n), n
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_unit_window_matches_scipy(window):
+    for n in range(1, 4097):
+        w = get_window(SCIPY_WINDOWS[window], n, fftbins=True).astype(float)
+        w *= np.sqrt(n / np.sum(w**2))
+        assert rdproc._unit_window(window, n).tobytes() == w.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_shift_scaled_matches_fftshift(n, transposed):
+    # the fused kernel divides the transposed view of its padded spectrum
+    rng = np.random.default_rng(n)
+    buf = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
+    spec = buf[:, :7].T if transposed else np.ascontiguousarray(buf[:, :7].T)
+    out = np.empty((2, 7, n), dtype=complex)
+    rdproc._shift_scaled(spec, out[1])
+    expected = np.fft.fftshift(spec, axes=-1) / np.sqrt(n)
+    assert out[1].tobytes() == expected.tobytes()
 
 
 def test_range_compress_rejects_wrong_length():
