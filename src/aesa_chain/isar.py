@@ -4,13 +4,13 @@ The imaging chain stacks beamformed range profiles of the tracked window
 over a multi-dwell coherent interval, removes translational range walk by
 envelope correlation against a running reference (Chen and Andrews, 1980),
 removes residual phase error by maximizing image contrast over a phase
-polynomial (a c_2 grid, then L-BFGS-B on the analytic contrast gradient;
+polynomial (a c_2 grid, then L-BFGS on the analytic contrast gradient;
 Martorella et al., 2005), and forms the image with the Doppler stage's
 windowed unitary slow-time DFT.  Cross-range scaling requires the rotation
 rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
 Alignment keeps its reference as a spectrum: one inverse FFT per profile.
-The optimiser, ``scipy.optimize``, is imported at the first autofocus, so a
-run that forms no ISAR image never loads it.
+The optimiser is L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) without bounds,
+with its Moré–Thuente (1994) line search, on numpy alone.
 """
 
 import math
@@ -26,7 +26,8 @@ from .rdproc import _slow_time_dft
 #: slow-time samples below which imaging quality degrades noticeably
 MIN_IMAGING_SAMPLES = 64
 
-#: autofocus refinement cap (L-BFGS-B ``maxfun``; the running iteration completes)
+#: autofocus refinement cap: the optimiser stops at the end of the iteration in
+#: which its evaluation count passes this (L-BFGS-B's ``nfev > maxfun`` rule)
 AUTOFOCUS_MAX_EVALUATIONS = 30
 
 
@@ -246,6 +247,148 @@ def _contrast_evaluator(values: np.ndarray, basis: np.ndarray):
     return evaluate
 
 
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2 ``dcstep``: the next trial step, and the interval [stx, sty]
+    (stx the best step) updated to bracket a step that meets both conditions."""
+    def gamma(theta, da, db, flip):
+        s = max(abs(theta), abs(da), abs(db))
+        return (-s if flip else s) * np.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+
+    opposite = np.sign(dp) * np.sign(dx) < 0.0
+    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+    if fp > fx:  # a higher value: the minimum is bracketed
+        g = gamma(theta, dx, dp, stp < stx)
+        stpc = stx + ((g - dx) + theta) / (((g - dx) + g) + dp) * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:  # a lower value, slopes of opposite sign: bracketed
+        g = gamma(theta, dx, dp, stp > stx)
+        stpc = stp + ((g - dp) + theta) / (((g - dp) + g) + dx) * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # a lower value, the slope flattens
+        g = gamma(theta, dx, dp, stp > stx)
+        r = ((g - dp) + theta) / ((g + (dx - dp)) + g)
+        stpc = stp + r * (stx - stp) if r < 0.0 and g != 0.0 else stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            stpf = (min if stp > stx else max)(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:  # a lower value, the slope steepens: cubic toward sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        g = gamma(theta, dy, dp, stp > sty)
+        stpf = stp + ((g - dp) + theta) / (((g - dp) + g) + dy) * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _more_thuente(phi, f0, g0, stp):
+    """MINPACK-2 ``dcsrch`` (Moré and Thuente, 1994): ftol 1e-3, gtol 0.9, xtol 0.1.
+
+    ``phi(stp)`` returns the value and slope at step ``stp`` (> 0 here) along
+    the line, f0 and g0 those at 0.  Returns the last step evaluated, which
+    meets both strong Wolfe conditions or is where the search can make no
+    progress; None for an ascent (no evaluation) or 20 evaluations of neither.
+    """
+    ftol, gtol, xtol, stpmax = 1e-3, 0.9, 0.1, 1e10
+    stp, f0, g0 = np.float64(stp), np.float64(f0), np.float64(g0)
+    if not g0 < 0.0:
+        return None
+    gtest, brackt, stage, width, width1 = ftol * g0, False, 1, stpmax, stpmax / 0.5
+    stx, fx, gx, sty, fy, gy = 0.0, f0, g0, 0.0, f0, g0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for _ in range(20):
+        f, g = map(np.float64, phi(stp))
+        with np.errstate(all="ignore"):
+            ftest = f0 + stp * gtest
+            stage = 2 if stage == 1 and f <= ftest and g >= 0.0 else stage
+            if (f <= ftest and abs(g) <= gtol * -g0
+                    or brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax)
+                    or stp == stpmax and f <= ftest and g <= gtest
+                    or stp == 0.0 and (f > ftest or g >= gtest)):
+                return stp
+            # in stage 1 a lower but not sufficient value steps on f - stp * gtest
+            shift = gtest if stage == 1 and fx >= f > ftest else 0.0
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
+                stp, f - stp * shift, g - shift, brackt, stmin, stmax)
+            fx, fy, gx, gy = fx + stx * shift, fy + sty * shift, gx + shift, gy + shift
+            if brackt:
+                if abs(sty - stx) >= 0.66 * width1:
+                    stp = stx + 0.5 * (sty - stx)
+                width1, width = width, abs(sty - stx)
+                stmin, stmax = min(stx, sty), max(stx, sty)
+            else:
+                stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+            stp = min(max(stp, 0.0), stpmax)
+            if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
+                stp = stx
+        if not np.isfinite(stp):
+            return None
+    return None
+
+
+def _lbfgs(fun, x):
+    """Minimize ``fun(x) -> (value, gradient)`` as L-BFGS-B does without bounds.
+
+    Two-loop directions over the last 10 pairs (H_0 scaled by the latest s.y / y.y,
+    a pair with s.y <= eps * (-g.s) skipped); first step 1/|d|, then 1.  Stops at
+    |g|_inf <= 1e-5, a relative decrease <= 1e7 * eps, or the end of the iteration
+    in which the evaluation count passes ``AUTOFOCUS_MAX_EVALUATIONS``.  A failed line
+    search restarts from steepest descent, or stops if it was one.  Returns (x, value).
+    """
+    eps = np.finfo(float).eps
+    f, g = fun(x)
+    evaluations, pairs, last = 1, [], {"x": x, "f": f, "g": g}
+
+    def phi(stp):  # reuses, uncounted, a point equal to the last one, as L-BFGS-B's driver does
+        nonlocal evaluations
+        trial = z if stp == 1.0 else stp * d + x
+        if not np.array_equal(trial, last["x"]):
+            last["x"], (last["f"], last["g"]) = trial, fun(trial)
+            evaluations += 1
+        return last["f"], last["g"] @ d
+
+    while np.max(np.abs(g)) > 1e-5:
+        q, alphas = -g, []
+        for s, y, sy in reversed(pairs):
+            alphas.append(s @ q / sy)
+            q = q - alphas[-1] * y
+        q = q * (pairs[-1][2] / (pairs[-1][1] @ pairs[-1][1])) if pairs else q
+        for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+            q = q + (alpha - y @ q / sy) * s
+        z = x + q
+        d = z - x  # the step L-BFGS-B takes: z is the trial point at step 1
+        gd0 = g @ d
+        first = 1.0 if evaluations > 1 else min(1.0 / np.sqrt(d @ d), 1e10)
+        stp = _more_thuente(phi, f, gd0, first)
+        if stp is None:
+            if not pairs:
+                break
+            pairs = []
+            continue
+        fold, gold, (x, f, g) = f, g, (last["x"], last["f"], last["g"])
+        if (evaluations > AUTOFOCUS_MAX_EVALUATIONS
+                or fold - f <= 1e7 * eps * max(abs(fold), abs(f), 1.0)):
+            break
+        sy = (g @ d - gd0) * stp
+        if sy > eps * (-gd0 * stp):
+            pairs = pairs[-9:] + [(stp * d, g - gold, sy)]
+    return x, f
+
+
 def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: int = 21,
                    phase_span_rad: float = 32.0 * np.pi) -> AutofocusResult:
     """Image-contrast-based autofocus over a phase polynomial.
@@ -253,7 +396,7 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: in
     Coefficients c_2..c_order (centred slow time) maximize the contrast of the
     unwindowed Doppler image: c_2 is swept on a symmetric grid of ``grid_points``
     (odd, >= 3) values whose ends put ``phase_span_rad`` (> 0) of phase at the
-    interval's edge, then L-BFGS-B refines all of them on the analytic gradient.
+    interval's edge, then L-BFGS refines all of them on the analytic gradient.
     The focused history carries the correction; when nothing beats the unfocused
     contrast the result has zero coefficients and ``improved=False``.
     """
@@ -280,13 +423,9 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: in
         value, grad = contrast(u * scale, gradient=True)
         return -value, -grad * scale
 
-    # imported here, not at start-up, since only t4 calls the optimiser
-    from scipy.optimize import minimize
-
-    result = minimize(negative, best, jac=True, method="L-BFGS-B",
-                      options={"maxfun": AUTOFOCUS_MAX_EVALUATIONS})
-    if -result.fun > best_contrast:
-        best, best_contrast = result.x, -result.fun
+    u, value = _lbfgs(negative, best)
+    if -value > best_contrast:
+        best, best_contrast = u, -value
     poly = PhasePolynomial(coefficients=tuple(best * scale))
     focused = replace(history, values=history.values * np.exp(-1j * poly.phase(t))[:, None],
                       range_axis=history.range_axis.copy())

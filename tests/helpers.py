@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions with explicit loops, not via
 the package's vectorized code paths, so implementation and oracle can
-disagree when one of them is wrong.
+disagree when one of them is wrong.  The optimiser references are scipy's
+L-BFGS-B and its line search, which the package ports without importing.
 """
 
 import numpy as np
@@ -351,3 +352,32 @@ def swerling1_ca_cfar_pd(alpha, n_cells, snr):
     target of mean signal-to-noise ratio ``snr`` (linear):
     ``(1 + alpha / (N (1 + SNR)))^(-N)`` (Finn and Johnson, RCA Review 1968)."""
     return (1.0 + alpha / (n_cells * (1.0 + snr))) ** (-n_cells)
+
+
+def lbfgsb_oracle(fun, x0):
+    """``(x, value)`` of scipy's L-BFGS-B on ``fun(x) -> (value, gradient)``,
+    capped as the autofocus refinement caps it: the reference for the
+    package's own optimiser, which follows the same algorithm and stop rules."""
+    from scipy.optimize import minimize
+
+    from aesa_chain.isar import AUTOFOCUS_MAX_EVALUATIONS
+
+    result = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                      options={"maxfun": AUTOFOCUS_MAX_EVALUATIONS})
+    return result.x, result.fun
+
+
+def dcsrch_oracle(phi, f0, g0, stp):
+    """Whether scipy's port of MINPACK-2 ``dcsrch``, at the tolerances of the
+    L-BFGS-B line search, converges along ``phi(stp) -> (value, slope)``."""
+    from scipy.optimize._dcsrch import DCSRCH
+
+    slopes = {}
+
+    def value(a):  # one call of phi per trial step
+        v, slopes[a] = phi(a)
+        return v
+
+    search = DCSRCH(value, slopes.get, ftol=1e-3, gtol=0.9, xtol=0.1, stpmin=0.0,
+                    stpmax=1e10)
+    return search(stp, f0, g0, maxiter=20)[3].startswith(b"CONV")

@@ -495,18 +495,19 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
 
 
 def test_start_up_and_t2_load_no_scipy_submodule():
-    # a fresh interpreter runs t2 on numpy alone; the optimiser is loaded at
-    # the first autofocus
+    # a fresh interpreter runs t2 and an autofocus on numpy alone
     script = ("import sys\n"
               "import numpy as np\n"
               "from aesa_chain import (RangeProfileHistory, icba_autofocus, load_config,\n"
               "                        run_experiment)\n"
-              "guarded = ('scipy.signal', 'scipy.fft', 'scipy.stats', 'scipy.optimize')\n"
+              "def scipy_modules():\n"
+              "    return ' '.join(m for m in sys.modules\n"
+              "                    if m == 'scipy' or m.startswith('scipy.'))\n"
               "run_experiment(load_config(sys.argv[1]))\n"
-              "print(' '.join(m for m in guarded if m in sys.modules))\n"
+              "print(scipy_modules())\n"
               "x = np.exp(1j * np.arange(64 * 4).reshape(64, 4))\n"
               "icba_autofocus(RangeProfileHistory(x, 500.0, np.arange(4.0), 0.03))\n"
-              "print(' '.join(m for m in guarded if m in sys.modules))\n")
+              "print(scipy_modules())\n")
     src = str(Path(aesa_chain.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -514,7 +515,28 @@ def test_start_up_and_t2_load_no_scipy_submodule():
                           env=env, check=True, capture_output=True, text=True, timeout=300)
     after_t2, after_autofocus = proc.stdout.split("\n")[:2]
     assert after_t2 == ""
-    assert "scipy.optimize" in after_autofocus.split()
+    assert after_autofocus == ""
+
+
+def test_t4_runs_with_scipy_blocked(tmp_path):
+    # with every scipy import failing, a fresh interpreter runs t4 through the
+    # command line and writes the report an in-process run writes
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from aesa_chain.cli import main\n"
+              "sys.exit(main(['run', '--scenario', sys.argv[1], '--out', sys.argv[2]]))\n")
+    src = str(Path(aesa_chain.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    blocked, here = tmp_path / "blocked", tmp_path / "here"
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR / "t4.yaml"),
+                           str(blocked)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--scenario", str(CONFIG_DIR / "t4.yaml"), "--out", str(here)]) == 0
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in blocked.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(here, blocked, names, shallow=False)
+    assert mismatch == [] and errors == []
 
 
 def test_readme_library_example_runs(capsys):

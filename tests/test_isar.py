@@ -1,5 +1,7 @@
+import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,15 +13,18 @@ from aesa_chain import (ConfigError, PhasePolynomial,
                         RadarParams, RangeProfileHistory, RigidBodyTarget,
                         conventional_weights, cross_range_scale,
                         extract_target_history, form_image, icba_autofocus,
-                        image_contrast, range_align, range_compress,
+                        image_contrast, load_config, range_align, range_compress,
                         simulate_isar_sequence)
 from aesa_chain import isar
 from aesa_chain.isar import _fractional_peak
 from aesa_chain.rdproc import WINDOWS
 
-from helpers import dft_oracle, roll_align_oracle, unit_window_oracle
+from helpers import (dcsrch_oracle, dft_oracle, lbfgsb_oracle, roll_align_oracle,
+                     unit_window_oracle)
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_history(n_slow=2000, prf=1000.0, n_bins=32, f1=40.0, f2=-95.0):
@@ -306,6 +311,106 @@ def test_autofocus_validation():
                                 range_axis=np.arange(8.0), wavelength=0.03)
     with pytest.raises(ValueError, match="slow-time"):
         icba_autofocus(short, order=2)
+
+
+@pytest.fixture(scope="module")
+def t4_aligned():
+    """The aligned history of the bundled t4 scenario (seed 5), as the chain forms it."""
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    body = cfg.isar.body
+    dwells = simulate_isar_sequence(cfg.radar, body, cfg.isar.n_dwells, cfg.seed,
+                                    cfg.noise_power)
+    center = cfg.radar.range_bin_of(body.center_range_m)
+    hw = cfg.isar.window_halfwidth_bins
+    history = extract_target_history([range_compress(d) for d in dwells],
+                                     conventional_weights(cfg.steering_deg[0]),
+                                     (center - hw, center + hw + 1))
+    return range_align(history)[0]
+
+
+#: injected phases: c_2, c_3, c_4 in rad/s^n
+INJECTED_PHASES = {"none": (0.0,), "50t2": (50.0,), "-120t2+40t3": (-120.0, 40.0),
+                   "20t2+30t4": (20.0, 0.0, 30.0), "-200t2": (-200.0,)}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("phase", list(INJECTED_PHASES))
+def test_autofocus_matches_scipy_lbfgsb(t4_aligned, phase, order, monkeypatch):
+    # the in-package optimiser against scipy's L-BFGS-B from the same grid seed
+    t = t4_aligned.slow_time()
+    injected = replace(t4_aligned, values=t4_aligned.values * np.exp(
+        1j * PhasePolynomial(coefficients=INJECTED_PHASES[phase]).phase(t))[:, None])
+    runs = {}
+    for name, optimiser in (("package", isar._lbfgs), ("scipy", lbfgsb_oracle)):
+        calls = []
+
+        def counted(fun, x, optimiser=optimiser, calls=calls):
+            return optimiser(lambda u: calls.append(u) or fun(u), x)
+
+        monkeypatch.setattr(isar, "_lbfgs", counted)
+        runs[name] = icba_autofocus(injected, order=order), len(calls)
+    (ours, n_ours), (ref, n_ref) = runs["package"], runs["scipy"]
+    if (phase, order) == ("-200t2", 4):
+        # c2 lies off the grid and both stop at the evaluation cap, unfocused,
+        # on paths that part once rounding differences grow: which one ends
+        # higher depends on the rounding of the input
+        assert ours.contrast_after == pytest.approx(55.09, abs=0.01)
+        assert ref.contrast_after == pytest.approx(55.09, abs=0.01)
+        return
+    # no lower, to rounding (a relative 1e-12)
+    assert ours.contrast_after >= ref.contrast_after * (1.0 - 1e-12)
+    assert n_ours == n_ref
+    c_ours, c_ref = (np.array(r.polynomial.coefficients) for r in (ours, ref))
+    assert np.all(np.abs(c_ours - c_ref) <= 1e-12 * np.maximum(1.0, np.abs(c_ref)))
+
+
+def _more_thuente_functions():
+    """Test functions 1-3 of Moré and Thuente (1994): (phi, phi') of the step."""
+    def one(a, beta=2.0):
+        return -a / (a * a + beta), (a * a - beta) / (a * a + beta) ** 2
+
+    def two(a, beta=0.004):
+        b = a + beta
+        return b ** 5 - 2.0 * b ** 4, 5.0 * b ** 4 - 8.0 * b ** 3
+
+    def three(a, beta=0.01, ell=39):
+        if a <= 1.0 - beta:
+            base, slope = 1.0 - a, -1.0
+        elif a >= 1.0 + beta:
+            base, slope = a - 1.0, 1.0
+        else:
+            base, slope = (a - 1.0) ** 2 / (2.0 * beta) + beta / 2.0, (a - 1.0) / beta
+        wave = ell * math.pi / 2.0
+        return (base + 2.0 * (1.0 - beta) / (ell * math.pi) * math.sin(wave * a),
+                slope + (1.0 - beta) * math.cos(wave * a))
+    return {"1": one, "2": two, "3": three}
+
+
+@pytest.mark.parametrize("first", [1e-3, 1e-1, 1e1, 1e3])
+@pytest.mark.parametrize("function", ["1", "2", "3"])
+def test_more_thuente_matches_dcsrch(function, first):
+    pytest.importorskip("scipy.optimize._dcsrch")
+    phi = _more_thuente_functions()[function]
+    f0, g0 = phi(0.0)
+    ours, ref = [], []
+    stp = isar._more_thuente(lambda a: ours.append(a) or phi(a), f0, g0, first)
+    converged = dcsrch_oracle(lambda a: ref.append(a) or phi(a), f0, g0, first)
+    # trial for trial the steps of the reference, and the last one returned
+    assert ours == ref and 1 <= len(ours) <= 20 and stp == ours[-1]
+    f, g = phi(stp)
+    assert f <= f0 + 1e-3 * stp * g0
+    # at xtol 0.1 the searches on functions 2 and 3 end on the xtol rule with
+    # sufficient decrease alone; on function 1 they meet strong Wolfe
+    assert converged == (function == "1")
+    assert (abs(g) <= 0.9 * abs(g0)) == converged
+
+
+def test_more_thuente_rejects_an_ascent_direction():
+    def never(stp):
+        raise AssertionError("evaluated along an ascent direction")
+
+    assert isar._more_thuente(never, 1.0, 0.5, 1.0) is None
+    assert isar._more_thuente(never, 1.0, 0.0, 1.0) is None
 
 
 def test_form_image_peak_positions():
