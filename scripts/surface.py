@@ -1,10 +1,12 @@
-"""Print the size of the library: its line total and its settable values.
+"""Print the size of the library: its line total, settable values and scenario keys.
 
 The line total is that of ``src/aesa_chain/*.py`` (as ``wc -l`` counts it).
 The settable values are the parameters of the public functions plus the
 fields of the dataclasses that the ``geometry``, ``scene``, ``beamform``,
 ``detect``, ``rdproc`` and ``isar`` modules define; names that start with an
 underscore, and names a module imports from elsewhere, are not counted.
+The scenario keys are the leaves of ``config._SCHEMA``, a list of sections
+counting the keys of one section.
 
 Usage::
 
@@ -39,8 +41,20 @@ def settable_values() -> tuple:
     return params, fields
 
 
+def scenario_keys(node=None) -> int:
+    """Leaves of the scenario schema ``config._SCHEMA``, or of one of its nodes."""
+    if node is None:
+        node = importlib.import_module("aesa_chain.config")._SCHEMA
+    if isinstance(node, dict):
+        return sum(scenario_keys(child) for child in node.values())
+    if isinstance(node, list):
+        return scenario_keys(node[0])
+    return 1
+
+
 if __name__ == "__main__":
     params, fields = settable_values()
     print(f"src/aesa_chain/*.py: {line_total()} lines")
     print(f"settable values: {params + fields} "
           f"({params} public function parameters, {fields} dataclass fields)")
+    print(f"scenario keys: {scenario_keys()} (config._SCHEMA leaves)")

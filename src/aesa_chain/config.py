@@ -184,9 +184,6 @@ _SCHEMA = {
         # the range axis of the image history needs two bins at least
         "window_halfwidth_bins": _Leaf(24, _int, _AT_LEAST_1),
         "autofocus_order": _Leaf(3, _int, (lambda n: 2 <= n <= 4, "lie in [2, 4]")),
-        "autofocus_grid_points": _Leaf(21, _int, (lambda n: n >= 3 and n % 2 == 1,
-                                                  "be an odd integer >= 3")),
-        "autofocus_phase_span_rad": _Leaf(32.0 * np.pi, _finite, _POSITIVE),
         "omega_for_scaling_rad_s": _Leaf(None, _finite, _POSITIVE),
         "image_window": _Leaf("hann", _name(WINDOWS, str.lower)),
         "body": {
@@ -233,8 +230,6 @@ class IsarParams:
     n_dwells: int
     window_halfwidth_bins: int
     autofocus_order: int
-    autofocus_grid_points: int
-    autofocus_phase_span_rad: float
     omega_for_scaling_rad_s: float | None
     image_window: str
 
@@ -392,32 +387,48 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
 
 
 def _canonical_tree(full: dict) -> dict:
-    """Resolved tree with plain JSON-compatible scalar types."""
+    """Resolved tree with plain JSON types: lists for tuples, numpy scalars and paths
+    as the numbers and strings they hold."""
+    return json.loads(json.dumps(full, default=lambda v: v.item() if isinstance(v, np.generic)
+                                 else str(v)))
 
-    def convert(node):
-        if isinstance(node, dict):
-            return {k: convert(v) for k, v in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [convert(v) for v in node]
-        if isinstance(node, (np.floating, np.integer)):
-            return node.item()
-        if isinstance(node, Path):
-            return str(node)
-        return node
 
-    return convert(full)
+def _duplicate_key(root) -> str | None:
+    """Where a key is repeated within one mapping of a YAML node tree, by dotted
+    path and line, or None; a node reached again through an alias is walked once."""
+    stack, walked = [("", root)], set()
+    while stack:
+        path, node = stack.pop()
+        if not isinstance(node, yaml.CollectionNode) or id(node) in walked:
+            continue
+        walked.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            stack += [(f"{path}[{i}]", item) for i, item in enumerate(node.value)]
+            continue
+        keys = set()
+        for key, child in node.value:
+            where = f"{path}.{key.value}" if path else str(key.value)
+            if (key.tag, str(key.value)) in keys:
+                return f"duplicate key {where} at line {key.start_mark.line + 1}"
+            keys.add((key.tag, str(key.value)))
+            stack.append((where, child))
+    return None
 
 
 def load_tree(path) -> dict:
-    """Read a scenario file into its raw (unvalidated) tree."""
+    """Read a scenario file into its raw (unvalidated) tree; a repeated key is an error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        tree = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        if duplicate := _duplicate_key(node):
+            raise ConfigError(f"scenario file {path}: {duplicate}")
+        tree = loader.construct_document(node) if node is not None else None
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"scenario file {path} is not valid YAML: {exc}") from None
     return tree if tree is not None else {}
 

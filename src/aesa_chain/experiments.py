@@ -432,8 +432,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     history = extract_target_history(compressed, weights, (lo, hi))
     del compressed  # the back end needs only the history
     aligned, shifts = range_align(history)
-    focus = icba_autofocus(aligned, isar_cfg.autofocus_order, isar_cfg.autofocus_grid_points,
-                           isar_cfg.autofocus_phase_span_rad)
+    focus = icba_autofocus(aligned, isar_cfg.autofocus_order)
     image = form_image(focus.history, window=isar_cfg.image_window)
     omega = isar_cfg.omega_for_scaling_rad_s or body.rotation_rate
     image = cross_range_scale(image, omega)

@@ -4,13 +4,12 @@ The imaging chain stacks beamformed range profiles of the tracked window
 over a multi-dwell coherent interval, removes translational range walk by
 envelope correlation against a running reference (Chen and Andrews, 1980),
 removes residual phase error by maximizing image contrast over a phase
-polynomial (a c_2 grid, then L-BFGS on the analytic contrast gradient;
-Martorella et al., 2005), and forms the image with the Doppler stage's
-windowed unitary slow-time DFT.  Cross-range scaling requires the rotation
-rate: one Doppler bin spans ``lambda * delta_f / (2 * omega)`` metres.
-Alignment keeps its reference as a spectrum: one inverse FFT per profile.
-The optimiser is L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) without bounds,
-with its Moré–Thuente (1994) line search, on numpy alone.
+polynomial (seeded by the polynomial-phase transform of Peleg and Porat, 1991,
+then refined by BFGS on the analytic contrast gradient; Martorella et al.,
+2005), and forms the image with the Doppler stage's windowed unitary
+slow-time DFT.  Cross-range scaling requires the rotation rate: one Doppler
+bin spans ``lambda * delta_f / (2 * omega)`` metres.  Alignment keeps its
+reference as a spectrum: one inverse FFT per profile.
 """
 
 import math
@@ -26,9 +25,11 @@ from .rdproc import _slow_time_dft
 #: slow-time samples below which imaging quality degrades noticeably
 MIN_IMAGING_SAMPLES = 64
 
-#: autofocus refinement cap: the optimiser stops at the end of the iteration in
-#: which its evaluation count passes this (L-BFGS-B's ``nfev > maxfun`` rule)
+#: autofocus refinement cap: the optimiser stops after this many contrast evaluations
 AUTOFOCUS_MAX_EVALUATIONS = 30
+
+#: autofocus variable scaling: phase at the interval's edge per optimiser unit of c_n
+AUTOFOCUS_EDGE_PHASE_RAD = 32.0 * np.pi
 
 
 @dataclass
@@ -247,191 +248,100 @@ def _contrast_evaluator(values: np.ndarray, basis: np.ndarray):
     return evaluate
 
 
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """MINPACK-2 ``dcstep``: the next trial step, and the interval [stx, sty]
-    (stx the best step) updated to bracket a step that meets both conditions."""
-    def gamma(theta, da, db, flip):
-        s = max(abs(theta), abs(da), abs(db))
-        return (-s if flip else s) * np.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+def _ppt_seed(values: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+    """c_2..c_order of the phase error, estimated by the polynomial-phase transform.
 
-    opposite = np.sign(dp) * np.sign(dx) < 0.0
-    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-    if fp > fx:  # a higher value: the minimum is bracketed
-        g = gamma(theta, dx, dp, stp < stx)
-        stpc = stx + ((g - dx) + theta) / (((g - dx) + g) + dp) * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif opposite:  # a lower value, slopes of opposite sign: bracketed
-        g = gamma(theta, dx, dp, stp > stx)
-        stpc = stp + ((g - dp) + theta) / (((g - dp) + g) + dx) * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):  # a lower value, the slope flattens
-        g = gamma(theta, dx, dp, stp > stx)
-        r = ((g - dp) + theta) / ((g + (dx - dp)) + g)
-        stpc = stp + r * (stx - stp) if r < 0.0 and g != 0.0 else stpmax if stp > stx else stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            stpf = (min if stp > stx else max)(stp + 0.66 * (sty - stp), stpf)
-        else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:  # a lower value, the slope steepens: cubic toward sty
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        g = gamma(theta, dy, dp, stp > sty)
-        stpf = stp + ((g - dp) + theta) / (((g - dp) + g) + dy) * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _more_thuente(phi, f0, g0, stp):
-    """MINPACK-2 ``dcsrch`` (Moré and Thuente, 1994): ftol 1e-3, gtol 0.9, xtol 0.1.
-
-    ``phi(stp)`` returns the value and slope at step ``stp`` (> 0 here) along
-    the line, f0 and g0 those at 0.  Returns the last step evaluated, which
-    meets both strong Wolfe conditions or is where the search can make no
-    progress; None for an ascent (no evaluation) or 20 evaluations of neither.
+    From m = order down to 2: m - 1 lag products at lag tau turn the t^m term
+    into a tone at m! (tau dt)^(m-1) c_m rad/s, found at the peak of the
+    slow-time power spectrum summed over range bins (Peleg and Porat, 1991).
+    Each term is removed before the next order is estimated.
     """
-    ftol, gtol, xtol, stpmax = 1e-3, 0.9, 0.1, 1e10
-    stp, f0, g0 = np.float64(stp), np.float64(f0), np.float64(g0)
-    if not g0 < 0.0:
-        return None
-    gtest, brackt, stage, width, width1 = ftol * g0, False, 1, stpmax, stpmax / 0.5
-    stx, fx, gx, sty, fy, gy = 0.0, f0, g0, 0.0, f0, g0
-    stmin, stmax = 0.0, stp + 4.0 * stp
-    for _ in range(20):
-        f, g = map(np.float64, phi(stp))
-        with np.errstate(all="ignore"):
-            ftest = f0 + stp * gtest
-            stage = 2 if stage == 1 and f <= ftest and g >= 0.0 else stage
-            if (f <= ftest and abs(g) <= gtol * -g0
-                    or brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax)
-                    or stp == stpmax and f <= ftest and g <= gtest
-                    or stp == 0.0 and (f > ftest or g >= gtest)):
-                return stp
-            # in stage 1 a lower but not sufficient value steps on f - stp * gtest
-            shift = gtest if stage == 1 and fx >= f > ftest else 0.0
-            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
-                stp, f - stp * shift, g - shift, brackt, stmin, stmax)
-            fx, fy, gx, gy = fx + stx * shift, fy + sty * shift, gx + shift, gy + shift
-            if brackt:
-                if abs(sty - stx) >= 0.66 * width1:
-                    stp = stx + 0.5 * (sty - stx)
-                width1, width = width, abs(sty - stx)
-                stmin, stmax = min(stx, sty), max(stx, sty)
-            else:
-                stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-            stp = min(max(stp, 0.0), stpmax)
-            if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
-                stp = stx
-        if not np.isfinite(stp):
-            return None
-    return None
+    n, dt = len(t), t[1] - t[0]
+    coeffs = np.zeros(order - 1)
+    for m in range(order, 1, -1):
+        tau, y = n // (4 * (m - 1)), values
+        for _ in range(m - 1):
+            y = y[tau:] * np.conj(y[:-tau])
+        power = (np.abs(np.fft.fft(y, axis=0)) ** 2).sum(axis=1)
+        k, length = int(np.argmax(power)), len(power)
+        peak = k + _parabolic_offset(power[k - 1], power[k], power[(k + 1) % length])
+        freq = (peak if peak <= length / 2 else peak - length) / (length * dt)
+        coeffs[m - 2] = 2.0 * np.pi * freq / (math.factorial(m) * (tau * dt) ** (m - 1))
+        values = values * np.exp(-1j * coeffs[m - 2] * t**m)[:, None]
+    return coeffs
 
 
-def _lbfgs(fun, x):
-    """Minimize ``fun(x) -> (value, gradient)`` as L-BFGS-B does without bounds.
+def _bfgs(fun, x):
+    """Minimize ``fun(x) -> (value, gradient)`` by dense BFGS with backtracking.
 
-    Two-loop directions over the last 10 pairs (H_0 scaled by the latest s.y / y.y,
-    a pair with s.y <= eps * (-g.s) skipped); first step 1/|d|, then 1.  Stops at
-    |g|_inf <= 1e-5, a relative decrease <= 1e7 * eps, or the end of the iteration
-    in which the evaluation count passes ``AUTOFOCUS_MAX_EVALUATIONS``.  A failed line
-    search restarts from steepest descent, or stops if it was one.  Returns (x, value).
+    The inverse Hessian starts as the identity, is rescaled by s.y / y.y before
+    its first update and skips a pair with s.y <= 0.  A step along the unscaled
+    gradient has length min(1, 1/|d|), later ones start at 1; a step short of
+    Armijo's decrease (1e-4) is retried at the minimum of the quadratic through
+    it, clipped to [0.1, 0.5] of it.  Stops at |g|_inf <= 1e-5, a relative
+    decrease <= 1e7 * eps, ``AUTOFOCUS_MAX_EVALUATIONS`` evaluations or a
+    direction that does not descend.  Returns (x, value), never above the start.
     """
-    eps = np.finfo(float).eps
     f, g = fun(x)
-    evaluations, pairs, last = 1, [], {"x": x, "f": f, "g": g}
-
-    def phi(stp):  # reuses, uncounted, a point equal to the last one, as L-BFGS-B's driver does
-        nonlocal evaluations
-        trial = z if stp == 1.0 else stp * d + x
-        if not np.array_equal(trial, last["x"]):
-            last["x"], (last["f"], last["g"]) = trial, fun(trial)
-            evaluations += 1
-        return last["f"], last["g"] @ d
-
+    evaluations, h = 1, None
     while np.max(np.abs(g)) > 1e-5:
-        q, alphas = -g, []
-        for s, y, sy in reversed(pairs):
-            alphas.append(s @ q / sy)
-            q = q - alphas[-1] * y
-        q = q * (pairs[-1][2] / (pairs[-1][1] @ pairs[-1][1])) if pairs else q
-        for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-            q = q + (alpha - y @ q / sy) * s
-        z = x + q
-        d = z - x  # the step L-BFGS-B takes: z is the trial point at step 1
-        gd0 = g @ d
-        first = 1.0 if evaluations > 1 else min(1.0 / np.sqrt(d @ d), 1e10)
-        stp = _more_thuente(phi, f, gd0, first)
-        if stp is None:
-            if not pairs:
+        d = -g if h is None else -h @ g
+        slope = g @ d
+        step = min(1.0, 1.0 / np.sqrt(d @ d)) if h is None else 1.0
+        while slope < 0.0 and evaluations < AUTOFOCUS_MAX_EVALUATIONS:
+            f_new, g_new = fun(x + step * d)
+            evaluations += 1
+            if f_new <= f + 1e-4 * step * slope:
                 break
-            pairs = []
-            continue
-        fold, gold, (x, f, g) = f, g, (last["x"], last["f"], last["g"])
-        if (evaluations > AUTOFOCUS_MAX_EVALUATIONS
-                or fold - f <= 1e7 * eps * max(abs(fold), abs(f), 1.0)):
+            # a non-finite value gives the smallest retry
+            step *= min(0.5, max(0.1, -slope * step / (2.0 * (f_new - f - slope * step))))
+        else:
             break
-        sy = (g @ d - gd0) * stp
-        if sy > eps * (-gd0 * stp):
-            pairs = pairs[-9:] + [(stp * d, g - gold, sy)]
+        s, y = step * d, g_new - g
+        x, f_old, f, g = x + s, f, f_new, g_new
+        if f_old - f <= 1e7 * np.finfo(float).eps * max(abs(f_old), abs(f), 1.0):
+            break
+        sy = s @ y
+        if sy > 0.0:
+            h = np.eye(len(x)) * (sy / (y @ y)) if h is None else h
+            v = np.eye(len(x)) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
     return x, f
 
 
-def icba_autofocus(history: RangeProfileHistory, order: int = 3, grid_points: int = 21,
-                   phase_span_rad: float = 32.0 * np.pi) -> AutofocusResult:
+def icba_autofocus(history: RangeProfileHistory, order: int = 3) -> AutofocusResult:
     """Image-contrast-based autofocus over a phase polynomial.
 
     Coefficients c_2..c_order (centred slow time) maximize the contrast of the
-    unwindowed Doppler image: c_2 is swept on a symmetric grid of ``grid_points``
-    (odd, >= 3) values whose ends put ``phase_span_rad`` (> 0) of phase at the
-    interval's edge, then L-BFGS refines all of them on the analytic gradient.
-    The focused history carries the correction; when nothing beats the unfocused
-    contrast the result has zero coefficients and ``improved=False``.
+    unwindowed Doppler image: the polynomial-phase transform seeds them from
+    the data, then BFGS refines them on the analytic gradient.  The focused
+    history carries the correction; when the seed does not beat the unfocused
+    contrast the search starts from zero, and when nothing does the result has
+    zero coefficients and ``improved=False``.
     """
     if not 2 <= order <= 4:
         raise ValueError("polynomial order must lie in [2, 4]")
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise ValueError("grid_points must be an odd integer >= 3")
-    if phase_span_rad <= 0.0:
-        raise ValueError("phase_span_rad must be positive")
     if history.n_slow < MIN_IMAGING_SAMPLES:
         raise ValueError(f"autofocus needs >= {MIN_IMAGING_SAMPLES} slow-time samples, "
                          f"got {history.n_slow}")
     t = history.slow_time()
     powers = np.arange(2, order + 1)
-    scale = phase_span_rad / t[-1] ** powers  # c_n per grid unit
+    scale = AUTOFOCUS_EDGE_PHASE_RAD / t[-1] ** powers  # c_n per optimiser unit
+    seed = _ppt_seed(history.values, t, order)  # before the evaluator's buffers exist
     contrast = _contrast_evaluator(history.values, t ** powers[:, None])
-    best, contrast0 = np.zeros(order - 1), contrast(np.zeros(order - 1))
-    grid = np.outer(np.linspace(-1.0, 1.0, grid_points), np.eye(order - 1)[0])
-    seeds = [contrast(u * scale) for u in grid]
-    k = int(np.argmax(seeds))
-    best, best_contrast = (grid[k], seeds[k]) if seeds[k] > contrast0 else (best, contrast0)
+    contrast0 = contrast(np.zeros(order - 1))
+    start = seed / scale if contrast(seed) > contrast0 else np.zeros(order - 1)
 
     def negative(u):
         value, grad = contrast(u * scale, gradient=True)
         return -value, -grad * scale
 
-    u, value = _lbfgs(negative, best)
-    if -value > best_contrast:
-        best, best_contrast = u, -value
-    poly = PhasePolynomial(coefficients=tuple(best * scale))
+    u, value = _bfgs(negative, start)
+    poly = PhasePolynomial(coefficients=tuple(u * scale))
     focused = replace(history, values=history.values * np.exp(-1j * poly.phase(t))[:, None],
                       range_axis=history.range_axis.copy())
     return AutofocusResult(polynomial=poly, history=focused, contrast_before=float(contrast0),
-                           contrast_after=float(best_contrast),
-                           improved=bool(best_contrast > contrast0))
+                           contrast_after=float(-value), improved=bool(-value > contrast0))
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Everything here is written from the definitions with explicit loops, not via
 the package's vectorized code paths, so implementation and oracle can
-disagree when one of them is wrong.  The optimiser references are scipy's
-L-BFGS-B and its line search, which the package ports without importing.
+disagree when one of them is wrong.  The optimiser reference is scipy's
+L-BFGS-B, against whose optimum the package's own BFGS is checked.
 """
 
 import numpy as np
@@ -356,8 +356,8 @@ def swerling1_ca_cfar_pd(alpha, n_cells, snr):
 
 def lbfgsb_oracle(fun, x0):
     """``(x, value)`` of scipy's L-BFGS-B on ``fun(x) -> (value, gradient)``,
-    capped as the autofocus refinement caps it: the reference for the
-    package's own optimiser, which follows the same algorithm and stop rules."""
+    capped as the autofocus refinement caps it: the reference optimum for the
+    package's own optimiser."""
     from scipy.optimize import minimize
 
     from aesa_chain.isar import AUTOFOCUS_MAX_EVALUATIONS
@@ -365,19 +365,3 @@ def lbfgsb_oracle(fun, x0):
     result = minimize(fun, x0, jac=True, method="L-BFGS-B",
                       options={"maxfun": AUTOFOCUS_MAX_EVALUATIONS})
     return result.x, result.fun
-
-
-def dcsrch_oracle(phi, f0, g0, stp):
-    """Whether scipy's port of MINPACK-2 ``dcsrch``, at the tolerances of the
-    L-BFGS-B line search, converges along ``phi(stp) -> (value, slope)``."""
-    from scipy.optimize._dcsrch import DCSRCH
-
-    slopes = {}
-
-    def value(a):  # one call of phi per trial step
-        v, slopes[a] = phi(a)
-        return v
-
-    search = DCSRCH(value, slopes.get, ftol=1e-3, gtol=0.9, xtol=0.1, stpmin=0.0,
-                    stpmax=1e10)
-    return search(stp, f0, g0, maxiter=20)[3].startswith(b"CONV")

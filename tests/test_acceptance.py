@@ -224,9 +224,7 @@ def test_criterion_08_imaging_with_injected_phase():
         values=aligned.values * np.exp(1j * 50.0 * t**2)[:, None],
         prf=aligned.prf, range_axis=aligned.range_axis,
         wavelength=aligned.wavelength)
-    focus = icba_autofocus(injected, order=cfg.isar.autofocus_order,
-                           grid_points=cfg.isar.autofocus_grid_points,
-                           phase_span_rad=cfg.isar.autofocus_phase_span_rad)
+    focus = icba_autofocus(injected, order=cfg.isar.autofocus_order)
     c2 = focus.polynomial.coefficients[0]
     image = cross_range_scale(form_image(focus.history, cfg.isar.image_window),
                               body.rotation_rate)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, cfar_detect,
                         load_config, load_tree, resolve_config)
+from aesa_chain.cli import main
 from aesa_chain.config import _REQUIRED, _SCHEMA, MODES, config_hash, dump_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -51,7 +52,11 @@ MALFORMED = [
     (t1_tree(radar={"pulse_width_s": 1e300, "sample_rate_hz": 1e300}), "radar:"),
     (t1_tree(adaptive="no"), "adaptive"),
     ({"mode": "t2", "jammer": {"active": "no"}}, "jammer.active"),
-    ({"mode": "t4", "isar": {"autofocus_grid_points": 4}}, "isar.autofocus_grid_points"),
+    # keys retired with the autofocus seeding grid
+    ({"mode": "t4", "isar": {"autofocus_grid_points": 4}},
+     r"unknown configuration key isar\.autofocus_grid_points"),
+    ({"mode": "t4", "isar": {"autofocus_phase_span_rad": 100.0}},
+     r"unknown configuration key isar\.autofocus_phase_span_rad"),
     (t1_tree(processing={"music_window_bins": [1]}), "processing.music_window_bins"),
     (t1_tree(processing={"window": "bogus"}), "processing.window"),
     (t1_tree(seed=2.5), "seed"),
@@ -207,9 +212,35 @@ def test_load_tree_and_config_errors(tmp_path):
         load_tree(bad)
     with pytest.raises(ConfigError, match="cannot read"):
         load_tree(tmp_path / "missing.yaml")
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("a: " + "[" * 3000 + "]" * 3000)
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_tree(deep)
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
     assert load_tree(empty) == {}
+
+
+def test_load_tree_rejects_duplicate_keys(tmp_path):
+    scenario = tmp_path / "dup.yaml"
+    scenario.write_text("mode: t4\nseed: 1\nseed: 2\n"
+                        "isar:\n  n_dwells: 8\nisar:\n  image_window: hann\n")
+    with pytest.raises(ConfigError, match="duplicate key seed at line 3"):
+        load_tree(scenario)
+    scenario.write_text("mode: t4\nisar:\n  n_dwells: 8\nisar:\n  image_window: hann\n")
+    with pytest.raises(ConfigError, match="duplicate key isar at line 4"):
+        load_tree(scenario)
+    scenario.write_text("mode: t1\ntargets:\n  - range_m: 5000.0\n    snr_db: 25.0\n"
+                        "    snr_db: 20.0\n")
+    with pytest.raises(ConfigError, match=r"duplicate key targets\[0\]\.snr_db at line 5"):
+        load_tree(scenario)
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    # equal keys in different mappings, a merged key and an alias are no repeats
+    scenario.write_text("a: &x {b: 1}\nc:\n  <<: *x\n  b: 2\nd: *x\n")
+    assert load_tree(scenario) == {"a": {"b": 1}, "c": {"b": 2}, "d": {"b": 1}}
+    scenario.write_text("a: &x [*x]\n")  # a node that contains itself is walked once
+    loop = load_tree(scenario)["a"]
+    assert loop[0] is loop
 
 
 def test_dump_config_roundtrip(tmp_path):

@@ -1,4 +1,3 @@
-import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +18,7 @@ from aesa_chain import isar
 from aesa_chain.isar import _fractional_peak
 from aesa_chain.rdproc import WINDOWS
 
-from helpers import (dcsrch_oracle, dft_oracle, lbfgsb_oracle, roll_align_oracle,
-                     unit_window_oracle)
+from helpers import dft_oracle, lbfgsb_oracle, roll_align_oracle, unit_window_oracle
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
@@ -207,16 +205,6 @@ def test_phase_polynomial_contract():
             PhasePolynomial(coefficients=bad)
 
 
-def test_autofocus_search_validation():
-    hist = make_history(n_slow=64)
-    for bad in (4, 1):
-        with pytest.raises(ValueError, match="grid_points"):
-            icba_autofocus(hist, grid_points=bad)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError, match="phase_span_rad"):
-            icba_autofocus(hist, phase_span_rad=bad)
-
-
 def test_autofocus_recovers_quadratic_phase():
     clean = make_history()
     t = clean.slow_time()
@@ -289,6 +277,25 @@ def test_autofocus_leaves_a_flat_image_alone():
         icba_autofocus(zero, order=3)
 
 
+def test_autofocus_starts_from_zero_when_the_seed_is_worse():
+    # two tones whose lag-product auto-terms cancel: the transform peaks on
+    # their cross-term, a seed below the contrast of the focused history
+    n, prf = 512, 1000.0
+    t = (np.arange(n) - (n - 1) / 2.0) / prf
+    lag = n // 4
+    values = (np.exp(2j * np.pi * 100.0 * t)
+              + np.exp(2j * np.pi * (100.0 - 0.5 * prf / lag) * t))[:, None]
+    hist = RangeProfileHistory(values=values, prf=prf, range_axis=np.arange(1.0),
+                               wavelength=0.03)
+    seed = isar._ppt_seed(values, t, 2)
+    contrast = isar._contrast_evaluator(values, t[None, :] ** 2)
+    assert contrast(seed) < contrast(np.zeros(1))
+    result = icba_autofocus(hist, order=2)
+    assert not result.improved
+    assert result.polynomial.coefficients == (0.0,)
+    assert result.contrast_after == result.contrast_before
+
+
 def test_autofocus_transform_count(monkeypatch):
     clean = make_history(n_slow=4000, prf=2000.0, n_bins=49)
     t = clean.slow_time()
@@ -296,8 +303,8 @@ def test_autofocus_transform_count(monkeypatch):
                    * np.exp(1j * (50.0 * t**2 + 3.0 * t**3))[:, None])
     calls = count_transforms(monkeypatch)
     result = icba_autofocus(hist, order=3)
-    # the unfocused image, the 21-point c2 grid, then a transform pair per
-    # L-BFGS-B evaluation
+    # the unfocused image, one transform per order of the polynomial-phase
+    # seed and one for its contrast, then a transform pair per BFGS evaluation
     assert len(calls) <= 50
     assert result.improved
     assert result.polynomial.coefficients[0] == pytest.approx(50.0, rel=0.01)
@@ -333,84 +340,63 @@ INJECTED_PHASES = {"none": (0.0,), "50t2": (50.0,), "-120t2+40t3": (-120.0, 40.0
                    "20t2+30t4": (20.0, 0.0, 30.0), "-200t2": (-200.0,)}
 
 
+def _injected(history, phase):
+    t = history.slow_time()
+    return replace(history, values=history.values * np.exp(
+        1j * PhasePolynomial(coefficients=INJECTED_PHASES[phase]).phase(t))[:, None])
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("phase", list(INJECTED_PHASES))
 def test_autofocus_matches_scipy_lbfgsb(t4_aligned, phase, order, monkeypatch):
-    # the in-package optimiser against scipy's L-BFGS-B from the same grid seed
-    t = t4_aligned.slow_time()
-    injected = replace(t4_aligned, values=t4_aligned.values * np.exp(
-        1j * PhasePolynomial(coefficients=INJECTED_PHASES[phase]).phase(t))[:, None])
-    runs = {}
-    for name, optimiser in (("package", isar._lbfgs), ("scipy", lbfgsb_oracle)):
-        calls = []
-
-        def counted(fun, x, optimiser=optimiser, calls=calls):
-            return optimiser(lambda u: calls.append(u) or fun(u), x)
-
-        monkeypatch.setattr(isar, "_lbfgs", counted)
-        runs[name] = icba_autofocus(injected, order=order), len(calls)
-    (ours, n_ours), (ref, n_ref) = runs["package"], runs["scipy"]
-    if (phase, order) == ("-200t2", 4):
-        # c2 lies off the grid and both stop at the evaluation cap, unfocused,
-        # on paths that part once rounding differences grow: which one ends
-        # higher depends on the rounding of the input
-        assert ours.contrast_after == pytest.approx(55.09, abs=0.01)
-        assert ref.contrast_after == pytest.approx(55.09, abs=0.01)
+    # the in-package BFGS against scipy's L-BFGS-B from the same seed: the same optimum
+    injected = _injected(t4_aligned, phase)
+    ours = icba_autofocus(injected, order=order)
+    monkeypatch.setattr(isar, "_bfgs", lbfgsb_oracle)
+    ref = icba_autofocus(injected, order=order)
+    if (phase, order) == ("20t2+30t4", 3):
+        # order 3 cannot fit the t^4 term, so the two stop on different local
+        # optima; 77.90 is what a 21-point c2 grid with L-BFGS-B reached here
+        assert ours.contrast_after >= 77.90
         return
-    # no lower, to rounding (a relative 1e-12)
-    assert ours.contrast_after >= ref.contrast_after * (1.0 - 1e-12)
-    assert n_ours == n_ref
-    c_ours, c_ref = (np.array(r.polynomial.coefficients) for r in (ours, ref))
-    assert np.all(np.abs(c_ours - c_ref) <= 1e-12 * np.maximum(1.0, np.abs(c_ref)))
+    assert ours.contrast_after == pytest.approx(ref.contrast_after, rel=1e-9, abs=0)
 
 
-def _more_thuente_functions():
-    """Test functions 1-3 of Moré and Thuente (1994): (phi, phi') of the step."""
-    def one(a, beta=2.0):
-        return -a / (a * a + beta), (a * a - beta) / (a * a + beta) ** 2
-
-    def two(a, beta=0.004):
-        b = a + beta
-        return b ** 5 - 2.0 * b ** 4, 5.0 * b ** 4 - 8.0 * b ** 3
-
-    def three(a, beta=0.01, ell=39):
-        if a <= 1.0 - beta:
-            base, slope = 1.0 - a, -1.0
-        elif a >= 1.0 + beta:
-            base, slope = a - 1.0, 1.0
-        else:
-            base, slope = (a - 1.0) ** 2 / (2.0 * beta) + beta / 2.0, (a - 1.0) / beta
-        wave = ell * math.pi / 2.0
-        return (base + 2.0 * (1.0 - beta) / (ell * math.pi) * math.sin(wave * a),
-                slope + (1.0 - beta) * math.cos(wave * a))
-    return {"1": one, "2": two, "3": three}
+#: (injected phase, order) cells whose error the polynomial order can fit
+FITTABLE = [(phase, order) for phase, coeffs in INJECTED_PHASES.items()
+            for order in (2, 3, 4) if len(coeffs) + 1 <= order]
 
 
-@pytest.mark.parametrize("first", [1e-3, 1e-1, 1e1, 1e3])
-@pytest.mark.parametrize("function", ["1", "2", "3"])
-def test_more_thuente_matches_dcsrch(function, first):
-    pytest.importorskip("scipy.optimize._dcsrch")
-    phi = _more_thuente_functions()[function]
-    f0, g0 = phi(0.0)
-    ours, ref = [], []
-    stp = isar._more_thuente(lambda a: ours.append(a) or phi(a), f0, g0, first)
-    converged = dcsrch_oracle(lambda a: ref.append(a) or phi(a), f0, g0, first)
-    # trial for trial the steps of the reference, and the last one returned
-    assert ours == ref and 1 <= len(ours) <= 20 and stp == ours[-1]
-    f, g = phi(stp)
-    assert f <= f0 + 1e-3 * stp * g0
-    # at xtol 0.1 the searches on functions 2 and 3 end on the xtol rule with
-    # sufficient decrease alone; on function 1 they meet strong Wolfe
-    assert converged == (function == "1")
-    assert (abs(g) <= 0.9 * abs(g0)) == converged
+@pytest.mark.parametrize("phase,order", FITTABLE)
+def test_autofocus_focuses_every_fittable_cell(t4_aligned, phase, order):
+    # the seed finds the basin of the focused image wherever the order fits the error
+    focused = icba_autofocus(t4_aligned, order=order).contrast_after
+    result = icba_autofocus(_injected(t4_aligned, phase), order=order)
+    assert result.contrast_after >= 0.99 * focused
 
 
-def test_more_thuente_rejects_an_ascent_direction():
-    def never(stp):
-        raise AssertionError("evaluated along an ascent direction")
+def test_bfgs_on_an_ill_conditioned_quadratic(monkeypatch):
+    rotation, _ = np.linalg.qr(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [5.0, 6.0, 0.0]]))
+    hessian = rotation @ np.diag([1.0, 1e2, 1e4]) @ rotation.T
+    minimum = np.array([1.0, -2.0, 0.5])
 
-    assert isar._more_thuente(never, 1.0, 0.5, 1.0) is None
-    assert isar._more_thuente(never, 1.0, 0.0, 1.0) is None
+    def quadratic(x):
+        calls.append(x)
+        r = x - minimum
+        return 0.5 * r @ hessian @ r, hessian @ r
+
+    calls = []
+    x, value = isar._bfgs(quadratic, np.zeros(3))
+    assert len(calls) <= isar.AUTOFOCUS_MAX_EVALUATIONS
+    np.testing.assert_allclose(x, minimum, rtol=0, atol=1e-6)
+    assert value == quadratic(x)[0] < 1e-12
+    start = quadratic(np.zeros(3))[0]
+    for cap in (1, 2, 8):
+        monkeypatch.setattr(isar, "AUTOFOCUS_MAX_EVALUATIONS", cap)
+        calls = []
+        x, value = isar._bfgs(quadratic, np.zeros(3))
+        assert len(calls) == cap
+        assert value == quadratic(x)[0] <= start
 
 
 def test_form_image_peak_positions():
