@@ -32,7 +32,7 @@ from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (cross_range_scale, extract_target_history, form_image,
                    icba_autofocus, range_align)
 from .rdproc import _rd_stream, _workers, doppler_process, range_compress
-from .scene import _check_isar_sequence, _isar_dwell, simulate_dwell
+from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
 from .version import __version__
 
 #: field-trial jammer rejection reference per steering angle (deg -> dB),
@@ -170,14 +170,16 @@ def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> t
     """Simulate and process the configured dwell; returns (rd, clutter mask).
 
     Unless ``emit_raw`` keeps the raw cube for its grids, the range-Doppler
-    cube is written over the raw cube's storage, so only one cube is held.
+    cube is written over the raw cube's storage, so only one cube is held;
+    the cube's noise is drawn here while the front end runs.
     """
-    raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
-                         cfg.seed, cfg.clutter)
+    raw, rng = _echo_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
+                           cfg.seed, cfg.clutter)
     if emit_raw:
         _raw_grids(report, raw)
     rd = _rd_stream(raw, cfg.processing.window, cfg.processing.doppler_oversample,
-                    reuse_raw=not emit_raw)
+                    reuse_raw=not emit_raw,
+                    fill=lambda done: _add_noise(rng, raw.values, cfg.noise_power, done))
     return rd, _clutter_mask(cfg, rd.values.shape[1:])
 
 
@@ -388,7 +390,6 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    proc = cfg.processing
     isar_cfg = cfg.isar
     body = isar_cfg.body
     _check_isar_sequence(cfg.radar, body, isar_cfg.n_dwells, cfg.noise_power)
@@ -401,37 +402,27 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
             _raw_grids(report, raw)
         return range_compress(raw)
 
-    # dwell 0 here, the rest in order on the front end's threads; a failed
-    # dwell cancels those not yet started
-    compressed = [dwell(0)]
-    pool = ThreadPoolExecutor(_workers(isar_cfg.n_dwells - 1), thread_name_prefix="isar_dwell")
-    try:
-        compressed += pool.map(dwell, range(1, isar_cfg.n_dwells))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # dwell 0 here, the rest in order on the front end's threads, each one
+    # submitted once the one `workers` places before it is done
+    n, workers = isar_cfg.n_dwells, _workers(isar_cfg.n_dwells - 1)
     steer = cfg.steering_deg[0]
     weights = conventional_weights(steer)
+    held = [dwell(0)]
+    with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
+        ahead = [pool.submit(dwell, d) for d in range(1, min(workers + 1, n))]
 
-    rd0 = doppler_process(compressed[0], window=proc.window,
-                          oversample=proc.doppler_oversample)
-    bmap = apply_beamformer(rd0, weights)
-    n_bins = compressed[0].values.shape[1]
-    # a CFAR window too large for the short imaging swath, or no detection,
-    # falls back to the strongest range bin
-    dets = []
-    if cfar_window_cells(proc.cfar_train, proc.cfar_guard) <= n_bins:
-        dets = _cfar(cfg, rd0, bmap)
-    if dets:
-        center_bin = dets[0].range_bin
-    else:
-        center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
+        def dwells():
+            yield held.pop()  # kept by no one once taken, nor is any later one
+            for d in range(workers + 1, n + workers):
+                taken = ahead.pop(0).result()
+                if d < n:
+                    ahead.append(pool.submit(dwell, d))
+                yield taken
 
-    hw = isar_cfg.window_halfwidth_bins
-    lo = max(center_bin - hw, 0)
-    hi = min(center_bin + hw + 1, n_bins)
-    history = extract_target_history(compressed, weights, (lo, hi))
-    del compressed  # the back end needs only the history
+        lo, hi = _image_window(cfg, held[0], weights)
+        history = extract_target_history(dwells(), weights, (lo, hi))
     aligned, shifts = range_align(history)
+    del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)
     image = form_image(focus.history, window=isar_cfg.image_window)
     omega = isar_cfg.omega_for_scaling_rad_s or body.rotation_rate
@@ -441,7 +432,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     report.metrics.update({
         "steer_azimuth_deg": float(steer),
         "window_range_bins": [lo, hi],
-        "slow_time_samples": history.n_slow,
+        "slow_time_samples": aligned.n_slow,
         "contrast_before_autofocus": focus.contrast_before,
         "contrast_after_autofocus": focus.contrast_after,
         "autofocus_improved": focus.improved,
@@ -463,6 +454,26 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     report.grids["isar_image.aesg"] = Grid(values=image.magnitude,
                                            row_axis=_axis(image.range_axis, "m"),
                                            col_axis=_axis(image.cross_range_axis_m, "m"))
+
+
+def _image_window(cfg: ExperimentConfig, compressed, weights) -> tuple:
+    """The t4 history's range span, around the first CFAR detection on the
+    first dwell's beamformed map."""
+    proc = cfg.processing
+    rd0 = doppler_process(compressed, window=proc.window, oversample=proc.doppler_oversample)
+    bmap = apply_beamformer(rd0, weights)
+    n_bins = compressed.values.shape[1]
+    # a CFAR window too large for the short imaging swath, or no detection,
+    # falls back to the strongest range bin
+    dets = []
+    if cfar_window_cells(proc.cfar_train, proc.cfar_guard) <= n_bins:
+        dets = _cfar(cfg, rd0, bmap)
+    if dets:
+        center_bin = dets[0].range_bin
+    else:
+        center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
+    hw = cfg.isar.window_halfwidth_bins
+    return max(center_bin - hw, 0), min(center_bin + hw + 1, n_bins)
 
 
 def _image_peaks(image) -> list:

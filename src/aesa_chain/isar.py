@@ -9,7 +9,8 @@ then refined by BFGS on the analytic contrast gradient; Martorella et al.,
 2005), and forms the image with the Doppler stage's windowed unitary
 slow-time DFT.  Cross-range scaling requires the rotation rate: one Doppler
 bin spans ``lambda * delta_f / (2 * omega)`` metres.  Alignment keeps its
-reference as a spectrum: one inverse FFT per profile.
+reference as a spectrum: one inverse FFT per profile.  The history takes
+the compressed dwells one at a time, so a lazy stream of them is never whole.
 """
 
 import math
@@ -62,8 +63,9 @@ def extract_target_history(compressed_dwells, weights, range_span) -> RangeProfi
 
     Parameters
     ----------
-    compressed_dwells : sequence of CompressedDwell
-        Contiguous range-compressed dwells of one coherent interval.
+    compressed_dwells : iterable of CompressedDwell
+        Contiguous range-compressed dwells of one coherent interval, in
+        slow-time order; none is kept once its window's rows are taken.
     weights : BeamformerWeights or ndarray
         Channel weights applied to every dwell.
     range_span : (int, int)
@@ -74,21 +76,21 @@ def extract_target_history(compressed_dwells, weights, range_span) -> RangeProfi
     -------
     RangeProfileHistory with ``n_dwells * n_pulses`` slow-time rows.
     """
-    dwells = list(compressed_dwells)
-    if not dwells:
-        raise ValueError("need at least one dwell")
-    params = dwells[0].params
-    n_bins = dwells[0].values.shape[1]
     lo, hi = int(range_span[0]), int(range_span[1])
-    if not 0 <= lo < hi <= n_bins:
-        raise ValueError(
-            f"range span [{lo}, {hi}) not inside the compressed map of {n_bins} bins"
-        )
     rows = []
-    for dw in dwells:
-        if dw.values.shape[1] != n_bins:
+    for dw in compressed_dwells:
+        if not rows:  # the first dwell sets the extent and the axes
+            params, n_bins = dw.params, dw.values.shape[1]
+            if not 0 <= lo < hi <= n_bins:
+                raise ValueError(
+                    f"range span [{lo}, {hi}) not inside the compressed map of {n_bins} bins"
+                )
+            range_axis = dw.range_axis[lo:hi].copy()
+        elif dw.values.shape[1] != n_bins:
             raise ValueError("dwells have inconsistent range extents")
         rows.append(apply_beamformer(dw.values[:, lo:hi], weights).T)
+    if not rows:
+        raise ValueError("need at least one dwell")
     history = np.concatenate(rows, axis=0)
     if history.shape[0] < MIN_IMAGING_SAMPLES:
         warnings.warn(
@@ -99,7 +101,7 @@ def extract_target_history(compressed_dwells, weights, range_span) -> RangeProfi
     return RangeProfileHistory(
         values=history,
         prf=params.prf,
-        range_axis=dwells[0].range_axis[lo:hi].copy(),
+        range_axis=range_axis,
         wavelength=params.wavelength,
     )
 

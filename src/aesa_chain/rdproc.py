@@ -24,7 +24,8 @@ the same bytes for any count.  ``_rd_stream`` with ``reuse_raw`` writes that
 map over the raw cube's storage, so a dwell holds one cube, not two.  That
 is safe because channels are taken and copied in order under one lock, so
 raw channels ``0..c`` are copied before slot ``c`` is written, and slot ``c``
-overlaps no later raw channel when ``oversample * n_r <= n_fast``.
+overlaps no later raw channel when ``oversample * n_r <= n_fast``, nor the
+t1-t3 noise draw (the ``fill``), which by then writes only later channels.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history.
@@ -217,13 +218,14 @@ def _workers(n_ch: int) -> int:
 
 
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
-               reuse_raw: bool) -> RDDatacube:
+               reuse_raw: bool, fill=lambda done: None) -> RDDatacube:
     """``rd_map``; with ``reuse_raw`` the map is written over the storage of
-    ``raw.values``, which is then consumed, whenever the map fits in it.
-    The bytes of the map are the same either way, and for any thread count:
-    channels are taken and copied in order under one lock, so raw channels
-    ``0..c`` are copied before slot ``c`` is written, and the slot overlaps no
-    later raw channel.
+    ``raw.values``, which is then consumed, whenever the map fits in it (see
+    the module docstring); the bytes are the same either way, and for any
+    thread count.  ``fill(done)``, if given, completes ``raw.values`` in
+    channel order on the calling thread while the workers run, calling
+    ``done(c)`` once channel ``c`` is final; if it raises, the workers stop
+    and the error is raised once they have.
     """
     x = raw.values
     n_ch, n_fast, n_p = x.shape
@@ -240,6 +242,7 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     # allocated here, not in the threads, whose malloc arenas would keep them
     bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(_workers(n_ch))]
     lock, channels = threading.Lock(), iter(range(n_ch))
+    ready, failed = threading.Semaphore(0), threading.Event()
 
     def run(buf: np.ndarray) -> None:
         """The next channel, copied under the lock, through one padded spectrum."""
@@ -248,6 +251,9 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
             with lock:
                 c = next(channels, None)
                 if c is None:
+                    return
+                ready.acquire()
+                if failed.is_set():
                     return
                 # a blocked transpose, about half the time of one strided copy
                 for j in range(0, n_fast, 64):
@@ -262,6 +268,14 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
             _shift_scaled(kept.T, out[c])
 
     with ThreadPoolExecutor(len(bufs), thread_name_prefix="rd_stream") as pool:
-        for future in [pool.submit(run, buf) for buf in bufs]:
+        futures = [pool.submit(run, buf) for buf in bufs]
+        try:
+            fill(lambda c: ready.release())
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            ready.release(n_ch + 1)  # every channel not yet final
+        for future in futures:
             future.result()
     return rd

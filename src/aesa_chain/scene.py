@@ -12,9 +12,10 @@ Every echo (point target, clutter bin or rigid-body scatterer) is added by
 ``_add_echo`` only over the fast-time rows where its envelope is non-zero.
 A dense add would contribute exactly zero outside them, so for finite inputs
 (the scene dataclasses reject non-finite ones) the cube is bit-identical to
-adding every return over the whole cube.  Noise is added in place, drawn
-through one real buffer the size of a channel, so a dwell holds its cube and
-one channel's draw (not a second, real cube) while it adds noise.
+adding every return over the whole cube.  Noise is added in place, in row
+blocks of at most 256 KiB through one real buffer, not through a second, real
+cube.  ``_echo_dwell`` is the dwell before its noise, so that the t1-t3
+front end can take each channel as soon as its noise is final.
 
 Randomness flows through counter-based Philox generators so that a
 (scenario, seed) pair is bit-reproducible.  Dwell ``d`` of a coherent
@@ -255,26 +256,32 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _add_noise(rng: np.random.Generator, out: np.ndarray, power: float) -> None:
+def _add_noise(rng: np.random.Generator, out: np.ndarray, power: float,
+               done=lambda c: None) -> None:
     """Add circular complex Gaussian samples of variance ``power`` to ``out``.
 
     ``out`` is one channel ``(n_fast, n_pulses)`` or a cube
     ``(n_channels, n_fast, n_pulses)``.  The real parts are drawn first, then
     the imaginary parts, so the stream matches one
     ``standard_normal((2,) + out.shape)`` draw.  Each part is drawn channel by
-    channel into one real buffer the size of a channel (the generator fills
-    in stream order, so the split does not move a sample), then scaled and
-    added in place, with the same roundings as adding the complex sample
-    ``(z0 + j z1) * scale``.
+    channel, in row blocks of at most 256 KiB through one real buffer (the
+    generator fills in stream order, so the split does not move a sample),
+    then scaled and added in place, with the same roundings as adding the
+    complex sample ``(z0 + j z1) * scale``.  ``done(c)`` is called once
+    channel ``c`` is final, after its imaginary part.
     """
     scale = np.sqrt(power / 2.0)
     channels = out[None] if out.ndim == 2 else out
-    z = np.empty(channels.shape[1:])
-    for part in (channels.real, channels.imag):
-        for channel in part:
-            rng.standard_normal(out=z)
-            z *= scale
-            channel += z
+    step = max(1, 2**18 // (8 * channels.shape[2]))
+    z = np.empty((min(step, channels.shape[1]), channels.shape[2]))
+    for part, report in ((channels.real, lambda c: None), (channels.imag, done)):
+        for c, channel in enumerate(part):
+            for rows in np.split(channel, range(step, len(channel), step)):
+                block = z[:len(rows)]
+                rng.standard_normal(out=block)
+                block *= scale
+                rows += block
+            report(c)
 
 
 def _add_echo(cube: np.ndarray, gain: np.ndarray, env: np.ndarray,
@@ -338,6 +345,15 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
     -------
     RawDatacube
     """
+    raw, rng = _echo_dwell(params, targets, jammer, noise_power, seed, clutter)
+    if noise:
+        _add_noise(rng, raw.values, noise_power)
+    return raw
+
+
+def _echo_dwell(params, targets, jammer, noise_power, seed, clutter) -> tuple:
+    """``(raw, rng)``: the dwell of ``simulate_dwell`` before its receiver
+    noise, and its generator positioned at the noise draw."""
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
@@ -383,10 +399,7 @@ def simulate_dwell(params: RadarParams, targets=(), jammer: JammerSource | None 
             env = _pulse_envelope(params, t_fast - tau)
             _add_echo(cube, amp * sv, env[:, None])
 
-    if noise:
-        _add_noise(rng, cube, noise_power)
-
-    return RawDatacube(values=cube, params=params)
+    return RawDatacube(values=cube, params=params), rng
 
 
 def simulate_isar_sequence(params: RadarParams, body: RigidBodyTarget,

@@ -164,7 +164,7 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert message in caplog.text
     # a malformed truth-track file is reported before any dwell is simulated
-    monkeypatch.setattr(experiments, "simulate_dwell", None)
+    monkeypatch.setattr(experiments, "_echo_dwell", None)
     tracks = tmp_path / "tracks.csv"
     for row, column in MALFORMED_TRACKS:
         tracks.write_text("timestamp,name,range_m,azimuth_deg,heading_deg,length_m,beam_m\n"
@@ -229,13 +229,13 @@ def _empty_report(cfg):
 @pytest.mark.parametrize("make", (small_t1, small_t2))
 def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     cubes, maps, states = [], [], []
-    simulate, stream = experiments.simulate_dwell, experiments._rd_stream
+    simulate, stream = experiments._echo_dwell, experiments._rd_stream
     cfar = experiments.cfar_detect
 
     def recording_simulate(*args, **kwargs):
-        raw = simulate(*args, **kwargs)
+        raw, rng = simulate(*args, **kwargs)
         cubes.append(weakref.ref(raw.values))
-        return raw
+        return raw, rng
 
     def recording_stream(*args, **kwargs):
         rd = stream(*args, **kwargs)
@@ -249,7 +249,7 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
                       else "shared" if np.shares_memory(raw, rd) else "kept")
         return cfar(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "simulate_dwell", recording_simulate)
+    monkeypatch.setattr(experiments, "_echo_dwell", recording_simulate)
     monkeypatch.setattr(experiments, "_rd_stream", recording_stream)
     monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
     cfg = load_config(make(tmp_path))
@@ -262,31 +262,41 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     assert states and set(states) == {"kept"}
 
 
-@pytest.mark.parametrize("workers", [1, 4, 6])
-def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, workers):
-    # 1, 4 or 6 threads share the 6 channels as 6, 2+2+1+1 or 1 each;
+def small_mixed(tmp_path):
+    """A short t3 dwell with a target, a jammer and a clutter band."""
+    return small_t1(tmp_path, mode="t3",
+                    jammer={"active": True, "azimuth_deg": -14.0, "jnr_db": 30.0},
+                    clutter={"enabled": True, "n_range_bins": 20, "mean_power": 60.0})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 6])
+def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, workers):
+    # 1, 2, 4 or 6 threads share the 6 channels as 6, 3+3, 2+2+1+1 or 1 each,
+    # while the calling thread draws the noise that each channel waits for;
     # at oversample 2 the map does not fit the raw storage and gets a fresh cube
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
-    for oversample in (1, 2):
-        cfg = load_config(small_t1(tmp_path, processing={"doppler_oversample": oversample}))
-        params = cfg.radar
-        raw = simulate_dwell(params, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
-                             cfg.clutter)
-        want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
-        for emit_raw in (False, True):
-            report = _empty_report(cfg)
-            rd, _mask = experiments._dwell(cfg, report, emit_raw)
-            assert rd.values.tobytes() == want.values.tobytes()
-            np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
-            assert rd.values.flags.c_contiguous
-            reused = not emit_raw and oversample == 1
-            assert (rd.values.base is not None) == reused
-            if reused:
-                assert rd.values.base.nbytes == raw.values.nbytes
-            if emit_raw:  # the raw grids still hold the simulated cube
-                for c in range(6):
-                    grid = report.grids[f"raw_ch{c}.aesg"].values
-                    assert grid.tobytes() == raw.values[c].tobytes()
+    for make in (small_t1, small_t2, small_mixed):
+        for oversample in (1, 2):
+            cfg = load_config(make(tmp_path))
+            cfg = replace(cfg, processing=replace(cfg.processing,
+                                                  doppler_oversample=oversample))
+            raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
+                                 cfg.seed, cfg.clutter)
+            want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
+            for emit_raw in (False, True):
+                report = _empty_report(cfg)
+                rd, _mask = experiments._dwell(cfg, report, emit_raw)
+                assert rd.values.tobytes() == want.values.tobytes(), (make, oversample)
+                np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
+                assert rd.values.flags.c_contiguous
+                reused = not emit_raw and oversample == 1
+                assert (rd.values.base is not None) == reused
+                if reused:
+                    assert rd.values.base.nbytes == raw.values.nbytes
+                if emit_raw:  # the raw grids still hold the simulated cube
+                    for c in range(6):
+                        grid = report.grids[f"raw_ch{c}.aesg"].values
+                        assert grid.tobytes() == raw.values[c].tobytes()
 
 
 def test_full_swath_dwell_holds_one_cube():
@@ -351,19 +361,50 @@ def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
             assert 1 <= len(held) - emit_raw <= experiments._workers(7)
 
 
-def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
-    # the raw sequence never exists whole: the run peaks at its compressed
-    # dwells plus, per worker, one raw dwell and its padded range spectrum;
-    # the margin of one more raw dwell covers the fixed costs (replica, axes,
-    # echo temporaries); simulating every raw dwell first peaked at 79.6 MiB
+def test_t4_few_compressed_dwells_alive(monkeypatch):
+    # a dwell is submitted only once the one `workers` places before it is
+    # done, and each is dropped once its window's rows are taken, so when any
+    # dwell is compressed at most one compressed dwell per worker, the one
+    # being extracted and one done and waiting are alive; holding every
+    # compressed dwell until the extraction kept all 32
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = load_config(CONFIG_DIR / "t4.yaml")
-    params, n_ch = cfg.radar, 6
+    lock, compressed, alive = threading.Lock(), [], []
+    compress = experiments.range_compress
+
+    def recording_compress(raw):
+        with lock:
+            alive.append((len(compressed),
+                          [k for k, ref in enumerate(compressed) if ref() is not None]))
+        out = compress(raw)
+        with lock:
+            compressed.append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(experiments, "range_compress", recording_compress)
+    run_experiment(cfg)
+    assert len(alive) == cfg.isar.n_dwells == 32
+    bound = experiments._workers(31) + 2
+    for n_done, held in alive:
+        # few, and each among the latest compressed: dwell 0 is not kept either
+        assert len(held) <= bound and all(k >= n_done - bound for k in held)
+
+
+def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
+    # the raw sequence never exists whole, nor do its compressed dwells: the
+    # run peaks at a few compressed dwells (see the test above) plus, per
+    # worker, one raw dwell and its padded range spectrum; the margin of one
+    # more raw dwell covers the fixed costs (replica, axes, echo temporaries,
+    # the profile rows); simulating every raw dwell first peaked at 79.6 MiB,
+    # and holding every compressed dwell until the extraction at 37.9 MiB
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    params, n_ch, workers = cfg.radar, 6, experiments._workers(cfg.isar.n_dwells - 1)
     compressed_nbytes = n_ch * params.n_range_bins * params.n_pulses * 16
     raw_nbytes = n_ch * params.n_fast * params.n_pulses * 16
     spectrum_nbytes = n_ch * params.n_pulses * next_fast_len(params.n_fast) * 16
     _, peak = traced_peak(run_experiment, cfg)
-    assert peak <= (cfg.isar.n_dwells * compressed_nbytes + 2 * (raw_nbytes + spectrum_nbytes)
+    assert peak <= ((workers + 2) * compressed_nbytes + 2 * (raw_nbytes + spectrum_nbytes)
                     + raw_nbytes)
 
 

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -77,15 +78,47 @@ def test_extract_target_history_validation():
     dwells = [range_compress(d)
               for d in simulate_isar_sequence(SMALL, body, 1, seed=1)]
     w = conventional_weights(0.0)
-    with pytest.raises(ValueError, match="range span"):
-        extract_target_history(dwells, w, (100, 3000))
-    with pytest.raises(ValueError, match="at least one"):
-        extract_target_history([], w, (0, 10))
+    cut = replace(dwells[0], values=dwells[0].values[:, :-1])
+    # each error is raised for a list and for a one-shot generator alike
+    for seq in (list, iter):
+        with pytest.raises(ValueError, match="range span"):
+            extract_target_history(seq(dwells), w, (100, 3000))
+        with pytest.raises(ValueError, match="at least one"):
+            extract_target_history(seq([]), w, (0, 10))
+        with pytest.raises(ValueError, match="inconsistent range extents"):
+            extract_target_history(seq(dwells + [cut]), w, (100, 140))
     short = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=32)
     tiny = [range_compress(d)
             for d in simulate_isar_sequence(short, body, 1, seed=1)]
     with pytest.warns(UserWarning, match="slow-time"):
         extract_target_history(tiny, w, (100, 140))
+
+
+def test_extract_target_history_takes_a_lazy_stream():
+    # a one-shot generator gives the bytes of the list, and dwell k is
+    # dropped before dwell k + 2 is pulled, so the stream is never held whole
+    body = RigidBodyTarget(center_range_m=1800.0, azimuth_deg=3.0,
+                           rotation_rate=0.02, translational_velocity=1.5,
+                           scatterers=[(0.0, 0.0, 1.0), (4.0, -3.0, 0.6)])
+    raws = simulate_isar_sequence(SMALL, body, 5, seed=2)
+    w = conventional_weights(3.0)
+    want = extract_target_history([range_compress(r) for r in raws], w, (100, 150))
+    refs, dead = [], []
+
+    def stream():
+        for k, raw in enumerate(raws):
+            # dwells 0..k-2 must be gone when dwell k is asked for
+            dead.append(all(ref() is None for ref in refs[:max(k - 1, 0)]))
+            dwell = range_compress(raw)
+            refs.append(weakref.ref(dwell.values))
+            yield dwell
+            del dwell
+
+    got = extract_target_history(stream(), w, (100, 150))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.range_axis.tobytes() == want.range_axis.tobytes()
+    assert (got.prf, got.wavelength) == (want.prf, want.wavelength)
+    assert len(dead) == 5 and all(dead)
 
 
 def test_fractional_peak_parabolic():

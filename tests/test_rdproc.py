@@ -1,4 +1,3 @@
-import sys
 import threading
 import time
 import tracemalloc
@@ -14,7 +13,7 @@ from scipy.signal import get_window
 
 from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process, load_config,
                         range_compress, rd_map, simulate_dwell, transmit_pulse)
-from aesa_chain import rdproc
+from aesa_chain import rdproc, scene
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
 
 from helpers import compress_oracle, dft_oracle, traced_peak, unit_window_oracle
@@ -90,15 +89,6 @@ def test_rd_map_peak_memory_is_one_cube():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * nbytes
-
-
-@pytest.fixture
-def fast_switching():
-    """A shortened interpreter switch interval, so that threads interleave often."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(interval)
 
 
 class _SlowFirstChannel(np.ndarray):
@@ -178,6 +168,53 @@ def test_fused_front_end_failure_reaches_caller(monkeypatch, fast_switching, wor
     assert not caller.is_alive()
     assert len(raised) == 1
     assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
+
+
+class _NoiseFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
+def test_fused_front_end_noise_failure_reaches_caller(monkeypatch, fast_switching, workers):
+    # the noise draw, the stream's fill on the calling thread, raises once
+    # channel 2 is final: the workers waiting for channel 3 are released and
+    # return, and the error reaches the caller once they have
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
+    raw, rng = scene._echo_dwell(SMALL, [], None, 2.0, 0, None)
+    copied = []
+
+    def fill(done):
+        def failing_done(c):
+            done(c)
+            if c == 2:
+                time.sleep(0.2)
+                raise _NoiseFailed
+        scene._add_noise(rng, raw.values, 2.0, failing_done)
+
+    inverse = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        if a.size:
+            copied.append(a.size)
+        return inverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    raised = []
+
+    def call():
+        try:
+            rdproc._rd_stream(raw, "hann", 1, reuse_raw=True, fill=fill)
+        except _NoiseFailed as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert len(raised) == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
+    # no channel past the last final one was transformed
+    assert len(copied) <= 3
 
 
 def test_fused_front_end_keeps_stage_checks():
