@@ -8,10 +8,10 @@ scene dataclasses then check their own values, and mode-specific consistency
 is enforced (t2/t3 require an active jammer, t1/t4 require none; t1/t3 need
 at least one target).
 The configuration hash is the SHA-256 of the canonical JSON rendering of the
-fully resolved tree, so reports can state exactly what produced them.
+converted tree (every schema key, its default where the scenario gives none,
+each value as its converter returns it), so two spellings of one value hash alike.
 """
 
-import copy
 import hashlib
 import json
 import numbers
@@ -298,10 +298,6 @@ def _walk(node, schema: dict, path: str, errors: list) -> dict | None:
     return values
 
 
-#: what an empty tree converts to; ``mode`` has no default
-_DEFAULTS = _walk({}, _SCHEMA, "", [])
-
-
 def _build(section: str, cls, values: dict, errors: list):
     """A scene dataclass from converted values; its own checks report as ``section: ...``."""
     try:
@@ -309,16 +305,6 @@ def _build(section: str, cls, values: dict, errors: list):
     except ValueError as exc:
         errors.append(f"{section}: {exc}")
         return None
-
-
-def _merge(defaults, overrides):
-    out = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
 
 
 def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -329,6 +315,9 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     values = _walk(tree, _SCHEMA, "", errors)
     if errors:
         raise ConfigError("; ".join(errors))
+    # the hashed tree: each value as converted, however the scenario spelled it,
+    # taken before the mode defaults and the pops below change ``values``
+    resolved = _canonical_tree(values)
 
     mode, jam, proc, isar = (values[key] for key in ("mode", "jammer", "processing", "isar"))
     radar = _build("radar", RadarParams, values["radar"], errors)
@@ -383,12 +372,12 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
     )
     if errors:
         raise ConfigError("; ".join(errors))
-    return ExperimentConfig(**values, tree=_canonical_tree(_merge(_DEFAULTS, tree)))
+    return ExperimentConfig(**values, tree=resolved)
 
 
 def _canonical_tree(full: dict) -> dict:
-    """Resolved tree with plain JSON types: lists for tuples, numpy scalars and paths
-    as the numbers and strings they hold."""
+    """A new copy of a converted tree in plain JSON types: lists for tuples, numpy
+    scalars and paths as the numbers and strings they hold."""
     return json.loads(json.dumps(full, default=lambda v: v.item() if isinstance(v, np.generic)
                                  else str(v)))
 

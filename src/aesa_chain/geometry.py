@@ -18,6 +18,9 @@ Conventions
   the element's column offset ``n`` from the array centre.  At half-wavelength
   pitch that is the path phase ``2*pi/lambda * x * sin(az)`` at any carrier,
   so steering depends on azimuth alone.
+* The four rows of a column share its phase, so steering starts from the 12
+  column phasors; a channel entry is the mean of its subarray's two column
+  phasors (the subarray model of Van Trees, *Optimum Array Processing*, 2002).
 """
 
 from dataclasses import dataclass
@@ -42,20 +45,9 @@ PITCH_WAVELENGTHS = 0.5
 #: half-width of the azimuth sector that targets, steering and scans cover, deg
 SECTOR_HALF_WIDTH_DEG = 22.5
 
-#: subarray id of each element, column by column
-_SUBARRAY_INDEX = np.repeat(np.arange(N_AZ) // SUBARRAY_AZ, N_EL)
-_SUBARRAY_INDEX.flags.writeable = False
-
-#: (n_subarrays, n_elements) matrix averaging elements into channels
-_AGGREGATION = np.zeros((N_SUBARRAYS, N_ELEMENTS))
-_AGGREGATION[_SUBARRAY_INDEX, np.arange(N_ELEMENTS)] = 1.0
-_AGGREGATION /= SUBARRAY_AZ * N_EL
-_AGGREGATION.flags.writeable = False
-
-#: element phase per unit sin(az), ``2*pi * pitch * n``, in element order
-_PHASE_STEP = 2.0 * np.pi * PITCH_WAVELENGTHS * (
-    np.repeat(np.arange(N_AZ), N_EL) - (N_AZ - 1) / 2.0)
-_PHASE_STEP.flags.writeable = False
+#: azimuth offset of each element column from the array centre, in pitches
+_COLUMN_OFFSETS = np.arange(N_AZ) - (N_AZ - 1) / 2.0
+_COLUMN_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -90,24 +82,22 @@ class ArrayGeometry:
     def element_positions(self) -> np.ndarray:
         """(n_elements, 2) array of (x, y) positions centred on the origin,
         column by column along azimuth."""
-        ix = np.arange(N_AZ) - (N_AZ - 1) / 2.0
-        iy = np.arange(N_EL) - (N_EL - 1) / 2.0
-        gx, gy = np.meshgrid(ix, iy, indexing="ij")
-        pos = np.column_stack([gx.ravel(), gy.ravel()]) * self.element_pitch
+        pos = np.column_stack([np.repeat(_COLUMN_OFFSETS, N_EL),
+                               np.tile(np.arange(N_EL) - (N_EL - 1) / 2.0, N_AZ)])
+        pos *= self.element_pitch
         pos.flags.writeable = False
         return pos
 
     @property
     def subarray_index(self) -> np.ndarray:
         """Subarray id of each element, in ``element_positions`` order."""
-        return _SUBARRAY_INDEX
+        return np.repeat(np.arange(N_SUBARRAYS), SUBARRAY_AZ * N_EL)
 
     @cached_property
     def subarray_phase_centers(self) -> np.ndarray:
         """(n_subarrays, 2) mean element position of each subarray."""
-        centers = np.zeros((N_SUBARRAYS, 2))
-        for s in range(N_SUBARRAYS):
-            centers[s] = self.element_positions[_SUBARRAY_INDEX == s].mean(axis=0)
+        x = _COLUMN_OFFSETS.reshape(N_SUBARRAYS, SUBARRAY_AZ).sum(axis=1) / SUBARRAY_AZ
+        centers = np.column_stack([x, np.zeros(N_SUBARRAYS)]) * self.element_pitch
         centers.flags.writeable = False
         return centers
 
@@ -119,36 +109,35 @@ def _check_angle(name: str, value: float) -> float:
     return np.deg2rad(value)
 
 
-def _element_phases(az_rad) -> np.ndarray:
-    """(n_elements, n_angles) phase matrix for a vector of azimuths."""
-    return _PHASE_STEP[:, None] * np.sin(np.atleast_1d(az_rad))[None, :]
-
-
-def element_steering(azimuth_deg: float) -> np.ndarray:
-    """Element-level steering vector, one unit-modulus entry per element."""
-    az = _check_angle("azimuth", azimuth_deg)
-    return np.exp(1j * _element_phases(az))[:, 0]
-
-
-def subarray_steering(azimuth_deg: float) -> np.ndarray:
-    """Channel-level steering vector: per-subarray mean of element entries.
-
-    Entries are the element steering entries of each subarray averaged over
-    its eight elements, so the broadside vector is all ones.
-    """
-    return subarray_steering_matrix([azimuth_deg])[:, 0]
-
-
-def subarray_steering_matrix(azimuth_grid_deg) -> np.ndarray:
-    """(n_subarrays, n_angles) steering matrix over an azimuth grid."""
+def _column_phasors(azimuth_grid_deg) -> np.ndarray:
+    """(N_AZ, n_angles) phasors of the element columns over an azimuth grid;
+    the N_EL rows of a column share its phase at zero elevation."""
     grid = np.asarray(azimuth_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("azimuth grid must be a non-empty 1-D sequence")
     bad = grid[~(np.abs(grid) < 90.0)]  # NaN included
     if bad.size:
         raise ValueError(f"azimuth must satisfy |angle| < 90 deg, got {bad[0]}")
-    elem = np.exp(1j * _element_phases(np.deg2rad(grid)))
-    return _AGGREGATION @ elem
+    phase = 2.0 * np.pi * PITCH_WAVELENGTHS * _COLUMN_OFFSETS[:, None]
+    return np.exp(1j * (phase * np.sin(np.deg2rad(grid))))
+
+
+def element_steering(azimuth_deg: float) -> np.ndarray:
+    """Element-level steering vector, one unit-modulus entry per element."""
+    return np.repeat(_column_phasors([azimuth_deg])[:, 0], N_EL)
+
+
+def subarray_steering(azimuth_deg: float) -> np.ndarray:
+    """Channel-level steering vector: each subarray's mean element entry, so
+    the broadside vector is all ones."""
+    return subarray_steering_matrix([azimuth_deg])[:, 0]
+
+
+def subarray_steering_matrix(azimuth_grid_deg) -> np.ndarray:
+    """(n_subarrays, n_angles) steering matrix over an azimuth grid; column j is
+    byte-equal to ``subarray_steering(azimuth_grid_deg[j])``."""
+    pairs = _column_phasors(azimuth_grid_deg).reshape(N_SUBARRAYS, SUBARRAY_AZ, -1)
+    return (pairs[:, 0] + pairs[:, 1]) / SUBARRAY_AZ
 
 
 def beampattern(weights, azimuth_grid_deg) -> np.ndarray:
@@ -170,7 +159,7 @@ def beampattern(weights, azimuth_grid_deg) -> np.ndarray:
     if w.shape != (N_SUBARRAYS,):
         raise ValueError(f"weights must have shape ({N_SUBARRAYS},), got {w.shape}")
     v = subarray_steering_matrix(azimuth_grid_deg)
-    power = np.abs(w.conj() @ v) ** 2
+    power = np.abs((w.conj()[:, None] * v).sum(axis=0)) ** 2
     peak = power.max()
     if peak <= 0.0:
         raise ValueError("weight vector produces an identically zero pattern")

@@ -221,11 +221,11 @@ def _contrast_evaluator(values: np.ndarray, basis: np.ndarray):
     2 / (R C M^2) * sum_r Im(y conj(Z)).  All calls share one set of buffers.
     """
     x = np.ascontiguousarray(values.T)  # slow time on the contiguous axis
-    y, spec = np.empty_like(x), np.empty_like(x)
-    intensity, spare = np.empty(x.shape), np.empty(x.shape)
-    mean = float(np.sum(np.abs(x) ** 2)) / len(x)
+    mean = float(np.sum(np.abs(x) ** 2)) / len(x)  # its temporaries go before the buffers
     if mean <= 0.0:
         raise ValueError("contrast is undefined for an identically zero image")
+    y, spec = np.empty_like(x), np.empty_like(x)
+    intensity, spare = np.empty(x.shape), np.empty(x.shape)
 
     def evaluate(coeffs, gradient=False):
         np.multiply(x, np.exp(-1j * sum(c * b for c, b in zip(coeffs, basis))), out=y)
@@ -339,6 +339,7 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3) -> AutofocusRes
         return -value, -grad * scale
 
     u, value = _bfgs(negative, start)
+    del negative, contrast  # the evaluator's buffers go before the focused history
     poly = PhasePolynomial(coefficients=tuple(u * scale))
     focused = replace(history, values=history.values * np.exp(-1j * poly.phase(t))[:, None],
                       range_axis=history.range_axis.copy())

@@ -202,6 +202,23 @@ def test_hash_is_canonical_sha256():
     assert resolve_config(t1_tree(seed=1)).hash() != cfg.hash()
 
 
+#: t2 respellings of one value each; (section or None, key, value)
+RESPELLED_T2 = [(None, "seed", 11.0), (None, "seed", "11"),
+                (None, "steering_deg", [-20, -10, 0, 10, 20]),
+                ("processing", "window", "HANN"), ("radar", "pulse_width_s", "2e-6")]
+
+
+@pytest.mark.parametrize("section,key,value", RESPELLED_T2)
+def test_hash_is_of_the_resolved_tree(section, key, value):
+    # a value spelled another way resolves to the same tree, so to the same hash
+    want = load_config(CONFIG_DIR / "t2.yaml")
+    tree = load_tree(CONFIG_DIR / "t2.yaml")
+    (tree.setdefault(section, {}) if section else tree)[key] = value
+    got = resolve_config(tree)
+    assert got.tree == want.tree
+    assert got.hash() == want.hash()
+
+
 def test_load_tree_and_config_errors(tmp_path):
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(t1_tree()))

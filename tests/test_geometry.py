@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aesa_chain import ArrayGeometry, beampattern, element_steering, subarray_steering
-from aesa_chain.geometry import N_EL, geometry_table, subarray_steering_matrix
+from aesa_chain.geometry import (N_EL, SECTOR_HALF_WIDTH_DEG, geometry_table,
+                                 subarray_steering_matrix)
 
 from helpers import (element_positions_oracle, pattern_oracle_db,
                      steering_oracle, subarray_steering_oracle)
@@ -68,11 +69,14 @@ def test_subarray_steering_matches_oracle_and_phase_step():
 
 
 def test_subarray_steering_matrix_consistent():
-    grid = np.array([-10.0, 0.0, 12.5])
+    # the 0.05 deg sector grid of the MUSIC scans and the bundled steers and jammer
+    sector = np.arange(-SECTOR_HALF_WIDTH_DEG, SECTOR_HALF_WIDTH_DEG + 1e-4, 0.05)
+    grid = np.concatenate([sector, [-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0, 21.4]])
     m = subarray_steering_matrix(grid)
-    assert m.shape == (6, 3)
+    assert m.shape == (6, 909)
     for j, az in enumerate(grid):
-        np.testing.assert_allclose(m[:, j], subarray_steering(az), atol=1e-14)
+        assert m[:, j].tobytes() == subarray_steering(az).tobytes(), az
+        np.testing.assert_allclose(m[:, j], subarray_steering_oracle(az), rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         subarray_steering_matrix(np.array([]))
     with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from aesa_chain import isar
 from aesa_chain.isar import _fractional_peak
 from aesa_chain.rdproc import WINDOWS
 
-from helpers import dft_oracle, lbfgsb_oracle, roll_align_oracle, unit_window_oracle
+from helpers import (dft_oracle, lbfgsb_oracle, roll_align_oracle, traced_peak,
+                     unit_window_oracle)
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
@@ -406,6 +407,16 @@ def test_autofocus_focuses_every_fittable_cell(t4_aligned, phase, order):
     focused = icba_autofocus(t4_aligned, order=order).contrast_after
     result = icba_autofocus(_injected(t4_aligned, phase), order=order)
     assert result.contrast_after >= 0.99 * focused
+
+
+def test_autofocus_peak_is_the_evaluator_buffers(t4_aligned):
+    # the aligned history keeps slow time on its contiguous axis, so the
+    # evaluator reads it in place; the corrected history, its spectrum and the
+    # two real intensity buffers hold three histories, and the seed's lag
+    # products, the mean's temporaries and the focused history each come while
+    # those buffers are not alive
+    _, peak = traced_peak(icba_autofocus, t4_aligned, order=3)
+    assert peak <= 3.5 * t4_aligned.values.nbytes
 
 
 def test_bfgs_on_an_ill_conditioned_quadratic(monkeypatch):
