@@ -14,8 +14,9 @@ emitted byte.  All artifact numbers are recomputable from the emitted
 intermediates.
 """
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,12 @@ from .config import ExperimentConfig
 from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cells,
                      load_tracks, music_spectrum, pick_peaks, select_training_subset,
                      target_angular_span)
-from .geometry import SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
+from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (cross_range_scale, extract_target_history, form_image,
                    icba_autofocus, range_align)
-from .rdproc import _rd_stream, _workers, doppler_process, range_compress
+from .rdproc import (CompressedDwell, _fast_len, _range_compress, _rd_stream, _workers,
+                     doppler_process)
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
 from .version import __version__
 
@@ -390,37 +392,53 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    isar_cfg = cfg.isar
-    body = isar_cfg.body
-    _check_isar_sequence(cfg.radar, body, isar_cfg.n_dwells, cfg.noise_power)
+    """Dwell 0 runs here, the rest in order on the front end's threads, dwell
+    ``d`` into compressed slot ``d % (workers + 1)`` once the extraction is done
+    with the dwell that slot held.  The slots, and per worker one raw cube and
+    one one-channel padded spectrum (via a queue), are allocated here, as the
+    ``rdproc`` docstring says, and dropped before the back end runs."""
+    isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
+    _check_isar_sequence(params, body, n, cfg.noise_power)
+    workers = _workers(n - 1)
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex),
+                  np.empty((1, params.n_pulses, _fast_len(params.n_fast)), dtype=complex)))
+    slots = np.empty((workers + 1, N_SUBARRAYS, params.n_range_bins, params.n_pulses),
+                     dtype=complex)
 
-    def dwell(d: int):
-        """Dwell ``d`` compressed; its raw cube dies here unless it is dwell 0
-        and ``emit_raw`` keeps it for its grids."""
-        raw = _isar_dwell(cfg.radar, body, d, cfg.seed, cfg.noise_power)
-        if emit_raw and d == 0:
-            _raw_grids(report, raw)
-        return range_compress(raw)
+    def dwell(d: int) -> CompressedDwell:
+        """Dwell ``d`` compressed into its slot, one channel at a time."""
+        cube, spec = free.get()
+        try:
+            raw = _isar_dwell(params, body, d, cfg.seed, cfg.noise_power,
+                              out=None if emit_raw and d == 0 else cube)
+            if raw.values is not cube:  # dwell 0 of emit_raw, in a cube its grids keep
+                _raw_grids(report, raw)
+            slot = slots[d % (workers + 1)]
+            for c in range(N_SUBARRAYS):
+                _range_compress(replace(raw, values=raw.values[c:c + 1]), spec, slot[c:c + 1])
+            return CompressedDwell(values=slot, range_axis=params.range_axis(), params=params)
+        finally:
+            free.put((cube, spec))
 
-    # dwell 0 here, the rest in order on the front end's threads, each one
-    # submitted once the one `workers` places before it is done
-    n, workers = isar_cfg.n_dwells, _workers(isar_cfg.n_dwells - 1)
     steer = cfg.steering_deg[0]
     weights = conventional_weights(steer)
-    held = [dwell(0)]
+    first = dwell(0)
     with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
         ahead = [pool.submit(dwell, d) for d in range(1, min(workers + 1, n))]
 
         def dwells():
-            yield held.pop()  # kept by no one once taken, nor is any later one
+            yield first
             for d in range(workers + 1, n + workers):
                 taken = ahead.pop(0).result()
                 if d < n:
                     ahead.append(pool.submit(dwell, d))
                 yield taken
 
-        lo, hi = _image_window(cfg, held[0], weights)
+        lo, hi = _image_window(cfg, first, weights)
         history = extract_target_history(dwells(), weights, (lo, hi))
+    del free, slots, first  # the front end's buffers, before the back end
     aligned, shifts = range_align(history)
     del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)

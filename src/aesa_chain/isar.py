@@ -154,12 +154,15 @@ def range_align(history: RangeProfileHistory):
         corr = np.fft.ifft(env[k] * np.conj(ref)).real / k
         shifts[k] = _fractional_peak(corr)
         ref += env[k] * ramps[reach + round(shifts[k])]
+    del env, ref  # the tail holds the history and two of its size at most
     t = np.arange(n_slow) / history.prf
     coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(2, n_slow - 1))
     smooth = np.polynomial.polynomial.polyval(t, coeffs)
     smooth -= smooth[0]
-    ramp = np.exp(advance[None, :] * smooth[:, None])
-    aligned = np.fft.ifft(np.fft.fft(x, axis=1) * ramp, axis=1)
+    ramp = advance[None, :] * smooth[:, None]
+    aligned = np.fft.fft(x, axis=1)
+    aligned *= np.exp(ramp, out=ramp)
+    np.fft.ifft(aligned, axis=1, out=aligned)
     return replace(history, values=aligned, range_axis=history.range_axis.copy()), smooth
 
 

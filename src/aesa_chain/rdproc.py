@@ -15,17 +15,20 @@ full swath), not at ``n_fast`` itself, whose prime factors can be large
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
 
 ``range_compress`` and ``doppler_process`` are the two stages on their own;
-the t4 imaging run calls them, and ``rd_map`` runs them on no channels for
-their checks and the map's axes.  ``rd_map`` fuses them: each channel is
-copied into one padded ``(oversample * n_pulses, nfft)`` spectrum,
-compressed, windowed and Doppler-transformed in place, and divided,
-fftshifted, into its slot of the cube, on up to ``MAX_WORKERS`` threads with
-the same bytes for any count.  ``_rd_stream`` with ``reuse_raw`` writes that
-map over the raw cube's storage, so a dwell holds one cube, not two.  That
-is safe because channels are taken and copied in order under one lock, so
-raw channels ``0..c`` are copied before slot ``c`` is written, and slot ``c``
-overlaps no later raw channel when ``oversample * n_r <= n_fast``, nor the
-t1-t3 noise draw (the ``fill``), which by then writes only later channels.
+``rd_map`` runs them on no channels for their checks and the map's axes.
+It fuses them: each channel is copied into one padded ``(oversample *
+n_pulses, nfft)`` spectrum, compressed, windowed and Doppler-transformed in
+place, and divided, fftshifted, into its slot of the cube, on up to
+``MAX_WORKERS`` threads with the same bytes for any count.  The t4 run
+compresses each dwell channel by channel through ``_range_compress``.  Every
+dwell-sized front-end array is allocated on the calling thread, not on a
+worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``
+writes the map over the raw cube's storage, so a dwell holds one cube, not
+two.  That is safe because channels are taken and copied in order under one
+lock, so raw channels ``0..c`` are copied before slot ``c`` is written, and
+slot ``c`` overlaps no later raw channel when ``oversample * n_r <= n_fast``,
+nor the t1-t3 noise draw (the ``fill``), which by then writes only later
+channels.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history.
@@ -113,16 +116,21 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     Only full-overlap correlation lags are kept, so output bin ``m``
     corresponds to range ``r_min + m * c / (2 fs)``.
     """
-    match, n_r = _matched_filter(raw)
-    x = raw.values
-    n_ch, n_fast, n_p = x.shape
-    # the padded spectrum is (n_ch, n_p, nfft), fast time on the contiguous axis
-    spec = np.zeros((n_ch, n_p, match.size), dtype=complex)
+    (n_ch, _, n_p), params = raw.values.shape, raw.params
+    return _range_compress(raw, np.empty((n_ch, n_p, _fast_len(params.n_fast)), dtype=complex),
+                           np.empty((n_ch, params.n_range_bins, n_p), dtype=complex))
+
+
+def _range_compress(raw: RawDatacube, spec: np.ndarray, out: np.ndarray) -> CompressedDwell:
+    """``range_compress`` through the padded spectrum ``spec``, ``(n_ch,
+    n_pulses, nfft)``, into ``out``; both are written before they are read."""
+    (match, n_r), x = _matched_filter(raw), raw.values
+    n_fast = x.shape[1]
     spec[..., :n_fast] = x.transpose(0, 2, 1)
+    spec[..., n_fast:] = 0
     np.fft.fft(spec, out=spec)
     spec *= match
     np.fft.ifft(spec, out=spec)
-    out = np.empty((n_ch, n_r, n_p), dtype=complex)
     out[...] = spec[..., :n_r].transpose(0, 2, 1)
     return CompressedDwell(values=out, range_axis=raw.params.range_axis(), params=raw.params)
 
@@ -239,7 +247,6 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     else:
         rd.values = np.empty((n_ch, n_r, n_dop), dtype=rd.values.dtype)
     out, match, w = rd.values, _matched_filter(raw)[0], _unit_window(window, n_p)
-    # allocated here, not in the threads, whose malloc arenas would keep them
     bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(_workers(n_ch))]
     lock, channels = threading.Lock(), iter(range(n_ch))
     ready, failed = threading.Semaphore(0), threading.Event()

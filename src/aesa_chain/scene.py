@@ -288,16 +288,15 @@ def _add_echo(cube: np.ndarray, gain: np.ndarray, env: np.ndarray,
               slow: np.ndarray | None = None) -> None:
     """Add the echo ``gain[ch] * env[fast, pulse] * slow[pulse]`` to ``cube``.
 
-    The product is taken left to right; ``env`` is ``(n_fast, 1)`` or
+    The product is taken left to right, one channel at a time, so no
+    temporary outgrows a channel; ``env`` is ``(n_fast, 1)`` or
     ``(n_fast, n_pulses)`` and ``slow`` is optional.  Only the rows from the
     first to the last non-zero row of ``env`` are touched.
     """
     rows = np.flatnonzero(env.any(axis=1))
     on = slice(rows[0], rows[-1] + 1)
-    echo = gain[:, None, None] * env[None, on]
-    if slow is not None:
-        echo = echo * slow
-    cube[:, on, :] += echo
+    for channel, g in zip(cube, gain):
+        channel[on] += g * env[on] if slow is None else g * env[on] * slow
 
 
 def _channel_gain(sv: np.ndarray) -> float:
@@ -437,20 +436,23 @@ def _check_isar_sequence(params: RadarParams, body: RigidBodyTarget, n_dwells: i
 
 
 def _isar_dwell(params: RadarParams, body: RigidBodyTarget, d: int, seed: int,
-                noise_power: float = 1.0, noise: bool = True) -> RawDatacube:
+                noise_power: float = 1.0, noise: bool = True,
+                out: np.ndarray | None = None) -> RawDatacube:
     """Dwell ``d`` of ``simulate_isar_sequence``, which depends on nothing but
-    ``d`` and its key ``seed + d``."""
+    ``d`` and its key ``seed + d``, in a fresh cube or zeroed into ``out``."""
     t_fast = params.tau_min + np.arange(params.n_fast) / params.sample_rate
     t_slow = (d * params.n_pulses + np.arange(params.n_pulses)) / params.prf
     ranges = body.scatterer_range(t_slow)  # (n_scat, n_pulses)
     if np.any(ranges < params.r_min) or np.any(ranges > params.r_max):
         raise ConfigError("rigid body leaves the receive window during the sequence")
     sv = subarray_steering(body.azimuth_deg)
-    cube = np.zeros((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
+    if out is None:
+        out = np.empty((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex)
+    out.fill(0)
     for (_down, _cross, amp), r in zip(body.scatterers, ranges):
         env = _pulse_envelope(params, t_fast[:, None] - 2.0 * r / SPEED_OF_LIGHT)
         phase = np.exp(-1j * 4.0 * np.pi * r / params.wavelength)
-        _add_echo(cube, amp * sv, env * phase[None, :])
+        _add_echo(out, amp * sv, env * phase[None, :])
     if noise:
-        _add_noise(_rng(seed + d), cube, noise_power)
-    return RawDatacube(values=cube, params=params)
+        _add_noise(_rng(seed + d), out, noise_power)
+    return RawDatacube(values=out, params=params)

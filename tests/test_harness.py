@@ -1,9 +1,12 @@
+import concurrent.futures.thread
 import filecmp
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -15,7 +18,7 @@ import yaml
 from scipy.fft import next_fast_len
 
 import aesa_chain
-from aesa_chain import (ConfigError, apply_beamformer, conventional_weights, experiments,
+from aesa_chain import (ConfigError, apply_beamformer, conventional_weights, experiments, isar,
                         load_config, range_compress, rd_map, rdproc, read_grid,
                         run_experiment, simulate_dwell, simulate_isar_sequence, write_report)
 from aesa_chain.cli import _steer_list, main
@@ -330,87 +333,153 @@ def small_t4(n_dwells, **body):
 
 
 def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
-    # each worker simulates and compresses one dwell at a time, so when any
-    # dwell is compressed at most one raw dwell per worker is alive, plus
-    # dwell 0 when the raw grids of --emit-raw keep it
+    # each dwell is simulated into one of `workers` raw cubes that the run
+    # allocates before its threads start and that a task takes from a queue
+    # and puts back, so at most one raw dwell per worker is ever alive; only
+    # dwell 0 under --emit-raw gets a fresh cube, which its raw grids keep
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(8)
-    lock, raws, alive = threading.Lock(), {}, []
-    simulate, compress = experiments._isar_dwell, experiments.range_compress
+    lock, cubes = threading.Lock(), {}
+    simulate = experiments._isar_dwell
 
-    def recording_simulate(params, body, d, *args, **kwargs):
-        raw = simulate(params, body, d, *args, **kwargs)
+    def recording_simulate(params, body, d, *args, out=None, **kwargs):
+        raw = simulate(params, body, d, *args, out=out, **kwargs)
         with lock:
-            raws[d] = weakref.ref(raw.values)
+            cubes[d] = (out, raw.values)
         return raw
 
-    def checking_compress(raw):
-        with lock:
-            alive.append(sorted(d for d, ref in raws.items() if ref() is not None))
-        return compress(raw)
-
     monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
-    monkeypatch.setattr(experiments, "range_compress", checking_compress)
     for emit_raw in (False, True):
-        raws.clear()
-        alive.clear()
-        run_experiment(cfg, emit_raw=emit_raw)
-        assert sorted(raws) == list(range(8)) and len(alive) == 8 and alive[0] == [0]
-        for held in alive[1:]:
-            assert (0 in held) == emit_raw
-            assert 1 <= len(held) - emit_raw <= experiments._workers(7)
+        cubes.clear()
+        report = run_experiment(cfg, emit_raw=emit_raw)
+        assert sorted(cubes) == list(range(8))
+        assert [d for d, (out, _) in cubes.items() if out is None] == ([0] if emit_raw else [])
+        given = {id(out): out for out, _ in cubes.values() if out is not None}
+        assert 1 <= len(given) <= experiments._workers(7)
+        assert all(values is out for out, values in cubes.values() if out is not None)
+        if emit_raw:  # the grids hold dwell 0's own cube, no reused one
+            assert all(np.shares_memory(grid.values, cubes[0][1])
+                       for name, grid in report.grids.items() if name.startswith("raw_ch"))
+            assert not any(np.shares_memory(cube, cubes[0][1]) for cube in given.values())
 
 
 def test_t4_few_compressed_dwells_alive(monkeypatch):
-    # a dwell is submitted only once the one `workers` places before it is
-    # done, and each is dropped once its window's rows are taken, so when any
-    # dwell is compressed at most one compressed dwell per worker, the one
-    # being extracted and one done and waiting are alive; holding every
-    # compressed dwell until the extraction kept all 32
+    # the compressed dwells go round a ring of workers + 1 slots allocated
+    # before the threads start: dwell d is submitted into the slot of the
+    # dwell the extraction has just finished, so the 32 dwells handed to the
+    # extraction live in workers + 1 buffers, even when every one of them is
+    # kept alive (holding every compressed dwell until the extraction kept 32),
+    # and no dwell changes while the extraction holds it, even while the
+    # dwells in flight run to their end
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = load_config(CONFIG_DIR / "t4.yaml")
-    lock, compressed, alive = threading.Lock(), [], []
-    compress = experiments.range_compress
+    handed, extract = [], experiments.extract_target_history
 
-    def recording_compress(raw):
-        with lock:
-            alive.append((len(compressed),
-                          [k for k, ref in enumerate(compressed) if ref() is not None]))
-        out = compress(raw)
-        with lock:
-            compressed.append(weakref.ref(out.values))
-        return out
+    def recording_extract(dwells, *args):
+        def recorded():
+            for dwell in dwells:
+                handed.append(dwell.values)
+                before = dwell.values.tobytes()
+                yield dwell
+                time.sleep(0.02)
+                assert dwell.values.tobytes() == before, "a dwell changed while held"
+        return extract(recorded(), *args)
 
-    monkeypatch.setattr(experiments, "range_compress", recording_compress)
+    monkeypatch.setattr(experiments, "extract_target_history", recording_extract)
     run_experiment(cfg)
-    assert len(alive) == cfg.isar.n_dwells == 32
-    bound = experiments._workers(31) + 2
-    for n_done, held in alive:
-        # few, and each among the latest compressed: dwell 0 is not kept either
-        assert len(held) <= bound and all(k >= n_done - bound for k in held)
+    assert len(handed) == cfg.isar.n_dwells == 32
+    buffers = {values.__array_interface__["data"][0] for values in handed}
+    assert len(buffers) == experiments._workers(31) + 1
 
 
 def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
     # the raw sequence never exists whole, nor do its compressed dwells: the
-    # run peaks at a few compressed dwells (see the test above) plus, per
-    # worker, one raw dwell and its padded range spectrum; the margin of one
-    # more raw dwell covers the fixed costs (replica, axes, echo temporaries,
-    # the profile rows); simulating every raw dwell first peaked at 79.6 MiB,
-    # and holding every compressed dwell until the extraction at 37.9 MiB
+    # front end holds its ring of workers + 1 compressed slots and, per
+    # worker, one raw dwell and one one-channel padded range spectrum; the run
+    # peaks when the extraction stacks its rows into the history, which then
+    # exist twice, and half a MiB covers the fixed costs (replica, axes, echo
+    # temporaries); simulating every raw dwell first peaked at 79.6 MiB,
+    # holding every compressed dwell until the extraction at 37.9 MiB, and
+    # the run before its caller-owned buffers and in-place alignment tail at
+    # 15.1 MiB
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     params, n_ch, workers = cfg.radar, 6, experiments._workers(cfg.isar.n_dwells - 1)
     compressed_nbytes = n_ch * params.n_range_bins * params.n_pulses * 16
     raw_nbytes = n_ch * params.n_fast * params.n_pulses * 16
-    spectrum_nbytes = n_ch * params.n_pulses * next_fast_len(params.n_fast) * 16
-    _, peak = traced_peak(run_experiment, cfg)
-    assert peak <= ((workers + 2) * compressed_nbytes + 2 * (raw_nbytes + spectrum_nbytes)
-                    + raw_nbytes)
+    spectrum_nbytes = params.n_pulses * next_fast_len(params.n_fast) * 16
+    report, peak = traced_peak(run_experiment, cfg)
+    lo, hi = report.metrics["window_range_bins"]
+    history_nbytes = cfg.isar.n_dwells * params.n_pulses * (hi - lo) * 16
+    assert peak <= ((workers + 1) * compressed_nbytes + workers * (raw_nbytes + spectrum_nbytes)
+                    + 2 * history_nbytes + 2**19)
 
 
-def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch):
+def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
+    # every dwell-sized array of the t4 front end is allocated on the calling
+    # thread, so no block of 512 KiB or more that a dwell thread allocated is
+    # ever alive (a raw dwell is 2.4 MiB, a six-channel range spectrum too, a
+    # compressed dwell 0.96 MiB); such blocks stay in the thread's malloc arena
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    cfg = small_t4(6)
+    on_thread = tracemalloc.Filter(True, concurrent.futures.thread.__file__, all_frames=True)
+    lock, snapshots, blocks = threading.Lock(), [], []
+
+    def snapshotting(module, name):
+        stage = getattr(module, name)
+
+        def patched(*args, **kwargs):
+            with lock:
+                snapshot = tracemalloc.take_snapshot().filter_traces([on_thread])
+                snapshots.append(threading.current_thread().name)
+                blocks.extend(t for t in snapshot.traces if t.size >= 2**19)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, patched)
+
+    # inside each channel's compression, on the threads, and as each dwell is
+    # beamformed, on the calling thread
+    snapshotting(rdproc, "_matched_filter")
+    snapshotting(isar, "apply_beamformer")
+    tracemalloc.start(25)
+    try:
+        run_experiment(cfg)
+    finally:
+        tracemalloc.stop()
+    assert any(name.startswith("isar_dwell") for name in snapshots)
+    assert blocks == []
+
+
+def test_t4_emit_raw_keeps_dwell_0_and_every_other_byte(tmp_path, monkeypatch):
+    # dwell 0 of --emit-raw is simulated into a fresh cube, as its raw grids
+    # hold views of it: had a reused cube held it, a later dwell would have
+    # overwritten those grids before they were written
+    monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    cfg = small_t4(6)
+    for emit_raw in (False, True):
+        write_report(run_experiment(cfg, emit_raw=emit_raw), tmp_path / str(emit_raw))
+    dwell0 = simulate_isar_sequence(cfg.radar, cfg.isar.body, 1, cfg.seed, cfg.noise_power)[0]
+    raw = [f"raw_ch{c}.aesg" for c in range(6)]
+    for c, name in enumerate(raw):
+        got = read_grid(tmp_path / "True" / name).values
+        assert got.tobytes() == dwell0.values[c].astype(np.complex64).tobytes()
+    names = sorted(p.name for p in (tmp_path / "False").iterdir())
+    assert sorted(p.name for p in (tmp_path / "True").iterdir()) == sorted(names + raw)
+    # the summary differs only in listing the raw grids among its artifacts
+    summary = (tmp_path / "False" / "summary.txt").read_text()
+    assert (tmp_path / "True" / "summary.txt").read_text() == summary.replace(
+        "isar_image.aesg]", f"isar_image.aesg, {', '.join(raw)}]")
+    names.remove("summary.txt")
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "False", tmp_path / "True", names,
+                                               shallow=False)
+    assert len(match) == 3 and mismatch == [] and errors == []
+
+
+def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch, fast_switching):
     # the dwells run in any order on any thread and give the same report,
-    # and the history is that of the sequence simulator compressed dwell by dwell
+    # and the history is that of the sequence simulator compressed dwell by
+    # dwell; the threads interleave often, and 6 workers outnumber the cores,
+    # so a slot or a raw cube reused too early would change the bytes
     cfg = small_t4(6)
     histories, extract = [], experiments.extract_target_history
 

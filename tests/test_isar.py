@@ -355,18 +355,32 @@ def test_autofocus_validation():
 
 
 @pytest.fixture(scope="module")
-def t4_aligned():
-    """The aligned history of the bundled t4 scenario (seed 5), as the chain forms it."""
+def t4_history():
+    """The profile history of the bundled t4 scenario (seed 5), as the chain forms it."""
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     body = cfg.isar.body
     dwells = simulate_isar_sequence(cfg.radar, body, cfg.isar.n_dwells, cfg.seed,
                                     cfg.noise_power)
     center = cfg.radar.range_bin_of(body.center_range_m)
     hw = cfg.isar.window_halfwidth_bins
-    history = extract_target_history([range_compress(d) for d in dwells],
-                                     conventional_weights(cfg.steering_deg[0]),
-                                     (center - hw, center + hw + 1))
-    return range_align(history)[0]
+    return extract_target_history([range_compress(d) for d in dwells],
+                                  conventional_weights(cfg.steering_deg[0]),
+                                  (center - hw, center + hw + 1))
+
+
+@pytest.fixture(scope="module")
+def t4_aligned(t4_history):
+    """The aligned history of the bundled t4 scenario."""
+    return range_align(t4_history)[0]
+
+
+def test_range_align_peak_is_two_and_a_half_histories(t4_history):
+    # the envelope spectrum of the magnitudes (half a history, then two while
+    # it is transformed) is dropped before the final stage, which builds the
+    # ramp in place and runs the forward transform, the ramp product and the
+    # inverse transform in one buffer; the tail once held four histories
+    _, peak = traced_peak(range_align, t4_history)
+    assert peak <= 2.6 * t4_history.values.nbytes
 
 
 #: injected phases: c_2, c_3, c_4 in rad/s^n

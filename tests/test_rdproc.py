@@ -44,6 +44,23 @@ def test_range_compress_matches_direct_correlation():
                                SMALL.r_min + np.arange(SMALL.n_range_bins) * SMALL.range_bin_m)
 
 
+def test_range_compress_per_channel_into_used_buffers():
+    # the t4 run compresses channel by channel through one padded spectrum
+    # and into a compressed slot, both of which held an earlier dwell: the
+    # padding is zeroed, so stale samples (here NaN) never leak in
+    for params in (SMALL, PADDED):
+        raw = simulate_dwell(params, [], noise_power=2.0, seed=5)
+        want = range_compress(raw)
+        spec = np.full((1, params.n_pulses, next_fast_len(params.n_fast)), np.nan,
+                       dtype=complex)
+        out = np.full(want.values.shape, np.nan, dtype=complex)
+        for c in range(raw.values.shape[0]):
+            got = rdproc._range_compress(replace(raw, values=raw.values[c:c + 1]), spec,
+                                         out[c:c + 1])
+            assert np.shares_memory(got.values, out)
+        assert out.tobytes() == want.values.tobytes()
+
+
 def test_range_compress_at_padded_length_matches_direct_correlation():
     assert next_fast_len(PADDED.n_fast) != PADDED.n_fast
     # echoes at both ends of the receive window, where a wrapped lag would land

@@ -5,6 +5,7 @@ from aesa_chain import (ArrayGeometry, ClutterBand, ConfigError, JammerSource, P
                         RadarParams, RigidBodyTarget, simulate_dwell,
                         simulate_isar_sequence, target_amplitude,
                         transmit_pulse)
+from aesa_chain.scene import _isar_dwell
 
 from helpers import compress_oracle as _compress
 from helpers import dense_dwell_oracle, dense_isar_oracle, traced_peak
@@ -242,6 +243,21 @@ def test_simulate_isar_sequence_matches_dense_oracle():
                 want = dense_isar_oracle(SMALL, body, 3, seed=seed, noise=noise)
                 for d, (dwell, cube) in enumerate(zip(got, want)):
                     assert dwell.values.tobytes() == cube.tobytes(), (body, noise, seed, d)
+
+
+def test_isar_dwell_into_a_used_cube_is_a_fresh_dwell():
+    # the t4 run simulates each dwell into a cube that held an earlier one:
+    # the cube is zeroed first, so stale samples (here NaN) never leak in
+    body = RigidBodyTarget(center_range_m=1800.0, azimuth_deg=-7.0, rotation_rate=0.05,
+                           translational_velocity=-150.0,
+                           scatterers=[(0.0, 0.0, 1.0), (4.8, 3.0, 0.8)])
+    for noise in (True, False):
+        for d in (0, 2):
+            want = _isar_dwell(SMALL, body, d, 3, 2.0, noise)
+            cube = np.full(want.values.shape, np.nan, dtype=complex)
+            got = _isar_dwell(SMALL, body, d, 3, 2.0, noise, out=cube)
+            assert got.values is cube
+            assert cube.tobytes() == want.values.tobytes(), (noise, d)
 
 
 def test_isar_per_dwell_seeding():
