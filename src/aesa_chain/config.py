@@ -173,7 +173,10 @@ _SCHEMA = {
         "cfar_train": _Leaf(16, _int, _AT_LEAST_1),
         "cfar_guard": _Leaf(2, _int, _NON_NEGATIVE),
         "detection_guard": _Leaf(3, _int, _NON_NEGATIVE),
-        "music_grid_step_deg": _Leaf(0.05, _finite, _POSITIVE),
+        # the MUSIC grid has round(2 * SECTOR_HALF_WIDTH_DEG / step) + 1 points; picking needs 3
+        "music_grid_step_deg": _Leaf(0.05, _finite, (
+            lambda step: 0.0 < step <= 4.0 * SECTOR_HALF_WIDTH_DEG / 3.0,
+            f"lie in (0, {4.0 * SECTOR_HALF_WIDTH_DEG / 3.0:g}] for 3 MUSIC grid points")),
         "music_window_bins": _Leaf(None, _PAIR, _NON_NEGATIVE_PAIR),  # default by mode
         "music_guard_bins": _Leaf(None, _PAIR, _NON_NEGATIVE_PAIR),
         "music_sources": _Leaf(None, _int, (lambda n: 1 <= n <= 5, "lie in [1, 5]")),

@@ -30,8 +30,8 @@ from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cell
                      target_angular_span)
 from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
-from .isar import (cross_range_scale, extract_target_history, form_image,
-                   icba_autofocus, range_align)
+from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
+                   range_align)
 from .rdproc import (CompressedDwell, _fast_len, _range_compress, _rd_stream, _workers,
                      doppler_process)
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
@@ -233,9 +233,11 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
         metrics["detection_range_m"] = det.range_m
         metrics["detection_velocity_mps"] = det.radial_velocity
         cov, peaks = _music(cfg, report, rd, det, cmask, default_sources=1)
-        metrics["azimuth_estimate_deg"] = peaks.azimuths[0]
         metrics["music_snapshots"] = cov.snapshot_count
-
+        if not peaks.azimuths:  # no local maximum on the MUSIC grid: no bearing
+            metrics["music_complete"] = False
+            return
+        metrics["azimuth_estimate_deg"] = peaks.azimuths[0]
         if tracks is not None:
             in_range = [t for t in tracks
                         if abs(t.range_m - det.range_m) <= proc.assoc_tolerance_m]
@@ -392,53 +394,47 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    """Dwell 0 runs here, the rest in order on the front end's threads, dwell
-    ``d`` into compressed slot ``d % (workers + 1)`` once the extraction is done
-    with the dwell that slot held.  The slots, and per worker one raw cube and
-    one one-channel padded spectrum (via a queue), are allocated here, as the
-    ``rdproc`` docstring says, and dropped before the back end runs."""
+    """Dwell 0 runs here and sets the history's range window; every other dwell is a task on
+    the front end's threads that writes its own rows of the history.  Per worker one buffer
+    set (a raw cube, a one-channel padded spectrum and a compressed slot) is allocated here,
+    as the ``rdproc`` docstring says, and dropped before the back end."""
     isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
     _check_isar_sequence(params, body, n, cfg.noise_power)
-    workers = _workers(n - 1)
+    n_p, workers = params.n_pulses, _workers(n - 1)
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty((N_SUBARRAYS, params.n_fast, params.n_pulses), dtype=complex),
-                  np.empty((1, params.n_pulses, _fast_len(params.n_fast)), dtype=complex)))
-    slots = np.empty((workers + 1, N_SUBARRAYS, params.n_range_bins, params.n_pulses),
-                     dtype=complex)
+        free.put((np.empty((N_SUBARRAYS, params.n_fast, n_p), dtype=complex),
+                  np.empty((1, n_p, _fast_len(params.n_fast)), dtype=complex),
+                  np.empty((N_SUBARRAYS, params.n_range_bins, n_p), dtype=complex)))
 
-    def dwell(d: int) -> CompressedDwell:
-        """Dwell ``d`` compressed into its slot, one channel at a time."""
-        cube, spec = free.get()
+    def compress(raw, spec: np.ndarray, slot: np.ndarray) -> CompressedDwell:
+        for c in range(N_SUBARRAYS):
+            _range_compress(replace(raw, values=raw.values[c:c + 1]), spec, slot[c:c + 1])
+        return CompressedDwell(values=slot, range_axis=params.range_axis(), params=params)
+
+    def dwell(d: int) -> None:
+        cube, spec, slot = buffers = free.get()
         try:
-            raw = _isar_dwell(params, body, d, cfg.seed, cfg.noise_power,
-                              out=None if emit_raw and d == 0 else cube)
-            if raw.values is not cube:  # dwell 0 of emit_raw, in a cube its grids keep
-                _raw_grids(report, raw)
-            slot = slots[d % (workers + 1)]
-            for c in range(N_SUBARRAYS):
-                _range_compress(replace(raw, values=raw.values[c:c + 1]), spec, slot[c:c + 1])
-            return CompressedDwell(values=slot, range_axis=params.range_axis(), params=params)
+            compress(_isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube), spec, slot)
+            history.values[d * n_p:(d + 1) * n_p] = apply_beamformer(slot[:, lo:hi], weights).T
         finally:
-            free.put((cube, spec))
+            free.put(buffers)
 
     steer = cfg.steering_deg[0]
     weights = conventional_weights(steer)
-    first = dwell(0)
+    cube, spec, slot = free.get()
+    raw = _isar_dwell(params, body, 0, cfg.seed, cfg.noise_power, out=None if emit_raw else cube)
+    if emit_raw:  # in a fresh cube, which its grids keep
+        _raw_grids(report, raw)
+    lo, hi = _image_window(cfg, compress(raw, spec, slot), weights)
+    # F order, as the stacked extraction gives: the autofocus seed's last bits depend on it
+    history = RangeProfileHistory(np.empty((n * n_p, hi - lo), dtype=complex, order="F"),
+                                  params.prf, params.range_axis()[lo:hi], params.wavelength)
+    history.values[:n_p] = apply_beamformer(slot[:, lo:hi], weights).T
+    free.put((cube, spec, slot))
     with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
-        ahead = [pool.submit(dwell, d) for d in range(1, min(workers + 1, n))]
-
-        def dwells():
-            yield first
-            for d in range(workers + 1, n + workers):
-                taken = ahead.pop(0).result()
-                if d < n:
-                    ahead.append(pool.submit(dwell, d))
-                yield taken
-
-        lo, hi = _image_window(cfg, first, weights)
-        history = extract_target_history(dwells(), weights, (lo, hi))
-    del free, slots, first  # the front end's buffers, before the back end
+        list(pool.map(dwell, range(1, n)))  # an error cancels the dwells not yet started
+    del free, raw, cube, spec, slot  # the front end's buffers, before the back end
     aligned, shifts = range_align(history)
     del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)

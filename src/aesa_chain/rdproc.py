@@ -219,8 +219,8 @@ def rd_map(raw: RawDatacube, window: str = "hann", oversample: int = 1) -> RDDat
 
 
 def _workers(n_ch: int) -> int:
-    """Threads of the fused front end, over channels, or of the t4 dwells: one
-    per usable core, ``MAX_WORKERS`` and one per item at most, and one for none."""
+    """Threads of the fused front end, or of t4 dwells 1..n-1 with a buffer set each: one per
+    usable core, ``MAX_WORKERS`` and one per item at most, and one for none."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cores or 1, MAX_WORKERS, max(n_ch, 1))
 

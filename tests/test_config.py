@@ -8,7 +8,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, cfar_detect,
+from aesa_chain import (ConfigError, ExperimentConfig, RadarParams, cfar_detect, experiments,
                         load_config, load_tree, resolve_config)
 from aesa_chain.cli import main
 from aesa_chain.config import _REQUIRED, _SCHEMA, MODES, config_hash, dump_config
@@ -66,6 +66,8 @@ MALFORMED = [
     ({"mode": "t1", "targets": [{"range_m": 5000.0}]}, r"targets\[0\].azimuth_deg"),
     ({"mode": "t4", "isar": {"window_halfwidth_bins": 0}}, "isar.window_halfwidth_bins"),
     (t1_tree(processing={"cfar_train": 5000}), "processing.cfar_train"),
+    # a 2-point MUSIC grid, which peak picking cannot use
+    (t1_tree(processing={"music_grid_step_deg": 45.0}), "processing.music_grid_step_deg"),
     ({"mode": "t2", "jammer": {"active": True}, "processing": {"cfar_train": 5000}},
      "processing.cfar_train"),
 ]
@@ -156,6 +158,15 @@ def test_cfar_window_rule_matches_the_detector():
         cfar_detect(np.ones((n_r, 3)), 1e-3, n_train=train + 1, n_guard=guard)
     with pytest.raises(ConfigError, match="processing.cfar_train"):
         resolve_config(t1_tree(processing={"cfar_train": train + 1, "cfar_guard": guard}))
+
+
+def test_music_grid_rule_matches_peak_picking():
+    # the coarsest step resolve_config accepts gives the 3-point MUSIC grid
+    # that peak picking needs at least; the next coarser step is refused
+    coarsest = resolve_config(t1_tree(processing={"music_grid_step_deg": 30.0}))
+    assert experiments._music_grid(coarsest).size == 3
+    with pytest.raises(ConfigError, match="processing.music_grid_step_deg"):
+        resolve_config(t1_tree(processing={"music_grid_step_deg": np.nextafter(30.0, 31.0)}))
 
 
 def test_steering_validation():

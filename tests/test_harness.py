@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -192,6 +191,26 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
         assert f"{blocker} is not a directory" in caplog.text
 
 
+def test_t1_without_music_peak_reports_incomplete(tmp_path):
+    # a 20 deg step leaves one interior point of the MUSIC grid (-22.5, -2.5
+    # and 17.5 deg), which here is no local maximum: the run writes
+    # music_complete = false in place of the bearing and the track metrics
+    scenario = tmp_path / "scene.yaml"
+    scenario.write_text(yaml.safe_dump({
+        "mode": "t1", "seed": 1, "steering_deg": [20.0],
+        "radar": {"r_min_m": 4000.0, "r_max_m": 6000.0},
+        "targets": [{"range_m": 5000.0, "azimuth_deg": 20.0, "snr_db": 25.0}],
+        "clutter": {"enabled": True, "n_range_bins": 300},
+        "processing": {"music_grid_step_deg": 20.0, "cfar_guard": 0},
+        "truth_tracks": str(CONFIG_DIR / "tracks.csv"),
+    }))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+    summary = read_summary(tmp_path / "o")
+    assert summary["music_complete"] == "false"
+    assert int(summary["n_detections"]) >= 1 and "detection_range_m" in summary
+    assert not {"azimuth_estimate_deg", "track_name", "angular_error_deg"} & set(summary)
+
+
 def test_numerical_failure_exit_code(tmp_path):
     scenario = tmp_path / "hot.yaml"
     scenario.write_text(yaml.safe_dump({
@@ -364,62 +383,89 @@ def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
 
 
 def test_t4_few_compressed_dwells_alive(monkeypatch):
-    # the compressed dwells go round a ring of workers + 1 slots allocated
-    # before the threads start: dwell d is submitted into the slot of the
-    # dwell the extraction has just finished, so the 32 dwells handed to the
-    # extraction live in workers + 1 buffers, even when every one of them is
-    # kept alive (holding every compressed dwell until the extraction kept 32),
-    # and no dwell changes while the extraction holds it, even while the
-    # dwells in flight run to their end
+    # every dwell is compressed, channel by channel, into one of exactly
+    # `workers` slots, which were alive when the pool was created (a block
+    # with each slot's allocation traceback and size is in the snapshot taken
+    # then); each dwell writes its own rows of the history, so no compressed
+    # dwell passes through the extraction, which the run no longer calls
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
+    monkeypatch.setattr(isar, "extract_target_history", None)
+    assert not hasattr(experiments, "extract_target_history")
     cfg = load_config(CONFIG_DIR / "t4.yaml")
-    handed, extract = [], experiments.extract_target_history
+    lock, dwell_of, outs, at_start = threading.Lock(), threading.local(), {}, []
+    simulate, compress = experiments._isar_dwell, experiments._range_compress
 
-    def recording_extract(dwells, *args):
-        def recorded():
-            for dwell in dwells:
-                handed.append(dwell.values)
-                before = dwell.values.tobytes()
-                yield dwell
-                time.sleep(0.02)
-                assert dwell.values.tobytes() == before, "a dwell changed while held"
-        return extract(recorded(), *args)
+    def recording_simulate(params, body, d, *args, **kwargs):
+        dwell_of.d = d
+        return simulate(params, body, d, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "extract_target_history", recording_extract)
-    run_experiment(cfg)
-    assert len(handed) == cfg.isar.n_dwells == 32
-    buffers = {values.__array_interface__["data"][0] for values in handed}
-    assert len(buffers) == experiments._workers(31) + 1
+    def recording_compress(raw, spec, out):
+        with lock:
+            outs.setdefault(dwell_of.d, []).append(out)  # kept alive, so no address is reused
+        return compress(raw, spec, out)
+
+    class SnapshottingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            at_start.append(tracemalloc.take_snapshot())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
+    monkeypatch.setattr(experiments, "_range_compress", recording_compress)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SnapshottingPool)
+    tracemalloc.start(5)
+    try:
+        run_experiment(cfg)
+        owners = {id(o.base): o.base for channels in outs.values() for o in channels}
+        born = [(tracemalloc.get_object_traceback(b), b.nbytes) for b in owners.values()]
+    finally:
+        tracemalloc.stop()
+    assert sorted(outs) == list(range(cfg.isar.n_dwells))
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    for channels in outs.values():  # the 6 channels of one slot, in order
+        assert [address(o) for o in channels] == [
+            address(channels[0]) + c * channels[0].nbytes for c in range(6)]
+    slots = {address(channels[0]) for channels in outs.values()}
+    assert len(slots) == experiments._workers(cfg.isar.n_dwells - 1) == 2
+    start_traces = at_start[0].traces
+    assert all(any(t.traceback == tb and t.size == nbytes for t in start_traces)
+               for tb, nbytes in born)
 
 
 def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
-    # the raw sequence never exists whole, nor do its compressed dwells: the
-    # front end holds its ring of workers + 1 compressed slots and, per
-    # worker, one raw dwell and one one-channel padded range spectrum; the run
-    # peaks when the extraction stacks its rows into the history, which then
-    # exist twice, and half a MiB covers the fixed costs (replica, axes, echo
-    # temporaries); simulating every raw dwell first peaked at 79.6 MiB,
-    # holding every compressed dwell until the extraction at 37.9 MiB, and
-    # the run before its caller-owned buffers and in-place alignment tail at
-    # 15.1 MiB
+    # the raw sequence never exists whole, nor do its compressed dwells or
+    # their beamformed rows: the front end holds per worker one buffer set (a
+    # raw dwell, a one-channel padded range spectrum and a compressed slot)
+    # and the echo temporaries of the dwell it simulates, and every dwell
+    # writes its rows into the one history; half a MiB covers the fixed costs
+    # (replica, axes, beamformed rows); simulating every raw dwell first
+    # peaked at 79.6 MiB, holding every compressed dwell until the extraction
+    # at 37.9 MiB, and stacking the extraction's rows into a second history
+    # at 14.45 MiB
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     params, n_ch, workers = cfg.radar, 6, experiments._workers(cfg.isar.n_dwells - 1)
     compressed_nbytes = n_ch * params.n_range_bins * params.n_pulses * 16
     raw_nbytes = n_ch * params.n_fast * params.n_pulses * 16
     spectrum_nbytes = params.n_pulses * next_fast_len(params.n_fast) * 16
+    cube = np.empty((n_ch, params.n_fast, params.n_pulses), dtype=complex)
+    _, echo_nbytes = traced_peak(experiments._isar_dwell, params, cfg.isar.body, 0, cfg.seed,
+                                 cfg.noise_power, out=cube)
     report, peak = traced_peak(run_experiment, cfg)
     lo, hi = report.metrics["window_range_bins"]
     history_nbytes = cfg.isar.n_dwells * params.n_pulses * (hi - lo) * 16
-    assert peak <= ((workers + 1) * compressed_nbytes + workers * (raw_nbytes + spectrum_nbytes)
-                    + 2 * history_nbytes + 2**19)
+    assert peak <= (workers * (raw_nbytes + spectrum_nbytes + compressed_nbytes + echo_nbytes)
+                    + history_nbytes + 2**19)
 
 
 def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
     # every dwell-sized array of the t4 front end is allocated on the calling
     # thread, so no block of 512 KiB or more that a dwell thread allocated is
     # ever alive (a raw dwell is 2.4 MiB, a six-channel range spectrum too, a
-    # compressed dwell 0.96 MiB); such blocks stay in the thread's malloc arena
+    # compressed dwell 0.96 MiB, the history 3.0 MiB; a dwell's beamformed
+    # rows are 96 KiB); such blocks stay in the thread's malloc arena
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(6)
     on_thread = tracemalloc.Filter(True, concurrent.futures.thread.__file__, all_frames=True)
@@ -437,10 +483,10 @@ def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
 
         monkeypatch.setattr(module, name, patched)
 
-    # inside each channel's compression, on the threads, and as each dwell is
-    # beamformed, on the calling thread
+    # inside each channel's compression and as each dwell is beamformed into
+    # its rows of the history, both on the threads
     snapshotting(rdproc, "_matched_filter")
-    snapshotting(isar, "apply_beamformer")
+    snapshotting(experiments, "apply_beamformer")
     tracemalloc.start(25)
     try:
         run_experiment(cfg)
@@ -476,26 +522,30 @@ def test_t4_emit_raw_keeps_dwell_0_and_every_other_byte(tmp_path, monkeypatch):
 
 
 def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch, fast_switching):
-    # the dwells run in any order on any thread and give the same report,
-    # and the history is that of the sequence simulator compressed dwell by
-    # dwell; the threads interleave often, and 6 workers outnumber the cores,
-    # so a slot or a raw cube reused too early would change the bytes
+    # the dwells run in any order on any thread and give the same report, and
+    # the F-ordered history the back end is given is the one that
+    # extract_target_history stacks from the sequence simulator's dwells,
+    # compressed one by one; the threads interleave often, and 6 workers
+    # outnumber the cores, so a buffer set reused too early would change the bytes
     cfg = small_t4(6)
-    histories, extract = [], experiments.extract_target_history
+    histories, align = [], experiments.range_align
 
-    def recording_extract(*args):
-        histories.append(extract(*args))
-        return histories[-1]
+    def recording_align(history):
+        histories.append(history)
+        return align(history)
 
-    monkeypatch.setattr(experiments, "extract_target_history", recording_extract)
+    monkeypatch.setattr(experiments, "range_align", recording_align)
     for workers in (1, 2, 6):
         monkeypatch.setattr(experiments, "_workers", lambda n, w=workers: min(w, n))
         report = run_experiment(cfg)
         write_report(report, tmp_path / str(workers))
     dwells = simulate_isar_sequence(cfg.radar, cfg.isar.body, 6, cfg.seed, cfg.noise_power)
-    want = extract([range_compress(d) for d in dwells], conventional_weights(cfg.steering_deg[0]),
-                   tuple(report.metrics["window_range_bins"]))
+    want = isar.extract_target_history([range_compress(d) for d in dwells],
+                                       conventional_weights(cfg.steering_deg[0]),
+                                       tuple(report.metrics["window_range_bins"]))
     assert [h.values.tobytes() for h in histories] == [want.values.tobytes()] * 3
+    assert [h.range_axis.tobytes() for h in histories] == [want.range_axis.tobytes()] * 3
+    assert all(h.values.flags.f_contiguous for h in histories)
     names = sorted(p.name for p in (tmp_path / "1").iterdir())
     for workers in ("2", "6"):
         assert names == sorted(p.name for p in (tmp_path / workers).iterdir())
