@@ -14,6 +14,7 @@ each value as its converter returns it), so two spellings of one value hash alik
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ import yaml
 
 from .detect import cfar_window_cells
 from .errors import ConfigError
-from .geometry import SECTOR_HALF_WIDTH_DEG
+from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG
 from .isar import MIN_IMAGING_SAMPLES
 from .rdproc import WINDOWS
 from .scene import (ClutterBand, JammerSource, PointTarget, RadarParams,
@@ -373,9 +374,64 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         isar=IsarParams(body=body, **isar) if mode == "t4" else None,
         truth_tracks=truth,
     )
+    if not errors and (power := _power_error(values)):
+        errors.append(power)
     if errors:
         raise ConfigError("; ".join(errors))
     return ExperimentConfig(**values, tree=resolved)
+
+
+def _power_error(values: dict) -> str | None:
+    """Where a resolved scenario's returns could overflow the chain, by dotted path, or None.
+
+    Per channel and raw sample, each return has the amplitude of its power:
+    ``noise_power``; ``10**(snr_db / 10) * noise_power / (L * n_pulses)`` for a
+    target, whose RD-peak power that is; ``10**(jnr_db / 10) * noise_power``
+    for the jammer; ``mean_power * noise_power / L`` for a clutter bin; the
+    squared amplitude of a t4 scatterer (L = replica length).  Added
+    coherently, amplitudes summing to ``a`` reach at most a power ``a**2 *
+    L * N_SUBARRAYS * n_slow**2`` in one cell: the unit-energy matched filter,
+    unit-norm channel weights and an unnormalised transform over the
+    ``n_slow`` slow-time samples of a dwell, or of the t4 image history.  The
+    t1-t3 chain sums such powers over its cells; t4 sums their squares (the
+    contrast), and its order-m polynomial-phase seed the power of ``2**(m-1)``
+    lag products.  That sum, at most the cell count times the largest power to
+    that exponent, must stay below the largest float.
+    """
+    radar, isar = values["radar"], values["isar"]
+    n_slow = radar.n_pulses * (isar.n_dwells if isar else 1)
+    cells = radar.n_range_bins * n_slow * values["processing"].doppler_oversample
+    exponent = 2 ** (isar.autofocus_order - 1) if isar else 1
+    # log10 of the largest cell power the chain can take to that exponent
+    top = (math.log10(np.finfo(float).max) - math.log10(cells)) / exponent
+    # log10 of each return's power, per channel and raw sample
+    noise = math.log10(values["noise_power"])
+    powers = {"noise_power": noise}
+    for i, target in enumerate(values["targets"]):
+        powers[f"targets[{i}].snr_db"] = (target.snr_db / 10.0 + noise
+                                          - math.log10(radar.replica_length * radar.n_pulses))
+    if values["jammer"] is not None:
+        powers["jammer.jnr_db"] = values["jammer"].jnr_db / 10.0 + noise
+    if values["clutter"].enabled:
+        powers["clutter.mean_power"] = (math.log10(values["clutter"].mean_power) + noise
+                                        - math.log10(radar.replica_length))
+    scatterers = {f"isar.body.scatterers[{i}][2]": 2.0 * math.log10(abs(amp))
+                  for i, (_down, _cross, amp) in enumerate(isar.body.scatterers if isar else ())
+                  if amp != 0.0}
+    powers.update(scatterers)
+    worst = max(powers, key=powers.get)
+    # log10 of (sum of amplitudes)**2 times the gain, taken about the largest term
+    peak = (powers[worst] + 2.0 * math.log10(sum(10.0 ** ((p - powers[worst]) / 2.0)
+                                                 for p in powers.values()))
+            + math.log10(radar.replica_length * N_SUBARRAYS * n_slow**2))
+    if peak <= top:
+        return None
+    relative = "" if worst in ("noise_power", *scatterers) else \
+        f" at noise_power {values['noise_power']:g}"
+    summed = {1: "that power", 2: "its square"}.get(exponent, f"its {exponent}th power")
+    return (f"{worst} is too large{relative}: a cell of the chain could reach a power of "
+            f"10^{peak:.2f}, and the chain sums {summed} over {cells} cells; "
+            f"a power of at most 10^{top:.2f} keeps that sum finite")
 
 
 def _canonical_tree(full: dict) -> dict:

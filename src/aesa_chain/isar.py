@@ -9,8 +9,11 @@ then refined by BFGS on the analytic contrast gradient; Martorella et al.,
 2005), and forms the image with the Doppler stage's windowed unitary
 slow-time DFT.  Cross-range scaling requires the rotation rate: one Doppler
 bin spans ``lambda * delta_f / (2 * omega)`` metres.  Alignment keeps its
-reference as a spectrum: one inverse FFT per profile.  The history takes
-the compressed dwells one at a time, so a lazy stream of them is never whole.
+reference as a spectrum and correlates the profiles in speculative blocks,
+one inverse FFT per block, with the shifts and bytes of one profile at a
+time.  ``extract_target_history`` takes the compressed dwells one at a time,
+so a lazy stream of them is never whole; the t4 runner has each dwell write
+its own rows of the history instead.
 """
 
 import math
@@ -31,6 +34,9 @@ AUTOFOCUS_MAX_EVALUATIONS = 30
 
 #: autofocus variable scaling: phase at the interval's edge per optimiser unit of c_n
 AUTOFOCUS_EDGE_PHASE_RAD = 32.0 * np.pi
+
+#: profiles per correlation block of the alignment: the first size and the cap
+ALIGN_BLOCK_ROWS = (4, 256)
 
 
 @dataclass
@@ -122,6 +128,27 @@ def _fractional_peak(corr: np.ndarray) -> float:
     return lag + frac
 
 
+def _row_peaks(corr: np.ndarray):
+    """``_fractional_peak`` of each row of ``corr``, and the rows it must take itself.
+
+    The arithmetic is ``_fractional_peak``'s: the first maximum, its left
+    neighbour wrapping to the last element, and ``_parabolic_offset`` in its
+    order with its zero-denominator case and its clip.  Rows with a tie or a
+    non-finite value (whose sum is not finite) are flagged; their peaks are
+    not used.
+    """
+    n = corr.shape[1]
+    rows, pick = np.arange(len(corr)), corr.argmax(axis=1)
+    best, left, right = corr[rows, pick], corr[rows, pick - 1], corr[rows, (pick + 1) % n]
+    other = ((corr == best[:, None]).sum(axis=1) > 1) | ~np.isfinite(corr.sum(axis=1))
+    with np.errstate(all="ignore"):  # as Python's float arithmetic, which never warns
+        denom = left - 2.0 * best + right
+        frac = np.divide(0.5 * (left - right), denom, out=np.zeros(len(corr)),
+                         where=denom != 0.0)
+    np.minimum(np.maximum(frac, -0.5, out=frac), 0.5, out=frac)
+    return np.where(pick <= n // 2, pick, pick - n) + frac, other
+
+
 def range_align(history: RangeProfileHistory):
     """Align profile envelopes against a running reference.
 
@@ -130,6 +157,17 @@ def range_align(history: RangeProfileHistory):
     parabolic fraction) are smoothed by a quadratic in slow time and removed
     with a frequency-domain phase ramp.  The reference is kept as a
     spectrum, each envelope advanced by its rounded shift.
+
+    The profiles are correlated in blocks that guess every rounded shift
+    equal to the last one taken: one cumulative sum builds the block's
+    references, with the same additions in the same order as one profile at
+    a time, and one inverse FFT correlates them.  The block is kept up to and
+    including the first profile whose rounded shift differs, the reference
+    advances by that profile's own shift, and the next block starts after
+    it, so the shifts and the output are those of the profile-by-profile
+    loop.  Blocks start at ``ALIGN_BLOCK_ROWS[0]`` profiles, double up to
+    ``ALIGN_BLOCK_ROWS[1]`` after a block whose guess held throughout, and
+    start over after one where it did not.
 
     Returns
     -------
@@ -147,13 +185,33 @@ def range_align(history: RangeProfileHistory):
     reach = n_bins // 2 + 1
     ramps = np.exp(advance * np.arange(-reach, reach + 1)[:, None])
     shifts = np.zeros(n_slow)
-    ref = env[0].copy()
-    for k in range(1, n_slow):
-        # corr[s] compares envelope k advanced by s bins with the mean of the
-        # k aligned envelopes, so the peak lag is the displacement of profile k.
-        corr = np.fft.ifft(env[k] * np.conj(ref)).real / k
-        shifts[k] = _fractional_peak(corr)
-        ref += env[k] * ramps[reach + round(shifts[k])]
+    ref, guess, size, k = env[0].copy(), 0, ALIGN_BLOCK_ROWS[0], 1
+    while k < n_slow:
+        stop = min(k + size, n_slow)
+        # refs[j] is the sum of the k + j envelopes before profile k + j, had
+        # every rounded shift since the last one taken been ``guess``
+        refs = np.empty((stop - k, n_bins), dtype=complex)
+        refs[0] = ref
+        np.multiply(env[k:stop - 1], ramps[reach + guess], out=refs[1:])
+        np.cumsum(refs, axis=0, out=refs)
+        # corr[j, s] compares envelope k + j advanced by s bins with the mean
+        # of the aligned envelopes, so the peak lag is its displacement
+        corr = np.fft.ifft(env[k:stop] * np.conj(refs), axis=1).real
+        corr /= np.arange(k, stop)[:, None]
+        peaks, other = _row_peaks(corr)
+        last = stop - 1
+        for j in (other | (np.rint(peaks) != guess)).nonzero()[0]:
+            if other[j]:  # _fractional_peak warns on a tie; round raises on a NaN
+                peaks[j] = _fractional_peak(corr[j])
+                if round(peaks[j]) == guess:
+                    continue
+            last = k + j
+            break
+        shifts[k:last + 1] = peaks[:last + 1 - k]
+        rounded = round(shifts[last])
+        size = min(2 * size, ALIGN_BLOCK_ROWS[1]) if rounded == guess else ALIGN_BLOCK_ROWS[0]
+        ref = refs[last - k] + env[last] * ramps[reach + rounded]
+        guess, k = rounded, last + 1
     del env, ref  # the tail holds the history and two of its size at most
     t = np.arange(n_slow) / history.prf
     coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(2, n_slow - 1))
@@ -332,7 +390,9 @@ def icba_autofocus(history: RangeProfileHistory, order: int = 3) -> AutofocusRes
     t = history.slow_time()
     powers = np.arange(2, order + 1)
     scale = AUTOFOCUS_EDGE_PHASE_RAD / t[-1] ** powers  # c_n per optimiser unit
-    seed = _ppt_seed(history.values, t, order)  # before the evaluator's buffers exist
+    # before the evaluator's buffers exist; its sums over range bins run in one
+    # order whatever the history's layout, the F order the chain's history has
+    seed = _ppt_seed(np.asfortranarray(history.values), t, order)
     contrast = _contrast_evaluator(history.values, t ** powers[:, None])
     contrast0 = contrast(np.zeros(order - 1))
     start = seed / scale if contrast(seed) > contrast0 else np.zeros(order - 1)

@@ -251,6 +251,39 @@ def dense_isar_oracle(params, body, n_dwells, seed=0, noise_power=1.0, noise=Tru
     return cubes
 
 
+def loop_align_oracle(values, prf):
+    """Range alignment one profile at a time, the byte reference of ``range_align``.
+
+    Each envelope spectrum is correlated with the running reference spectrum
+    by its own inverse FFT, its fractional peak taken by ``_fractional_peak``,
+    and the reference advanced by the envelope shifted by its rounded shift;
+    the quadratic fit and the final phase ramp are ``range_align``'s own.
+    Returns (aligned values, smoothed shifts, raw shifts).
+    """
+    from aesa_chain.isar import _fractional_peak
+
+    n_slow, n_bins = values.shape
+    env = np.fft.fft(np.abs(values), axis=1)
+    advance = 2j * np.pi * np.fft.fftfreq(n_bins)
+    reach = n_bins // 2 + 1
+    ramps = np.exp(advance * np.arange(-reach, reach + 1)[:, None])
+    shifts = np.zeros(n_slow)
+    ref = env[0].copy()
+    for k in range(1, n_slow):
+        corr = np.fft.ifft(env[k] * np.conj(ref)).real / k
+        shifts[k] = _fractional_peak(corr)
+        ref += env[k] * ramps[reach + round(shifts[k])]
+    t = np.arange(n_slow) / prf
+    coeffs = np.polynomial.polynomial.polyfit(t, shifts, min(2, n_slow - 1))
+    smooth = np.polynomial.polynomial.polyval(t, coeffs)
+    smooth -= smooth[0]
+    ramp = advance[None, :] * smooth[:, None]
+    aligned = np.fft.fft(values, axis=1)
+    aligned *= np.exp(ramp, out=ramp)
+    np.fft.ifft(aligned, axis=1, out=aligned)
+    return aligned, smooth, shifts
+
+
 def roll_align_oracle(values, prf):
     """Range alignment by envelope correlation against a rolled running mean.
 

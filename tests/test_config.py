@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,52 @@ def test_numeric_bounds():
     for tree, path in MALFORMED:
         with pytest.raises(ConfigError, match=path):
             resolve_config(tree)
+
+
+def amplitude_bound(tree) -> float:
+    """The largest squared sum of raw per-channel return amplitudes a scenario may
+    reach: the largest float over the chain's cells, to the root of the exponent the
+    chain takes its cell powers to (1 in t1-t3, 2**(order - 1) in t4), over the
+    coherent gain of the replica, the channels and the slow-time samples."""
+    cfg = resolve_config(tree)
+    radar = cfg.radar
+    n_slow = radar.n_pulses * (cfg.isar.n_dwells if cfg.isar else 1)
+    cells = radar.n_range_bins * n_slow * cfg.processing.doppler_oversample
+    exponent = 2 ** (cfg.isar.autofocus_order - 1) if cfg.isar else 1
+    gain = radar.replica_length * 6 * n_slow**2
+    return (np.finfo(float).max / cells) ** (1.0 / exponent) / gain
+
+
+T4_SHORT = {"mode": "t4", "radar": {"r_min_m": 1600.0, "r_max_m": 1800.0}, "isar": {"n_dwells": 4}}
+L_T1 = RadarParams().replica_length * RadarParams().n_pulses
+
+#: (path, tree for a value, that value at the bound from ``amplitude_bound`` and whether
+#: it is in dB); every other return is at least 1e30 times weaker in amplitude
+POWER_PATHS = [
+    ("noise_power", lambda v: {**T4_SHORT, "noise_power": v}, lambda a2: a2, False),
+    ("isar.body.scatterers[1][2]",
+     lambda v: {**T4_SHORT, "noise_power": 1.0, "isar": {"n_dwells": 4, "body": {
+         "scatterers": [[0.0, 0.0, 1.0], [4.0, 0.0, v]]}}}, lambda a2: np.sqrt(a2), False),
+    ("targets[0].snr_db",
+     lambda v: t1_tree(targets=[{"range_m": 5000.0, "azimuth_deg": 5.0, "snr_db": v}]),
+     lambda a2: 10.0 * np.log10(a2 * L_T1), True),
+    ("jammer.jnr_db", lambda v: {"mode": "t2", "jammer": {"active": True, "jnr_db": v}},
+     lambda a2: 10.0 * np.log10(a2), True),
+    ("clutter.mean_power", lambda v: t1_tree(clutter={"enabled": True, "mean_power": v}),
+     lambda a2: a2 * RadarParams().replica_length, False),
+]
+
+
+@pytest.mark.parametrize("path, tree, at_bound, db", POWER_PATHS, ids=[p[0] for p in POWER_PATHS])
+def test_power_bounds(path, tree, at_bound, db):
+    # the returns' powers stop where the largest power the chain squares (or,
+    # in t1-t3, sums) would overflow a float: at the bound the scenario
+    # resolves, just past it the error names the value
+    value = at_bound(amplitude_bound(tree(1.0)))
+    inside, past = (value - 1e-6, value + 1e-6) if db else (value * (1 - 1e-9), value * (1 + 1e-9))
+    resolve_config(tree(inside))
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} is too large"):
+        resolve_config(tree(past))
 
 
 #: any YAML-like value: scalars, lists and mappings

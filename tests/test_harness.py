@@ -17,13 +17,14 @@ import yaml
 from scipy.fft import next_fast_len
 
 import aesa_chain
-from aesa_chain import (ConfigError, apply_beamformer, conventional_weights, experiments, isar,
-                        load_config, range_compress, rd_map, rdproc, read_grid,
-                        run_experiment, simulate_dwell, simulate_isar_sequence, write_report)
+from aesa_chain import (ConfigError, RadarParams, apply_beamformer, conventional_weights,
+                        experiments, isar, load_config, range_compress, rd_map, rdproc,
+                        read_grid, resolve_config, run_experiment, simulate_dwell,
+                        simulate_isar_sequence, write_report)
 from aesa_chain.cli import _steer_list, main
 
 from helpers import traced_peak
-from test_config import MALFORMED
+from test_config import MALFORMED, T4_SHORT, amplitude_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -153,13 +154,15 @@ def test_exit_codes(tmp_path, caplog, monkeypatch):
         caplog.clear()
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert re.search(path, caplog.text), path
-    # t4 with too few slow-time samples for autofocus, and with a body that
-    # leaves the receive window mid-sequence
+    # t4 with too few slow-time samples for autofocus, with a body that leaves
+    # the receive window mid-sequence, and with a noise power that overflows
     short = yaml.safe_load((CONFIG_DIR / "t4.yaml").read_text())
     short["radar"]["n_pulses"], short["isar"]["n_dwells"] = 32, 1
     fast = yaml.safe_load((CONFIG_DIR / "t4.yaml").read_text())
     fast["isar"]["body"]["translational_velocity_mps"] = 150.0
-    for tree, message in ((short, "isar.n_dwells"), (fast, "receive window")):
+    loud = {"mode": "t4", "noise_power": 1.0e300, "isar": {"n_dwells": 4}}
+    for tree, message in ((short, "isar.n_dwells"), (fast, "receive window"),
+                          (loud, "noise_power is too large")):
         scenario = tmp_path / "t4.yaml"
         scenario.write_text(yaml.safe_dump(tree))
         caplog.clear()
@@ -223,6 +226,29 @@ def test_numerical_failure_exit_code(tmp_path):
     # 9 cells around the detection, fewer than twice the 6 channels
     few_cells = small_t1(tmp_path, processing={"music_window_bins": [1, 1]})
     assert main(["run", "--scenario", str(few_cells), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("tree", [
+    {**T4_SHORT, "isar": {"n_dwells": 4, "autofocus_order": order}} for order in (2, 3, 4)
+] + [{"mode": "t3", "seed": 3, "radar": {"r_min_m": 1500.0, "r_max_m": 3000.0},
+      "targets": [{"range_m": 1740.0, "azimuth_deg": -5.0, "snr_db": 15.0}],
+      "jammer": {"active": True}}], ids=["t4-order2", "t4-order3", "t4-order4", "t3"])
+def test_chain_runs_at_the_power_bound(tree):
+    # a noise power at the bound: the chain's largest powers and their sums stay
+    # finite; 1e300 ended t4 in an OverflowError and t3 in a LinAlgError
+    noise = amplitude_bound(tree)
+    if tree["mode"] == "t3":  # the 50 dB jammer and the target share the bound
+        radar = RadarParams(r_min=1500.0, r_max=3000.0)
+        noise /= (1.0 + 10.0 ** 2.5 + np.sqrt(10.0 ** 1.5 / (radar.replica_length
+                                                            * radar.n_pulses))) ** 2
+    else:  # the one unit scatterer
+        noise = (np.sqrt(noise) - 1.0) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(resolve_config({**tree, "noise_power": noise * (1 - 1e-9)}))
+    assert all(np.isfinite(v) for v in report.metrics.values() if isinstance(v, float))
+    with pytest.raises(ConfigError, match="too large"):
+        resolve_config({**tree, "noise_power": 1.0e300})
 
 
 def test_dump_geometry_and_emit_raw(tmp_path):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aesa_chain import (ConfigError, PhasePolynomial,
@@ -19,8 +19,8 @@ from aesa_chain import isar
 from aesa_chain.isar import _fractional_peak
 from aesa_chain.rdproc import WINDOWS
 
-from helpers import (dft_oracle, lbfgsb_oracle, roll_align_oracle, traced_peak,
-                     unit_window_oracle)
+from helpers import (dft_oracle, lbfgsb_oracle, loop_align_oracle, roll_align_oracle,
+                     traced_peak, unit_window_oracle)
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
@@ -153,17 +153,11 @@ def test_range_align_removes_linear_walk():
     assert after < 0.15 * before
 
 
-@st.composite
-def walking_histories(draw):
-    """Noisy profiles of 1-3 Gaussian scatterers walking at a constant rate."""
-    n_slow = draw(st.integers(8, 48))
-    n_bins = draw(st.sampled_from((15, 16, 31, 32, 49)))
-    rate = draw(st.just(0.0) | st.floats(-0.4, 0.4))  # bins per profile
-    noise = draw(st.floats(0.01, 0.3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def walk_history(n_slow, n_bins, rate, noise, rng, n_scatterers=1):
+    """Noisy profiles of Gaussian scatterers walking at ``rate`` bins per profile."""
     bins = np.arange(n_bins)
     base = np.zeros(n_bins, dtype=complex)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(n_scatterers):
         centre = rng.uniform(0.3, 0.7) * n_bins
         width = rng.uniform(0.8, 3.0)
         amp = rng.normal() + 1j * rng.normal()
@@ -177,34 +171,82 @@ def walking_histories(draw):
                                wavelength=0.03)
 
 
+@st.composite
+def walking_histories(draw):
+    """Noisy profiles of 1-3 Gaussian scatterers walking at a constant rate; up to
+    240 bins of walk, so the rounded shift changes anywhere from never to every
+    few profiles."""
+    n_slow = draw(st.integers(8, 600))
+    n_bins = draw(st.sampled_from((15, 16, 31, 32, 49)))
+    rate = draw(st.just(0.0) | st.floats(-0.4, 0.4))  # bins per profile
+    noise = draw(st.floats(0.01, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return walk_history(n_slow, n_bins, rate, noise, rng, draw(st.integers(1, 3)))
+
+
+def aligned_with_raw_shifts(hist):
+    """``range_align(hist)`` and the raw shifts it hands its quadratic fit."""
+    fit = np.polynomial.polynomial.polyfit
+    with mock.patch.object(np.polynomial.polynomial, "polyfit", wraps=fit) as spy:
+        aligned, smooth = range_align(hist)
+    return aligned, smooth, spy.call_args.args[1]
+
+
+def assert_matches_loop_oracle(hist):
+    aligned, smooth, raw = aligned_with_raw_shifts(hist)
+    want_aligned, want_smooth, want_raw = loop_align_oracle(hist.values, hist.prf)
+    assert raw.tobytes() == want_raw.tobytes()
+    assert smooth.tobytes() == want_smooth.tobytes()
+    assert aligned.values.tobytes() == want_aligned.tobytes()
+    return want_aligned, want_smooth, want_raw
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(walking_histories())
+# 600 profiles: from a few rounded-shift changes to one every 2.5 profiles
+@example(walk_history(600, 49, 0.003, 0.05, np.random.default_rng(7)))
+@example(walk_history(600, 49, 0.05, 0.05, np.random.default_rng(7)))
+@example(walk_history(600, 49, 0.4, 0.05, np.random.default_rng(7)))
 def test_range_align_matches_roll_oracle(hist):
-    raw = []
-
-    def recording_peak(corr):
-        raw.append(_fractional_peak(corr))
-        return raw[-1]
-
-    with mock.patch.object(isar, "_fractional_peak", recording_peak):
-        aligned, smooth = range_align(hist)
-    want_aligned, want_smooth, want_raw = roll_align_oracle(hist.values, hist.prf)
-    raw = np.array([0.0] + raw)
-    assert [round(s) for s in raw] == [round(s) for s in want_raw]
-    np.testing.assert_allclose(raw, want_raw, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(smooth, want_smooth, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(aligned.values, want_aligned, rtol=0,
+    # the blocks keep the bytes of the profile-by-profile loop, which agrees
+    # with the range-domain oracle
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a correlation tie
+        loop_aligned, loop_smooth, loop_raw = assert_matches_loop_oracle(hist)
+        want_aligned, want_smooth, want_raw = roll_align_oracle(hist.values, hist.prf)
+    assert [round(s) for s in loop_raw] == [round(s) for s in want_raw]
+    np.testing.assert_allclose(loop_raw, want_raw, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(loop_smooth, want_smooth, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(loop_aligned, want_aligned, rtol=0,
                                atol=1e-9 * np.abs(hist.values).max())
 
 
+def test_range_align_tie_warns_at_the_caller():
+    # a profile of constant magnitude has a flat envelope correlation: a tie
+    rng = np.random.default_rng(3)
+    hist = walk_history(64, 16, 0.3, 0.05, rng)
+    tied = [9, 10, 30]
+    hist.values[tied] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(tied), 16)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        range_align(hist)
+    ties = [w for w in caught if "correlation tie" in str(w.message)]
+    assert len(ties) == len(tied)
+    assert all(w.category is UserWarning and w.filename == __file__ for w in ties)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_matches_loop_oracle(hist)  # which warns once in each
+    assert len([w for w in caught if "correlation tie" in str(w.message)]) == 2 * len(tied)
+
+
 def count_transforms(monkeypatch) -> list:
-    """Record the name of every np.fft.fft / ifft call from now on."""
+    """Record the name and leading length of every np.fft.fft / ifft call from now on."""
     calls = []
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls.append((fn.__name__, np.shape(a)[0] if np.ndim(a) == 2 else 1))
+            return fn(a, *args, **kwargs)
         return wrapper
 
     for name in ("fft", "ifft"):
@@ -213,11 +255,15 @@ def count_transforms(monkeypatch) -> list:
 
 
 def test_range_align_transforms_each_profile_once(monkeypatch):
+    hist = make_history(n_slow=600)  # on-bin scatterers: every rounded shift is 0
     calls = count_transforms(monkeypatch)
-    range_align(make_history(n_slow=40))
-    # one batched envelope transform, one inverse per profile after the
-    # first, and the forward and inverse transforms of the final alignment
-    assert len(calls) == 1 + 39 + 2
+    range_align(hist)
+    # one batched envelope transform, inverse transforms whose rows cover each
+    # profile after the first once, in blocks doubling from 4 to the cap of
+    # 256, and the forward and inverse transforms of the final alignment
+    blocks = [4, 8, 16, 32, 64, 128, 256, 91]
+    assert sum(blocks) == 599 and isar.ALIGN_BLOCK_ROWS == (4, 256)
+    assert calls == [("fft", 600)] + [("ifft", b) for b in blocks] + [("fft", 600), ("ifft", 600)]
 
 
 def test_image_contrast_single_pixel_oracle():
@@ -374,6 +420,10 @@ def t4_aligned(t4_history):
     return range_align(t4_history)[0]
 
 
+def test_range_align_matches_loop_oracle_on_t4(t4_history):
+    assert_matches_loop_oracle(t4_history)
+
+
 def test_range_align_peak_is_two_and_a_half_histories(t4_history):
     # the envelope spectrum of the magnitudes (half a history, then two while
     # it is transformed) is dropped before the final stage, which builds the
@@ -421,6 +471,15 @@ def test_autofocus_focuses_every_fittable_cell(t4_aligned, phase, order):
     focused = icba_autofocus(t4_aligned, order=order).contrast_after
     result = icba_autofocus(_injected(t4_aligned, phase), order=order)
     assert result.contrast_after >= 0.99 * focused
+
+
+def test_autofocus_is_independent_of_the_layout(t4_aligned):
+    # a C-ordered and an F-ordered copy of one history: the same coefficients, to the bit
+    results = [icba_autofocus(replace(t4_aligned, values=layout(t4_aligned.values)), order=3)
+               for layout in (np.ascontiguousarray, np.asfortranarray)]
+    coeffs = [np.array(r.polynomial.coefficients).tobytes() for r in results]
+    assert coeffs[0] == coeffs[1]
+    assert results[0].contrast_after == results[1].contrast_after
 
 
 def test_autofocus_peak_is_the_evaluator_buffers(t4_aligned):
