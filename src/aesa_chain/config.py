@@ -356,9 +356,12 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         errors.append("isar.body.rotation_rate_rad_s must be positive when "
                       "isar.omega_for_scaling_rad_s does not set the cross-range scale")
     body = _build("isar.body", RigidBodyTarget, body, errors)
-    if (mode == "t4" and radar is not None
-            and isar["n_dwells"] * radar.n_pulses < MIN_IMAGING_SAMPLES):
-        errors.append(f"isar.n_dwells * radar.n_pulses must be >= {MIN_IMAGING_SAMPLES}")
+    if mode == "t4" and radar is not None:
+        if isar["n_dwells"] * radar.n_pulses < MIN_IMAGING_SAMPLES:
+            errors.append(f"isar.n_dwells * radar.n_pulses must be >= {MIN_IMAGING_SAMPLES}")
+        if radar.n_range_bins < 2:
+            errors.append(f"radar.r_max_m: t4 needs at least 2 range bins, got "
+                          f"{radar.n_range_bins}")
     truth = values["truth_tracks"]
     if truth is not None:
         if base_dir is not None and not truth.is_absolute():
@@ -393,17 +396,17 @@ def _power_error(values: dict) -> str | None:
     L * N_SUBARRAYS * n_slow**2`` in one cell: the unit-energy matched filter,
     unit-norm channel weights and an unnormalised transform over the
     ``n_slow`` slow-time samples of a dwell, or of the t4 image history.  The
-    t1-t3 chain sums such powers over its cells; t4 sums their squares (the
-    contrast), and its order-m polynomial-phase seed the power of ``2**(m-1)``
-    lag products.  That sum, at most the cell count times the largest power to
-    that exponent, must stay below the largest float.
+    t1-t3 chain sums such powers over its cells, below the largest float.  The
+    t4 image grid keeps ``1 / n_slow`` of a cell's power as a float32 magnitude,
+    which binds long before the contrast's sum of squares (the polynomial-phase
+    seed scales the history first).
     """
     radar, isar = values["radar"], values["isar"]
     n_slow = radar.n_pulses * (isar.n_dwells if isar else 1)
     cells = radar.n_range_bins * n_slow * values["processing"].doppler_oversample
-    exponent = 2 ** (isar.autofocus_order - 1) if isar else 1
-    # log10 of the largest cell power the chain can take to that exponent
-    top = (math.log10(np.finfo(float).max) - math.log10(cells)) / exponent
+    # log10 of the largest cell power the chain can carry
+    top = (2.0 * math.log10(np.finfo(np.float32).max) + math.log10(n_slow) if isar
+           else math.log10(np.finfo(float).max) - math.log10(cells))
     # log10 of each return's power, per channel and raw sample
     noise = math.log10(values["noise_power"])
     powers = {"noise_power": noise}
@@ -428,10 +431,10 @@ def _power_error(values: dict) -> str | None:
         return None
     relative = "" if worst in ("noise_power", *scatterers) else \
         f" at noise_power {values['noise_power']:g}"
-    summed = {1: "that power", 2: "its square"}.get(exponent, f"its {exponent}th power")
+    sink = (f"the t4 image grid holds 1/{n_slow} of it as a float32 magnitude" if isar
+            else f"the chain sums that power over {cells} cells")
     return (f"{worst} is too large{relative}: a cell of the chain could reach a power of "
-            f"10^{peak:.2f}, and the chain sums {summed} over {cells} cells; "
-            f"a power of at most 10^{top:.2f} keeps that sum finite")
+            f"10^{peak:.2f}, and {sink}; a power of at most 10^{top:.2f} keeps that finite")
 
 
 def _canonical_tree(full: dict) -> dict:

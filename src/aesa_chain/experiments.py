@@ -16,7 +16,7 @@ intermediates.
 
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometr
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
                    range_align)
-from .rdproc import (CompressedDwell, _fast_len, _range_compress, _rd_stream, _workers,
+from .rdproc import (CompressedDwell, _match_rows, _matched_filter, _rd_stream, _workers,
                      doppler_process)
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
 from .version import __version__
@@ -395,46 +395,48 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
     """Dwell 0 runs here and sets the history's range window; every other dwell is a task on
-    the front end's threads that writes its own rows of the history.  Per worker one buffer
-    set (a raw cube, a one-channel padded spectrum and a compressed slot) is allocated here,
-    as the ``rdproc`` docstring says, and dropped before the back end."""
+    the front end's threads that writes its own rows of the history.  The history, at its
+    widest, then per worker a raw cube and a padded spectrum, where a dwell is beamformed and
+    compressed, are allocated here (see ``rdproc``) and dropped before the back end."""
     isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
     _check_isar_sequence(params, body, n, cfg.noise_power)
-    n_p, workers = params.n_pulses, _workers(n - 1)
+    n_p, n_fast, workers = params.n_pulses, params.n_fast, _workers(n - 1)
+    # F order, as the extraction gives (the seed's last bits depend on it); allocated
+    # before the buffer sets, below them in the heap, which lowers the peak RSS
+    rows = np.empty((n * n_p, min(2 * isar_cfg.window_halfwidth_bins + 1, params.n_range_bins)),
+                    dtype=complex, order="F")
+    match, w = _matched_filter(params), conventional_weights(cfg.steering_deg[0]).values.conj()
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty((N_SUBARRAYS, params.n_fast, n_p), dtype=complex),
-                  np.empty((1, n_p, _fast_len(params.n_fast)), dtype=complex),
-                  np.empty((N_SUBARRAYS, params.n_range_bins, n_p), dtype=complex)))
+        free.put((np.empty((N_SUBARRAYS, n_fast, n_p), dtype=complex),
+                  np.empty((n_p, match.size), dtype=complex)))
 
-    def compress(raw, spec: np.ndarray, slot: np.ndarray) -> CompressedDwell:
-        for c in range(N_SUBARRAYS):
-            _range_compress(replace(raw, values=raw.values[c:c + 1]), spec, slot[c:c + 1])
-        return CompressedDwell(values=slot, range_axis=params.range_axis(), params=params)
+    def compress(raw, spec: np.ndarray) -> None:
+        np.einsum("c,cfp->pf", w, raw.values, out=spec[:, :n_fast])
+        _match_rows(spec, match, n_fast)
 
     def dwell(d: int) -> None:
-        cube, spec, slot = buffers = free.get()
+        cube, spec = buffers = free.get()
         try:
-            compress(_isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube), spec, slot)
-            history.values[d * n_p:(d + 1) * n_p] = apply_beamformer(slot[:, lo:hi], weights).T
+            compress(_isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube), spec)
+            history.values[d * n_p:(d + 1) * n_p] = spec[:, lo:hi]
         finally:
             free.put(buffers)
 
-    steer = cfg.steering_deg[0]
-    weights = conventional_weights(steer)
-    cube, spec, slot = free.get()
+    cube, spec = free.get()
     raw = _isar_dwell(params, body, 0, cfg.seed, cfg.noise_power, out=None if emit_raw else cube)
     if emit_raw:  # in a fresh cube, which its grids keep
         _raw_grids(report, raw)
-    lo, hi = _image_window(cfg, compress(raw, spec, slot), weights)
-    # F order, as the stacked extraction gives: the autofocus seed's last bits depend on it
-    history = RangeProfileHistory(np.empty((n * n_p, hi - lo), dtype=complex, order="F"),
-                                  params.prf, params.range_axis()[lo:hi], params.wavelength)
-    history.values[:n_p] = apply_beamformer(slot[:, lo:hi], weights).T
-    free.put((cube, spec, slot))
+    compress(raw, spec)
+    lo, hi = _image_window(cfg, CompressedDwell(spec[:, :params.n_range_bins].T[None],
+                                                params.range_axis(), params))
+    history = RangeProfileHistory(rows[:, :hi - lo], params.prf, params.range_axis()[lo:hi],
+                                  params.wavelength)
+    history.values[:n_p] = spec[:, lo:hi]
+    free.put((cube, spec))
     with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
         list(pool.map(dwell, range(1, n)))  # an error cancels the dwells not yet started
-    del free, raw, cube, spec, slot  # the front end's buffers, before the back end
+    del free, raw, cube, spec, rows  # the front end's buffers, before the back end
     aligned, shifts = range_align(history)
     del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)
@@ -444,7 +446,7 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
     peaks = _image_peaks(image)
 
     report.metrics.update({
-        "steer_azimuth_deg": float(steer),
+        "steer_azimuth_deg": float(cfg.steering_deg[0]),
         "window_range_bins": [lo, hi],
         "slow_time_samples": aligned.n_slow,
         "contrast_before_autofocus": focus.contrast_before,
@@ -470,12 +472,12 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                                            col_axis=_axis(image.cross_range_axis_m, "m"))
 
 
-def _image_window(cfg: ExperimentConfig, compressed, weights) -> tuple:
+def _image_window(cfg: ExperimentConfig, compressed: CompressedDwell) -> tuple:
     """The t4 history's range span, around the first CFAR detection on the
-    first dwell's beamformed map."""
+    map of the first dwell, beamformed into its one channel."""
     proc = cfg.processing
     rd0 = doppler_process(compressed, window=proc.window, oversample=proc.doppler_oversample)
-    bmap = apply_beamformer(rd0, weights)
+    bmap = rd0.values[0]
     n_bins = compressed.values.shape[1]
     # a CFAR window too large for the short imaging swath, or no detection,
     # falls back to the strongest range bin

@@ -317,8 +317,10 @@ def _ppt_seed(values: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
     From m = order down to 2: m - 1 lag products at lag tau turn the t^m term
     into a tone at m! (tau dt)^(m-1) c_m rad/s, found at the peak of the
     slow-time power spectrum summed over range bins (Peleg and Porat, 1991).
-    Each term is removed before the next order is estimated.
+    Each term is removed before the next order is estimated.  A power-of-two
+    scale first keeps every bit of the estimate and the lag products in range.
     """
+    values = values * 2.0 ** -np.frexp(np.abs(values).max())[1]
     n, dt = len(t), t[1] - t[0]
     coeffs = np.zeros(order - 1)
     for m in range(order, 1, -1):

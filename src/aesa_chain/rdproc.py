@@ -14,21 +14,22 @@ full swath), not at ``n_fast`` itself, whose prime factors can be large
 (9298 = 2 * 4649).  Zero padding only lengthens the circular buffer, so the
 kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
 
-``range_compress`` and ``doppler_process`` are the two stages on their own;
-``rd_map`` runs them on no channels for their checks and the map's axes.
-It fuses them: each channel is copied into one padded ``(oversample *
-n_pulses, nfft)`` spectrum, compressed, windowed and Doppler-transformed in
-place, and divided, fftshifted, into its slot of the cube, on up to
-``MAX_WORKERS`` threads with the same bytes for any count.  The t4 run
-compresses each dwell channel by channel through ``_range_compress``.  Every
-dwell-sized front-end array is allocated on the calling thread, not on a
-worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``
-writes the map over the raw cube's storage, so a dwell holds one cube, not
-two.  That is safe because channels are taken and copied in order under one
-lock, so raw channels ``0..c`` are copied before slot ``c`` is written, and
-slot ``c`` overlaps no later raw channel when ``oversample * n_r <= n_fast``,
-nor the t1-t3 noise draw (the ``fill``), which by then writes only later
-channels.
+One kernel, ``_match_rows``, matched-filters a loaded padded spectrum in
+place: ``range_compress`` runs it on all channels at once, ``rd_map`` on one
+channel at a time, and the t4 run on each dwell beamformed into one channel
+(both steps are linear, so their order changes only the rounding).
+``rd_map`` fuses the two stages: each channel is copied into one padded
+``(oversample * n_pulses, nfft)`` spectrum, compressed, windowed and
+Doppler-transformed in place, and divided, fftshifted, into its slot of the
+cube, on up to ``MAX_WORKERS`` threads with the same bytes for any count.
+Every dwell-sized front-end array is allocated on the calling thread, not on
+a worker, whose malloc arena would keep it.  ``_rd_stream`` with
+``reuse_raw`` writes the map over the raw cube's storage, so a dwell holds
+one cube, not two.  That is safe because channels are taken and copied in
+order under one lock, so raw channels ``0..c`` are copied before slot ``c``
+is written, and slot ``c`` overlaps no later raw channel when ``oversample *
+n_r <= n_fast``, nor the t1-t3 noise draw (the ``fill``), which by then
+writes only later channels.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history.
@@ -80,20 +81,11 @@ class RDDatacube:
     params: RadarParams
 
 
-def _matched_filter(raw: RawDatacube) -> tuple:
-    """``(match, n_r)``: the unit-energy conjugate replica spectrum at
-    ``_fast_len(n_fast)`` and the number of kept lags; checks ``n_fast``."""
-    params = raw.params
-    n_fast = raw.values.shape[1]
-    if n_fast != params.n_fast:
-        raise ValueError(
-            f"fast-time length {n_fast} does not match params.n_fast={params.n_fast}"
-        )
+def _matched_filter(params: RadarParams) -> np.ndarray:
+    """The unit-energy conjugate replica spectrum at ``_fast_len(n_fast)``; the
+    lags ``0..n_fast - replica_length`` of the circular correlation are wrap-free."""
     replica = transmit_pulse(params)
-    m = replica.size
-    # circular correlation; lags 0..n_fast-m are wrap-free at any nfft >= n_fast
-    nfft = _fast_len(n_fast)
-    return np.conj(np.fft.fft(replica, n=nfft)) / np.sqrt(m), n_fast - m + 1
+    return np.conj(np.fft.fft(replica, n=_fast_len(params.n_fast))) / np.sqrt(replica.size)
 
 
 def _fast_len(n: int) -> int:
@@ -116,23 +108,25 @@ def range_compress(raw: RawDatacube) -> CompressedDwell:
     Only full-overlap correlation lags are kept, so output bin ``m``
     corresponds to range ``r_min + m * c / (2 fs)``.
     """
-    (n_ch, _, n_p), params = raw.values.shape, raw.params
-    return _range_compress(raw, np.empty((n_ch, n_p, _fast_len(params.n_fast)), dtype=complex),
-                           np.empty((n_ch, params.n_range_bins, n_p), dtype=complex))
+    (n_ch, n_fast, n_p), params = raw.values.shape, raw.params
+    if n_fast != params.n_fast:
+        raise ValueError(f"fast-time length {n_fast} does not match params.n_fast={params.n_fast}")
+    match = _matched_filter(params)
+    spec = np.empty((n_ch, n_p, match.size), dtype=complex)
+    spec[..., :n_fast] = raw.values.transpose(0, 2, 1)
+    _match_rows(spec, match, n_fast)
+    values = np.ascontiguousarray(spec[..., :params.n_range_bins].transpose(0, 2, 1))
+    return CompressedDwell(values=values, range_axis=params.range_axis(), params=params)
 
 
-def _range_compress(raw: RawDatacube, spec: np.ndarray, out: np.ndarray) -> CompressedDwell:
-    """``range_compress`` through the padded spectrum ``spec``, ``(n_ch,
-    n_pulses, nfft)``, into ``out``; both are written before they are read."""
-    (match, n_r), x = _matched_filter(raw), raw.values
-    n_fast = x.shape[1]
-    spec[..., :n_fast] = x.transpose(0, 2, 1)
+def _match_rows(spec: np.ndarray, match: np.ndarray, n_fast: int) -> None:
+    """Matched-filter in place the rows of a padded ``(..., n_pulses, nfft)``
+    spectrum whose first ``n_fast`` columns are loaded: zero the padding,
+    transform, multiply by ``match`` and inverse-transform."""
     spec[..., n_fast:] = 0
     np.fft.fft(spec, out=spec)
     spec *= match
     np.fft.ifft(spec, out=spec)
-    out[...] = spec[..., :n_r].transpose(0, 2, 1)
-    return CompressedDwell(values=out, range_axis=raw.params.range_axis(), params=raw.params)
 
 
 def _unit_window(window: str, n: int) -> np.ndarray:
@@ -246,7 +240,7 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
         rd.values = x.reshape(-1)[:size].reshape(n_ch, n_r, n_dop)
     else:
         rd.values = np.empty((n_ch, n_r, n_dop), dtype=rd.values.dtype)
-    out, match, w = rd.values, _matched_filter(raw)[0], _unit_window(window, n_p)
+    out, match, w = rd.values, _matched_filter(raw.params), _unit_window(window, n_p)
     bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(_workers(n_ch))]
     lock, channels = threading.Lock(), iter(range(n_ch))
     ready, failed = threading.Semaphore(0), threading.Event()
@@ -265,11 +259,8 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
                 # a blocked transpose, about half the time of one strided copy
                 for j in range(0, n_fast, 64):
                     rows[:, j:min(j + 64, n_fast)] = x[c, j:j + 64].T
-            rows[:, n_fast:] = 0
             kept[n_p:] = 0
-            np.fft.fft(rows, out=rows)
-            rows *= match
-            np.fft.ifft(rows, out=rows)
+            _match_rows(rows, match, n_fast)
             rows[:, :n_r] *= w[:, None]
             np.fft.fft(kept, axis=0, out=kept)
             _shift_scaled(kept.T, out[c])

@@ -66,6 +66,10 @@ MALFORMED = [
     (t1_tree(noise_power=True), "noise_power"),
     ({"mode": "t1", "targets": [{"range_m": 5000.0}]}, r"targets\[0\].azimuth_deg"),
     ({"mode": "t4", "isar": {"window_halfwidth_bins": 0}}, "isar.window_halfwidth_bins"),
+    # a t4 receive window of one range bin, around its one scatterer
+    ({"mode": "t4", "radar": {"r_min_m": 1700.0, "r_max_m": 1700.5},
+      "isar": {"body": {"center_range_m": 1700.2, "scatterers": [[0.0, 0.0, 1.0]]}}},
+     r"radar\.r_max_m: t4 needs at least 2 range bins"),
     (t1_tree(processing={"cfar_train": 5000}), "processing.cfar_train"),
     # a 2-point MUSIC grid, which peak picking cannot use
     (t1_tree(processing={"music_grid_step_deg": 45.0}), "processing.music_grid_step_deg"),
@@ -311,15 +315,18 @@ def test_numeric_bounds():
 def amplitude_bound(tree) -> float:
     """The largest squared sum of raw per-channel return amplitudes a scenario may
     reach: the largest float over the chain's cells, to the root of the exponent the
-    chain takes its cell powers to (1 in t1-t3, 2**(order - 1) in t4), over the
-    coherent gain of the replica, the channels and the slow-time samples."""
+    chain takes its cell powers to (1 in t1-t3, 2 in t4 at every autofocus order), or
+    in t4 the float32 image magnitude squared times the slow-time samples if smaller,
+    over the coherent gain of the replica, the channels and the slow-time samples."""
     cfg = resolve_config(tree)
     radar = cfg.radar
     n_slow = radar.n_pulses * (cfg.isar.n_dwells if cfg.isar else 1)
     cells = radar.n_range_bins * n_slow * cfg.processing.doppler_oversample
-    exponent = 2 ** (cfg.isar.autofocus_order - 1) if cfg.isar else 1
     gain = radar.replica_length * 6 * n_slow**2
-    return (np.finfo(float).max / cells) ** (1.0 / exponent) / gain
+    if cfg.isar is None:
+        return np.finfo(float).max / cells / gain
+    image = float(np.finfo(np.float32).max) ** 2 * n_slow
+    return min(np.sqrt(np.finfo(float).max / cells), image) / gain
 
 
 T4_SHORT = {"mode": "t4", "radar": {"r_min_m": 1600.0, "r_max_m": 1800.0}, "isar": {"n_dwells": 4}}

@@ -251,6 +251,31 @@ def test_chain_runs_at_the_power_bound(tree):
         resolve_config({**tree, "noise_power": 1.0e300})
 
 
+def test_t4_image_grid_is_finite_at_the_power_bound(tmp_path):
+    # the t4 image keeps 1/n_slow of a cell's power and its grid holds the
+    # magnitude as a float32: that bound binds long before the contrast's, and
+    # at the bound the report is written, at order 4 too, without an overflow
+    tree = {**T4_SHORT, "isar": {"n_dwells": 4, "autofocus_order": 4}}
+    noise = (np.sqrt(amplitude_bound(tree)) - 1.0) ** 2  # beside the one unit scatterer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_report(run_experiment(resolve_config({**tree, "noise_power": noise * (1 - 1e-9)})),
+                     tmp_path)
+    assert np.isfinite(read_grid(tmp_path / "isar_image.aesg").values).all()
+    with pytest.raises(ConfigError, match="t4 image grid"):
+        resolve_config({**tree, "noise_power": noise * (1 + 1e-9)})
+
+
+def test_t4_runs_on_two_range_bins(tmp_path):
+    # the smallest receive window t4 takes: two range bins, both imaged
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(yaml.safe_dump({
+        "mode": "t4", "radar": {"r_min_m": 1700.0, "r_max_m": 1702.0},
+        "isar": {"body": {"center_range_m": 1700.2, "scatterers": [[0.0, 0.0, 1.0]]}}}))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+    assert read_grid(tmp_path / "o" / "isar_image.aesg").values.shape[0] == 2
+
+
 def test_dump_geometry_and_emit_raw(tmp_path):
     scenario = small_t1(tmp_path)
     out = tmp_path / "out"
@@ -409,26 +434,28 @@ def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
 
 
 def test_t4_few_compressed_dwells_alive(monkeypatch):
-    # every dwell is compressed, channel by channel, into one of exactly
-    # `workers` slots, which were alive when the pool was created (a block
-    # with each slot's allocation traceback and size is in the snapshot taken
-    # then); each dwell writes its own rows of the history, so no compressed
-    # dwell passes through the extraction, which the run no longer calls
+    # every dwell is beamformed and compressed once, in one of exactly
+    # `workers` padded spectra, which were alive when the pool was created (a
+    # block with each spectrum's allocation traceback and size is in the
+    # snapshot taken then); each dwell writes its own rows of the history, so
+    # no compressed dwell passes through the extraction, which the run no
+    # longer calls, and none has more than its one beamformed channel
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     monkeypatch.setattr(isar, "extract_target_history", None)
     assert not hasattr(experiments, "extract_target_history")
     cfg = load_config(CONFIG_DIR / "t4.yaml")
-    lock, dwell_of, outs, at_start = threading.Lock(), threading.local(), {}, []
-    simulate, compress = experiments._isar_dwell, experiments._range_compress
+    params = cfg.radar
+    lock, dwell_of, specs, at_start = threading.Lock(), threading.local(), {}, []
+    simulate, match_rows = experiments._isar_dwell, experiments._match_rows
 
     def recording_simulate(params, body, d, *args, **kwargs):
         dwell_of.d = d
         return simulate(params, body, d, *args, **kwargs)
 
-    def recording_compress(raw, spec, out):
+    def recording_match_rows(spec, match, n_fast):
         with lock:
-            outs.setdefault(dwell_of.d, []).append(out)  # kept alive, so no address is reused
-        return compress(raw, spec, out)
+            specs.setdefault(dwell_of.d, []).append(spec)
+        return match_rows(spec, match, n_fast)
 
     class SnapshottingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -436,25 +463,20 @@ def test_t4_few_compressed_dwells_alive(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
-    monkeypatch.setattr(experiments, "_range_compress", recording_compress)
+    monkeypatch.setattr(experiments, "_match_rows", recording_match_rows)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", SnapshottingPool)
     tracemalloc.start(5)
     try:
         run_experiment(cfg)
-        owners = {id(o.base): o.base for channels in outs.values() for o in channels}
-        born = [(tracemalloc.get_object_traceback(b), b.nbytes) for b in owners.values()]
+        owners = {id(spec): spec for calls in specs.values() for spec in calls}
+        born = [(tracemalloc.get_object_traceback(s), s.nbytes) for s in owners.values()]
     finally:
         tracemalloc.stop()
-    assert sorted(outs) == list(range(cfg.isar.n_dwells))
-
-    def address(a):
-        return a.__array_interface__["data"][0]
-
-    for channels in outs.values():  # the 6 channels of one slot, in order
-        assert [address(o) for o in channels] == [
-            address(channels[0]) + c * channels[0].nbytes for c in range(6)]
-    slots = {address(channels[0]) for channels in outs.values()}
-    assert len(slots) == experiments._workers(cfg.isar.n_dwells - 1) == 2
+    assert sorted(specs) == list(range(cfg.isar.n_dwells))
+    assert all(len(calls) == 1 for calls in specs.values())
+    assert {spec.shape for spec in owners.values()} == {
+        (params.n_pulses, next_fast_len(params.n_fast))}
+    assert len(owners) == experiments._workers(cfg.isar.n_dwells - 1) == 2
     start_traces = at_start[0].traces
     assert all(any(t.traceback == tb and t.size == nbytes for t in start_traces)
                for tb, nbytes in born)
@@ -489,30 +511,29 @@ def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
 def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
     # every dwell-sized array of the t4 front end is allocated on the calling
     # thread, so no block of 512 KiB or more that a dwell thread allocated is
-    # ever alive (a raw dwell is 2.4 MiB, a six-channel range spectrum too, a
-    # compressed dwell 0.96 MiB, the history 3.0 MiB; a dwell's beamformed
-    # rows are 96 KiB); such blocks stay in the thread's malloc arena
+    # ever alive (a raw dwell is 2.4 MiB, the history 3.0 MiB; a dwell's
+    # padded spectrum is 0.40 MiB, its rows of the history 96 KiB); such
+    # blocks stay in the thread's malloc arena
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(6)
     on_thread = tracemalloc.Filter(True, concurrent.futures.thread.__file__, all_frames=True)
     lock, snapshots, blocks = threading.Lock(), [], []
+    match_rows = experiments._match_rows
 
-    def snapshotting(module, name):
-        stage = getattr(module, name)
+    def snapshot():
+        with lock:
+            taken = tracemalloc.take_snapshot().filter_traces([on_thread])
+            snapshots.append(threading.current_thread().name)
+            blocks.extend(t for t in taken.traces if t.size >= 2**19)
 
-        def patched(*args, **kwargs):
-            with lock:
-                snapshot = tracemalloc.take_snapshot().filter_traces([on_thread])
-                snapshots.append(threading.current_thread().name)
-                blocks.extend(t for t in snapshot.traces if t.size >= 2**19)
-            return stage(*args, **kwargs)
+    def snapshotting_match_rows(*args):
+        # once the dwell is simulated and beamformed, and once it is compressed,
+        # just before its rows are written, both on the threads
+        snapshot()
+        match_rows(*args)
+        snapshot()
 
-        monkeypatch.setattr(module, name, patched)
-
-    # inside each channel's compression and as each dwell is beamformed into
-    # its rows of the history, both on the threads
-    snapshotting(rdproc, "_matched_filter")
-    snapshotting(experiments, "apply_beamformer")
+    monkeypatch.setattr(experiments, "_match_rows", snapshotting_match_rows)
     tracemalloc.start(25)
     try:
         run_experiment(cfg)
@@ -548,11 +569,12 @@ def test_t4_emit_raw_keeps_dwell_0_and_every_other_byte(tmp_path, monkeypatch):
 
 
 def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch, fast_switching):
-    # the dwells run in any order on any thread and give the same report, and
-    # the F-ordered history the back end is given is the one that
+    # the dwells run in any order on any thread and give the same report and
+    # the same F-ordered history, which is, but for rounding, the one that
     # extract_target_history stacks from the sequence simulator's dwells,
-    # compressed one by one; the threads interleave often, and 6 workers
-    # outnumber the cores, so a buffer set reused too early would change the bytes
+    # compressed one by one and then beamformed; the threads interleave often,
+    # and 6 workers outnumber the cores, so a buffer set reused too early would
+    # change the bytes
     cfg = small_t4(6)
     histories, align = [], experiments.range_align
 
@@ -569,9 +591,11 @@ def test_t4_report_same_for_any_worker_count(tmp_path, monkeypatch, fast_switchi
     want = isar.extract_target_history([range_compress(d) for d in dwells],
                                        conventional_weights(cfg.steering_deg[0]),
                                        tuple(report.metrics["window_range_bins"]))
-    assert [h.values.tobytes() for h in histories] == [want.values.tobytes()] * 3
+    assert [h.values.tobytes() for h in histories] == [histories[0].values.tobytes()] * 3
     assert [h.range_axis.tobytes() for h in histories] == [want.range_axis.tobytes()] * 3
     assert all(h.values.flags.f_contiguous for h in histories)
+    np.testing.assert_allclose(histories[0].values, want.values, rtol=0,
+                               atol=1e-12 * np.abs(want.values).max())
     names = sorted(p.name for p in (tmp_path / "1").iterdir())
     for workers in ("2", "6"):
         assert names == sorted(p.name for p in (tmp_path / workers).iterdir())

@@ -482,6 +482,18 @@ def test_autofocus_is_independent_of_the_layout(t4_aligned):
     assert results[0].contrast_after == results[1].contrast_after
 
 
+def test_ppt_seed_is_independent_of_a_power_of_two_scale(t4_aligned):
+    # the seed scales the history by a power of two before its lag products,
+    # so 2**600 times the history, whose lag products would overflow, gives
+    # the same bits at every order, without a warning
+    x, t = np.asfortranarray(t4_aligned.values), t4_aligned.slow_time()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (2, 3, 4):
+            assert (isar._ppt_seed(x * 2.0**600, t, order).tobytes()
+                    == isar._ppt_seed(x, t, order).tobytes())
+
+
 def test_autofocus_peak_is_the_evaluator_buffers(t4_aligned):
     # the aligned history keeps slow time on its contiguous axis, so the
     # evaluator reads it in place; the corrected history, its spectrum and the

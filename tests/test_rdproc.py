@@ -1,8 +1,10 @@
+import queue
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import get_window
 
-from aesa_chain import (ConfigError, PointTarget, RadarParams, doppler_process, load_config,
-                        range_compress, rd_map, simulate_dwell, transmit_pulse)
-from aesa_chain import rdproc, scene
+from aesa_chain import (ConfigError, PointTarget, RadarParams, apply_beamformer,
+                        conventional_weights, doppler_process, load_config, range_compress,
+                        rd_map, simulate_dwell, transmit_pulse)
+from aesa_chain import experiments, rdproc, scene
 from aesa_chain.rdproc import WINDOWS, CompressedDwell
 
 from helpers import compress_oracle, dft_oracle, traced_peak, unit_window_oracle
@@ -44,21 +47,41 @@ def test_range_compress_matches_direct_correlation():
                                SMALL.r_min + np.arange(SMALL.n_range_bins) * SMALL.range_bin_m)
 
 
-def test_range_compress_per_channel_into_used_buffers():
-    # the t4 run compresses channel by channel through one padded spectrum
-    # and into a compressed slot, both of which held an earlier dwell: the
-    # padding is zeroed, so stale samples (here NaN) never leak in
+def test_range_compress_per_channel_into_used_buffers(monkeypatch):
+    # the matched-filter kernel runs in place on spectra that held earlier
+    # data (here NaN): it zeroes the padding, so stale samples never leak in,
+    # whether it takes all channels at once or one channel at a time
     for params in (SMALL, PADDED):
         raw = simulate_dwell(params, [], noise_power=2.0, seed=5)
         want = range_compress(raw)
-        spec = np.full((1, params.n_pulses, next_fast_len(params.n_fast)), np.nan,
-                       dtype=complex)
-        out = np.full(want.values.shape, np.nan, dtype=complex)
-        for c in range(raw.values.shape[0]):
-            got = rdproc._range_compress(replace(raw, values=raw.values[c:c + 1]), spec,
-                                         out[c:c + 1])
-            assert np.shares_memory(got.values, out)
-        assert out.tobytes() == want.values.tobytes()
+        match, n_r = rdproc._matched_filter(params), params.n_range_bins
+        n_ch, n_fast, n_p = raw.values.shape
+        spec = np.full((n_ch, n_p, next_fast_len(n_fast)), np.nan, dtype=complex)
+        spec[..., :n_fast] = raw.values.transpose(0, 2, 1)
+        rdproc._match_rows(spec, match, n_fast)
+        assert spec[..., :n_r].transpose(0, 2, 1).tobytes() == want.values.tobytes()
+        rows = np.full((n_p, next_fast_len(n_fast)), np.nan, dtype=complex)
+        for c in range(n_ch):
+            rows[:, :n_fast] = raw.values[c].T
+            rdproc._match_rows(rows, match, n_fast)
+            assert rows[:, :n_r].T.tobytes() == want.values[c].tobytes()
+    # the t4 run reuses its raw cubes and spectra from dwell to dwell: filled
+    # with NaN each time they are put back, they leave the report as it was
+    cfg = load_config(CONFIG_DIR / "t4.yaml")
+    cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=6))
+    want = experiments.run_experiment(cfg)
+
+    class StaleQueue(queue.SimpleQueue):
+        def put(self, buffers, *args, **kwargs):
+            for buffer in buffers:
+                buffer.fill(np.nan)
+            super().put(buffers, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "queue", SimpleNamespace(SimpleQueue=StaleQueue))
+    got = experiments.run_experiment(cfg)
+    assert got.metrics == want.metrics
+    assert got.grids["isar_image.aesg"].values.tobytes() == \
+        want.grids["isar_image.aesg"].values.tobytes()
 
 
 def test_range_compress_at_padded_length_matches_direct_correlation():
@@ -412,6 +435,19 @@ def test_rd_map_is_linear_without_noise(dwell, window, oversample, alpha):
                                atol=1e-12 * (1 + abs(alpha)) * scale)
     np.testing.assert_allclose(rd_map(both, window, oversample).values, rd_a + rd_b,
                                rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(small_dwells(), st.floats(-45.0, 45.0), st.integers(0, 2**32 - 1))
+def test_range_compress_commutes_with_the_beamformer(dwell, steer, seed):
+    # both stages are linear, so compressing the beamformed channel, as each
+    # t4 dwell does, gives the beamformed compressed dwell but for rounding
+    params, targets, _ = dwell
+    raw = simulate_dwell(params, targets, noise_power=2.0, seed=seed)
+    weights = conventional_weights(steer)
+    want = apply_beamformer(range_compress(raw), weights)
+    got = range_compress(replace(raw, values=apply_beamformer(raw, weights)[None])).values[0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @PROPERTY
