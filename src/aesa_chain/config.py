@@ -343,7 +343,7 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         errors.append(f"mode {mode} requires jammer.active = false")
     if mode in ("t1", "t3") and not targets:
         errors.append(f"mode {mode} requires at least one target")
-    # t4 falls back to the strongest range bin when the CFAR window does not fit
+    # t4 runs no CFAR
     cfar_cells = cfar_window_cells(proc["cfar_train"], proc["cfar_guard"])
     if mode != "t4" and radar is not None and cfar_cells > radar.n_range_bins:
         errors.append(f"processing.cfar_train: a CFAR window of {cfar_cells} range cells "
@@ -377,64 +377,83 @@ def resolve_config(tree: dict, base_dir: Path | None = None) -> ExperimentConfig
         isar=IsarParams(body=body, **isar) if mode == "t4" else None,
         truth_tracks=truth,
     )
-    if not errors and (power := _power_error(values)):
-        errors.append(power)
     if errors:
         raise ConfigError("; ".join(errors))
-    return ExperimentConfig(**values, tree=resolved)
+    cfg = ExperimentConfig(**values, tree=resolved)
+    if power := _power_error(cfg):
+        raise ConfigError(power)
+    return cfg
 
 
-def _power_error(values: dict) -> str | None:
-    """Where a resolved scenario's returns could overflow the chain, by dotted path, or None.
+def _loudest(cfg: ExperimentConfig) -> tuple:
+    """``(name, amplitude)``: the return of the largest power, as an error names it by
+    dotted path, and log10 of the summed raw amplitudes of all returns.
 
     Per channel and raw sample, each return has the amplitude of its power:
     ``noise_power``; ``10**(snr_db / 10) * noise_power / (L * n_pulses)`` for a
     target, whose RD-peak power that is; ``10**(jnr_db / 10) * noise_power``
     for the jammer; ``mean_power * noise_power / L`` for a clutter bin; the
-    squared amplitude of a t4 scatterer (L = replica length).  Added
-    coherently, amplitudes summing to ``a`` reach at most a power ``a**2 *
-    L * N_SUBARRAYS * n_slow**2`` in one cell: the unit-energy matched filter,
-    unit-norm channel weights and an unnormalised transform over the
-    ``n_slow`` slow-time samples of a dwell, or of the t4 image history.  The
-    t1-t3 chain sums such powers over its cells, below the largest float.  The
-    t4 image grid keeps ``1 / n_slow`` of a cell's power as a float32 magnitude,
-    which binds long before the contrast's sum of squares (the polynomial-phase
-    seed scales the history first).
+    squared amplitude of a t4 scatterer (L = replica length).
     """
-    radar, isar = values["radar"], values["isar"]
+    radar, isar = cfg.radar, cfg.isar
+    # log10 of each return's power, per channel and raw sample
+    noise = math.log10(cfg.noise_power)
+    powers = {"noise_power": noise}
+    for i, target in enumerate(cfg.targets):
+        powers[f"targets[{i}].snr_db"] = (target.snr_db / 10.0 + noise
+                                          - math.log10(radar.replica_length * radar.n_pulses))
+    if cfg.jammer is not None:
+        powers["jammer.jnr_db"] = cfg.jammer.jnr_db / 10.0 + noise
+    if cfg.clutter.enabled:
+        powers["clutter.mean_power"] = (math.log10(cfg.clutter.mean_power) + noise
+                                        - math.log10(radar.replica_length))
+    powers.update({f"isar.body.scatterers[{i}][2]": 2.0 * math.log10(abs(amp))
+                   for i, (_down, _cross, amp) in enumerate(isar.body.scatterers if isar else ())
+                   if amp != 0.0})
+    worst = max(powers, key=powers.get)
+    relative = "" if worst == "noise_power" or worst.startswith("isar.") else \
+        f" at noise_power {cfg.noise_power:g}"
+    # the sum taken about the largest term
+    return (f"{worst} is too large{relative}", powers[worst] / 2.0 + math.log10(
+        sum(10.0 ** ((p - powers[worst]) / 2.0) for p in powers.values())))
+
+
+def _power_error(cfg: ExperimentConfig) -> str | None:
+    """Where a resolved scenario's returns could overflow the chain, by dotted path, or None.
+
+    Added coherently, raw amplitudes (see ``_loudest``) summing to ``a`` reach
+    at most a power ``a**2 * L * N_SUBARRAYS * n_slow**2`` in one cell: the
+    unit-energy matched filter, unit-norm channel weights and an unnormalised
+    transform over the ``n_slow`` slow-time samples of a dwell, or of the t4
+    image history.  The t1-t3 chain sums such powers over its cells, below the
+    largest float.  The t4 image grid keeps ``1 / n_slow`` of a cell's power as
+    a float32 magnitude, which binds long before the contrast's sum of squares
+    (the polynomial-phase seed scales the history first).
+    """
+    radar, isar = cfg.radar, cfg.isar
     n_slow = radar.n_pulses * (isar.n_dwells if isar else 1)
-    cells = radar.n_range_bins * n_slow * values["processing"].doppler_oversample
+    cells = radar.n_range_bins * n_slow * cfg.processing.doppler_oversample
     # log10 of the largest cell power the chain can carry
     top = (2.0 * math.log10(np.finfo(np.float32).max) + math.log10(n_slow) if isar
            else math.log10(np.finfo(float).max) - math.log10(cells))
-    # log10 of each return's power, per channel and raw sample
-    noise = math.log10(values["noise_power"])
-    powers = {"noise_power": noise}
-    for i, target in enumerate(values["targets"]):
-        powers[f"targets[{i}].snr_db"] = (target.snr_db / 10.0 + noise
-                                          - math.log10(radar.replica_length * radar.n_pulses))
-    if values["jammer"] is not None:
-        powers["jammer.jnr_db"] = values["jammer"].jnr_db / 10.0 + noise
-    if values["clutter"].enabled:
-        powers["clutter.mean_power"] = (math.log10(values["clutter"].mean_power) + noise
-                                        - math.log10(radar.replica_length))
-    scatterers = {f"isar.body.scatterers[{i}][2]": 2.0 * math.log10(abs(amp))
-                  for i, (_down, _cross, amp) in enumerate(isar.body.scatterers if isar else ())
-                  if amp != 0.0}
-    powers.update(scatterers)
-    worst = max(powers, key=powers.get)
-    # log10 of (sum of amplitudes)**2 times the gain, taken about the largest term
-    peak = (powers[worst] + 2.0 * math.log10(sum(10.0 ** ((p - powers[worst]) / 2.0)
-                                                 for p in powers.values()))
-            + math.log10(radar.replica_length * N_SUBARRAYS * n_slow**2))
+    name, amplitude = _loudest(cfg)
+    peak = 2.0 * amplitude + math.log10(radar.replica_length * N_SUBARRAYS * n_slow**2)
     if peak <= top:
         return None
-    relative = "" if worst in ("noise_power", *scatterers) else \
-        f" at noise_power {values['noise_power']:g}"
     sink = (f"the t4 image grid holds 1/{n_slow} of it as a float32 magnitude" if isar
             else f"the chain sums that power over {cells} cells")
-    return (f"{worst} is too large{relative}: a cell of the chain could reach a power of "
-            f"10^{peak:.2f}, and {sink}; a power of at most 10^{top:.2f} keeps that finite")
+    return (f"{name}: a cell of the chain could reach a power of 10^{peak:.2f}, and {sink}; "
+            f"a power of at most 10^{top:.2f} keeps that finite")
+
+
+def _raw_amplitude_error(cfg: ExperimentConfig) -> str | None:
+    """Where the raw samples that ``--emit-raw`` writes could overflow a float32, or None."""
+    name, amplitude = _loudest(cfg)
+    top = math.log10(np.finfo(np.float32).max)
+    if amplitude <= top:
+        return None
+    return (f"--emit-raw: {name}: a raw sample could reach an amplitude of 10^{amplitude:.2f}, "
+            f"and raw_ch*.aesg holds it as a float32, at most 10^{top:.2f}")
 
 
 def _canonical_tree(full: dict) -> dict:

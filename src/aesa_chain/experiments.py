@@ -24,16 +24,15 @@ import numpy as np
 from .beamform import (BeamscanCurve, apply_beamformer, beamscan, conventional_weights,
                        covariance_from_snapshots, estimate_covariance, exclusion_mask,
                        mvdr_weights, rejection_db)
-from .config import ExperimentConfig
-from .detect import (_local_maxima, angular_error, cfar_detect, cfar_window_cells,
-                     load_tracks, music_spectrum, pick_peaks, select_training_subset,
-                     target_angular_span)
+from .config import ExperimentConfig, _raw_amplitude_error
+from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks, music_spectrum,
+                     pick_peaks, select_training_subset, target_angular_span)
+from .errors import ConfigError
 from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometry_table
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
                    range_align)
-from .rdproc import (CompressedDwell, _match_rows, _matched_filter, _rd_stream, _workers,
-                     doppler_process)
+from .rdproc import _match_rows, _matched_filter, _rd_stream, _slow_time_dft, _workers
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
 from .version import __version__
 
@@ -122,8 +121,10 @@ def _spectrum_rows(spectrum):
 
 
 def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentReport:
-    """Run the configured chain test and return its report; only ``emit_raw``
-    keeps a raw cube (the first dwell's) past its range-Doppler processing."""
+    """Run the configured chain test and return its report; only ``emit_raw`` keeps the first
+    dwell's raw samples past its range-Doppler processing, for float32 grids they must fit."""
+    if emit_raw and (error := _raw_amplitude_error(cfg)):
+        raise ConfigError(error)
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
     geom = ArrayGeometry.demonstrator(cfg.radar.wavelength)
     report = ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256=cfg.hash(),
@@ -133,13 +134,12 @@ def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentR
     return report
 
 
-def _raw_grids(report: ExperimentReport, raw) -> None:
-    params = raw.params
+def _raw_grids(report: ExperimentReport, params, cube: np.ndarray) -> None:
     fast_axis = GridAxis(start=params.tau_min, step=1.0 / params.sample_rate, unit="s")
     slow_axis = GridAxis(start=0.0, step=1.0 / params.prf, unit="s")
-    for c in range(raw.values.shape[0]):
-        report.grids[f"raw_ch{c}.aesg"] = Grid(
-            values=raw.values[c], row_axis=fast_axis, col_axis=slow_axis)
+    for c, values in enumerate(cube):
+        report.grids[f"raw_ch{c}.aesg"] = Grid(values=values, row_axis=fast_axis,
+                                               col_axis=slow_axis)
 
 
 def _axis(values: np.ndarray, unit: str) -> GridAxis:
@@ -178,7 +178,7 @@ def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> t
     raw, rng = _echo_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                            cfg.seed, cfg.clutter)
     if emit_raw:
-        _raw_grids(report, raw)
+        _raw_grids(report, cfg.radar, raw.values)
     rd = _rd_stream(raw, cfg.processing.window, cfg.processing.doppler_oversample,
                     reuse_raw=not emit_raw,
                     fill=lambda done: _add_noise(rng, raw.values, cfg.noise_power, done))
@@ -394,15 +394,18 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    """Dwell 0 runs here and sets the history's range window; every other dwell is a task on
+    """Dwell 0 runs here and centres the history's range window on the strongest range bin of
+    its beamformed map, with no CFAR (see ``_image_window``); every other dwell is a task on
     the front end's threads that writes its own rows of the history.  The history, at its
-    widest, then per worker a raw cube and a padded spectrum, where a dwell is beamformed and
-    compressed, are allocated here (see ``rdproc``) and dropped before the back end."""
+    widest, then per worker a raw cube and a padded spectrum, where each dwell is simulated,
+    beamformed and compressed, are allocated here (see ``rdproc``) and dropped before the
+    back end."""
     isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
     _check_isar_sequence(params, body, n, cfg.noise_power)
     n_p, n_fast, workers = params.n_pulses, params.n_fast, _workers(n - 1)
-    # F order, as the extraction gives (the seed's last bits depend on it); allocated
-    # before the buffer sets, below them in the heap, which lowers the peak RSS
+    # F order: the window is a contiguous column slice, and the aligned history keeps the
+    # order, which the autofocus reads without a copy (C order peaked at 15.3 MiB, not
+    # 12.3); allocated before the buffer sets, below them in the heap, for a lower peak RSS
     rows = np.empty((n * n_p, min(2 * isar_cfg.window_halfwidth_bins + 1, params.n_range_bins)),
                     dtype=complex, order="F")
     match, w = _matched_filter(params), conventional_weights(cfg.steering_deg[0]).values.conj()
@@ -411,32 +414,31 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
         free.put((np.empty((N_SUBARRAYS, n_fast, n_p), dtype=complex),
                   np.empty((n_p, match.size), dtype=complex)))
 
-    def compress(raw, spec: np.ndarray) -> None:
+    def compress(d: int, cube: np.ndarray, spec: np.ndarray) -> None:
+        raw = _isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube)
         np.einsum("c,cfp->pf", w, raw.values, out=spec[:, :n_fast])
         _match_rows(spec, match, n_fast)
 
     def dwell(d: int) -> None:
         cube, spec = buffers = free.get()
         try:
-            compress(_isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube), spec)
+            compress(d, cube, spec)
             history.values[d * n_p:(d + 1) * n_p] = spec[:, lo:hi]
         finally:
             free.put(buffers)
 
     cube, spec = free.get()
-    raw = _isar_dwell(params, body, 0, cfg.seed, cfg.noise_power, out=None if emit_raw else cube)
-    if emit_raw:  # in a fresh cube, which its grids keep
-        _raw_grids(report, raw)
-    compress(raw, spec)
-    lo, hi = _image_window(cfg, CompressedDwell(spec[:, :params.n_range_bins].T[None],
-                                                params.range_axis(), params))
+    compress(0, cube, spec)
+    if emit_raw:  # float32 copies, the bytes written, as a task reuses the cube
+        _raw_grids(report, params, cube.astype(np.complex64))
+    lo, hi = _image_window(cfg, spec[:, :params.n_range_bins])
     history = RangeProfileHistory(rows[:, :hi - lo], params.prf, params.range_axis()[lo:hi],
                                   params.wavelength)
     history.values[:n_p] = spec[:, lo:hi]
     free.put((cube, spec))
     with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
         list(pool.map(dwell, range(1, n)))  # an error cancels the dwells not yet started
-    del free, raw, cube, spec, rows  # the front end's buffers, before the back end
+    del free, cube, spec, rows  # the front end's buffers, before the back end
     aligned, shifts = range_align(history)
     del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)
@@ -472,24 +474,16 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
                                            col_axis=_axis(image.cross_range_axis_m, "m"))
 
 
-def _image_window(cfg: ExperimentConfig, compressed: CompressedDwell) -> tuple:
-    """The t4 history's range span, around the first CFAR detection on the
-    map of the first dwell, beamformed into its one channel."""
+def _image_window(cfg: ExperimentConfig, rows: np.ndarray) -> tuple:
+    """The t4 history's range span: ``window_halfwidth_bins`` either side of the range bin of
+    the largest power on the first dwell's map, the Doppler transform of its beamformed,
+    compressed ``(n_pulses, n_range_bins)`` ``rows``, clipped to the swath.  No CFAR runs:
+    its window would leave the bins at the swath's edges untested."""
     proc = cfg.processing
-    rd0 = doppler_process(compressed, window=proc.window, oversample=proc.doppler_oversample)
-    bmap = rd0.values[0]
-    n_bins = compressed.values.shape[1]
-    # a CFAR window too large for the short imaging swath, or no detection,
-    # falls back to the strongest range bin
-    dets = []
-    if cfar_window_cells(proc.cfar_train, proc.cfar_guard) <= n_bins:
-        dets = _cfar(cfg, rd0, bmap)
-    if dets:
-        center_bin = dets[0].range_bin
-    else:
-        center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
+    bmap, _freqs = _slow_time_dft(rows.T, proc.window, cfg.radar.prf, proc.doppler_oversample)
+    center_bin = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
     hw = cfg.isar.window_halfwidth_bins
-    return max(center_bin - hw, 0), min(center_bin + hw + 1, n_bins)
+    return max(center_bin - hw, 0), min(center_bin + hw + 1, rows.shape[1])
 
 
 def _image_peaks(image) -> list:
@@ -500,18 +494,10 @@ def _image_peaks(image) -> list:
         return []
     is_peak = _local_maxima(m, np.greater_equal)
     is_peak &= m > peak * 10.0 ** (IMAGE_PEAK_FLOOR_DB / 20.0)
-    coords = np.argwhere(is_peak)
     order = np.argsort(m[is_peak])[::-1][:MAX_IMAGE_PEAKS]
-    out = []
-    for idx in order:
-        r, d = coords[idx]
-        out.append((
-            float(image.range_axis[r]),
-            float(image.cross_range_axis_m[d]),
-            float(image.doppler_axis_hz[d]),
-            float(20.0 * np.log10(m[r, d] / peak)),
-        ))
-    return out
+    return [(float(image.range_axis[r]), float(image.cross_range_axis_m[d]),
+             float(image.doppler_axis_hz[d]), float(20.0 * np.log10(m[r, d] / peak)))
+            for r, d in np.argwhere(is_peak)[order]]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ import numpy as np
 
 MAGIC = b"AESG"
 VERSION = 1
+#: payload dtype by payload kind; a complex value is its (real, imag) float32 pair
+PAYLOAD = ("<f4", "<c8")
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,8 @@ def write_grid(path, values: np.ndarray, row_axis: GridAxis, col_axis: GridAxis)
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError("grid payload must be 2-D")
-    if np.iscomplexobj(arr):
-        kind = 1
-        payload = np.empty(arr.shape + (2,), dtype="<f4")
-        payload[..., 0] = arr.real
-        payload[..., 1] = arr.imag
-    else:
-        kind = 0
-        payload = arr.astype("<f4")
+    kind = int(np.iscomplexobj(arr))
+    payload = arr.astype(PAYLOAD[kind])
     rows, cols = arr.shape
     header = MAGIC + struct.pack("<HBII", VERSION, kind, rows, cols)
     header += _pack_axis(row_axis) + _pack_axis(col_axis)
@@ -112,17 +108,14 @@ def read_grid(path) -> Grid:
         raise ValueError(f"{path}: unknown payload kind {kind}")
     row_axis, offset = _unpack_axis(path, buf, offset)
     col_axis, offset = _unpack_axis(path, buf, offset)
-    count = rows * cols * (1 + kind)
-    if len(buf) - offset != 4 * count:
-        raise ValueError(f"{path}: a {rows} x {cols} grid needs {4 * count} payload "
-                         f"bytes, found {len(buf) - offset}")
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-    if kind == 0:
-        values = flat.reshape(rows, cols).copy()
-    else:
-        pairs = flat.reshape(rows, cols, 2)
-        values = (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex64)
-    return Grid(values=values, row_axis=row_axis, col_axis=col_axis)
+    # read as pairs, not built by a multiply, which turns an infinite imaginary part into a
+    # NaN real part
+    dtype = np.dtype(PAYLOAD[kind])
+    if len(buf) - offset != rows * cols * dtype.itemsize:
+        raise ValueError(f"{path}: a {rows} x {cols} grid needs {rows * cols * dtype.itemsize} "
+                         f"payload bytes, found {len(buf) - offset}")
+    values = np.frombuffer(buf, dtype=dtype, count=rows * cols, offset=offset)
+    return Grid(values=values.reshape(rows, cols).copy(), row_axis=row_axis, col_axis=col_axis)
 
 
 def write_csv(path, header, rows) -> Path:

@@ -32,7 +32,7 @@ n_r <= n_fast``, nor the t1-t3 noise draw (the ``fill``), which by then
 writes only later channels.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
-formation calls it on the profile history.
+formation calls it on the profile history, the t4 window on dwell 0's rows.
 """
 
 import os

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ def test_complex_roundtrip(tmp_path):
     grid = read_grid(write_grid(tmp_path / "map.aesg", values, *AXES))
     assert grid.values.dtype == np.complex64
     np.testing.assert_allclose(grid.values, values.astype(np.complex64))
+
+
+def test_complex_roundtrip_keeps_infinite_and_nan_parts(tmp_path):
+    # each part reads back as written, without a warning: 1j * inf is
+    # nan + inf j, so building a value as re + 1j * im turned 1 + inf j into
+    # nan + inf j
+    parts = [1.0, -0.0, np.inf, -np.inf, np.nan]
+    values = np.array([[complex(re, im) for im in parts] for re in parts], dtype=np.complex64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = read_grid(write_grid(tmp_path / "map.aesg", values, *AXES))
+    assert grid.values.dtype == np.complex64
+    assert grid.values.tobytes() == values.tobytes()
 
 
 def test_writes_are_byte_deterministic(tmp_path):

@@ -403,10 +403,11 @@ def small_t4(n_dwells, **body):
 
 
 def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
-    # each dwell is simulated into one of `workers` raw cubes that the run
-    # allocates before its threads start and that a task takes from a queue
-    # and puts back, so at most one raw dwell per worker is ever alive; only
-    # dwell 0 under --emit-raw gets a fresh cube, which its raw grids keep
+    # each dwell, dwell 0 under --emit-raw too, is simulated into one of
+    # `workers` raw cubes that the run allocates before its threads start and
+    # that a task takes from a queue and puts back, so at most one raw dwell
+    # per worker is ever alive; the raw grids of --emit-raw hold float32 copies
+    # of dwell 0, which share no memory with a reused cube
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(8)
     lock, cubes = threading.Lock(), {}
@@ -415,7 +416,7 @@ def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
     def recording_simulate(params, body, d, *args, out=None, **kwargs):
         raw = simulate(params, body, d, *args, out=out, **kwargs)
         with lock:
-            cubes[d] = (out, raw.values)
+            cubes[d] = (out, raw.values, raw.values.copy() if d == 0 else None)
         return raw
 
     monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
@@ -423,14 +424,15 @@ def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
         cubes.clear()
         report = run_experiment(cfg, emit_raw=emit_raw)
         assert sorted(cubes) == list(range(8))
-        assert [d for d, (out, _) in cubes.items() if out is None] == ([0] if emit_raw else [])
-        given = {id(out): out for out, _ in cubes.values() if out is not None}
+        assert all(out is not None and values is out for out, values, _ in cubes.values())
+        given = {id(out): out for out, _, _ in cubes.values()}
         assert 1 <= len(given) <= experiments._workers(7)
-        assert all(values is out for out, values in cubes.values() if out is not None)
-        if emit_raw:  # the grids hold dwell 0's own cube, no reused one
-            assert all(np.shares_memory(grid.values, cubes[0][1])
-                       for name, grid in report.grids.items() if name.startswith("raw_ch"))
-            assert not any(np.shares_memory(cube, cubes[0][1]) for cube in given.values())
+        grids = [grid.values for name, grid in report.grids.items() if name.startswith("raw_ch")]
+        assert len(grids) == (6 if emit_raw else 0)
+        for c, grid in enumerate(grids):
+            assert grid.dtype == np.complex64
+            assert not any(np.shares_memory(grid, cube) for cube in given.values())
+            assert grid.tobytes() == cubes[0][2][c].astype(np.complex64).tobytes()
 
 
 def test_t4_few_compressed_dwells_alive(monkeypatch):
@@ -485,17 +487,17 @@ def test_t4_few_compressed_dwells_alive(monkeypatch):
 def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
     # the raw sequence never exists whole, nor do its compressed dwells or
     # their beamformed rows: the front end holds per worker one buffer set (a
-    # raw dwell, a one-channel padded range spectrum and a compressed slot)
-    # and the echo temporaries of the dwell it simulates, and every dwell
-    # writes its rows into the one history; half a MiB covers the fixed costs
-    # (replica, axes, beamformed rows); simulating every raw dwell first
-    # peaked at 79.6 MiB, holding every compressed dwell until the extraction
-    # at 37.9 MiB, and stacking the extraction's rows into a second history
-    # at 14.45 MiB
+    # raw dwell and a one-channel padded range spectrum, where the dwell is
+    # beamformed and compressed) and the echo temporaries of the dwell it
+    # simulates, and every dwell writes its rows into the one history; the
+    # rest of the peak, its fixed costs such as the replica and the axes, came to
+    # 501-519 KiB over 42 runs, and 1 MiB covers them; simulating every raw
+    # dwell first peaked at 79.6 MiB, holding every compressed dwell until the
+    # extraction at 37.9 MiB, and stacking the extraction's rows into a second
+    # history at 14.45 MiB
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     params, n_ch, workers = cfg.radar, 6, experiments._workers(cfg.isar.n_dwells - 1)
-    compressed_nbytes = n_ch * params.n_range_bins * params.n_pulses * 16
     raw_nbytes = n_ch * params.n_fast * params.n_pulses * 16
     spectrum_nbytes = params.n_pulses * next_fast_len(params.n_fast) * 16
     cube = np.empty((n_ch, params.n_fast, params.n_pulses), dtype=complex)
@@ -504,8 +506,7 @@ def test_t4_peak_is_compressed_dwells_and_two_workers(monkeypatch):
     report, peak = traced_peak(run_experiment, cfg)
     lo, hi = report.metrics["window_range_bins"]
     history_nbytes = cfg.isar.n_dwells * params.n_pulses * (hi - lo) * 16
-    assert peak <= (workers * (raw_nbytes + spectrum_nbytes + compressed_nbytes + echo_nbytes)
-                    + history_nbytes + 2**19)
+    assert peak <= workers * (raw_nbytes + spectrum_nbytes + echo_nbytes) + history_nbytes + 2**20
 
 
 def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
@@ -630,25 +631,69 @@ def test_t4_sequence_warns_once_and_stops_on_failed_dwell(monkeypatch):
 
 
 def test_t4_falls_back_to_strongest_range_bin():
-    # a CFAR window of 2 * (60 + 2) + 1 = 125 cells does not fit the 84 range
-    # bins of the imaging swath: the window centres on the strongest range bin
-    # of the first dwell's beamformed map, and no CFAR runs
-    cfg = load_config(CONFIG_DIR / "t4.yaml")
-    cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=4),
-                  processing=replace(cfg.processing, cfar_train=60))
-    n_bins = cfg.radar.n_range_bins
+    # t4 runs no CFAR: the window centres on the strongest range bin of the
+    # first dwell's beamformed map, whatever the CFAR settings (a window of
+    # 2 * (60 + 2) + 1 = 125 cells would not fit the 84 range bins of the
+    # imaging swath); a CFAR there left the 18 bins at each edge of the swath
+    # untested, and on these seeds windowed a body at 1612 m (bin 5) or 1785 m
+    # (bin 77) on a noise false alarm that missed it
+    base = load_config(CONFIG_DIR / "t4.yaml")
+    n_bins, hw = base.radar.n_range_bins, base.isar.window_halfwidth_bins
     assert n_bins == 84
-    first = simulate_isar_sequence(cfg.radar, cfg.isar.body, 1, cfg.seed, cfg.noise_power)[0]
-    rd = rd_map(first, window=cfg.processing.window,
-                oversample=cfg.processing.doppler_oversample)
-    bmap = apply_beamformer(rd, conventional_weights(cfg.steering_deg[0]))
-    center = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
-    hw = cfg.isar.window_halfwidth_bins
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "cfar_detect", None)
-        report = run_experiment(cfg)
-    assert report.metrics["window_range_bins"] == [max(center - hw, 0),
-                                                   min(center + hw + 1, n_bins)]
+    bundled = replace(base, isar=replace(base.isar, n_dwells=4),
+                      processing=replace(base.processing, cfar_train=60))
+    edges = [replace(base, seed=seed, isar=replace(base.isar, n_dwells=4, body=replace(
+        base.isar.body, center_range_m=centre)))
+        for centre, seeds in ((1612.0, (0, 2, 8, 11, 19)), (1785.0, (0, 1, 2, 11, 14, 19)))
+        for seed in seeds]
+    for cfg in [bundled] + edges:
+        body = cfg.isar.body
+        first = simulate_isar_sequence(cfg.radar, body, 1, cfg.seed, cfg.noise_power)[0]
+        rd = rd_map(first, window=cfg.processing.window,
+                    oversample=cfg.processing.doppler_oversample)
+        bmap = apply_beamformer(rd, conventional_weights(cfg.steering_deg[0]))
+        center = int(np.argmax((np.abs(bmap) ** 2).max(axis=1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "cfar_detect", None)
+            lo, hi = run_experiment(cfg).metrics["window_range_bins"]
+        assert [lo, hi] == [max(center - hw, 0), min(center + hw + 1, n_bins)]
+        assert lo <= cfg.radar.range_bin_of(body.center_range_m) < hi, (body, cfg.seed)
+
+
+def test_emit_raw_refuses_raw_samples_past_float32(tmp_path, monkeypatch, caplog):
+    # raw samples of amplitude 1e100 would be written as infinite float32
+    # values: --emit-raw refuses the scenario before any dwell is simulated,
+    # naming the largest return, and the run without --emit-raw takes it
+    tree = {"mode": "t1", "noise_power": 1.0e200,
+            "radar": {"r_min_m": 4000.0, "r_max_m": 6000.0},
+            "targets": [{"range_m": 5000.0, "azimuth_deg": 5.0, "snr_db": 25.0}]}
+    scenario = tmp_path / "loud.yaml"
+    scenario.write_text(yaml.safe_dump(tree))
+    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "_echo_dwell", None)
+        assert main(argv + ["--emit-raw"]) == 2
+    assert "--emit-raw: noise_power is too large" in caplog.text
+    assert main(argv) == 0 and not list((tmp_path / "o").glob("raw_ch*"))
+    # the bound is the summed amplitude of the noise and the target at the
+    # largest float32: just inside it the dwell is simulated
+    radar = resolve_config(tree).radar
+    target = np.sqrt(10.0 ** 2.5 / (radar.replica_length * radar.n_pulses))
+    noise = (float(np.finfo(np.float32).max) / (1.0 + target)) ** 2
+
+    class Simulated(Exception):
+        pass
+
+    def simulated(*args):
+        raise Simulated
+
+    monkeypatch.setattr(experiments, "_echo_dwell", simulated)
+    with pytest.raises(Simulated):
+        run_experiment(resolve_config({**tree, "noise_power": noise * (1 - 1e-9)}),
+                       emit_raw=True)
+    with pytest.raises(ConfigError, match="^--emit-raw: noise_power is too large"):
+        run_experiment(resolve_config({**tree, "noise_power": noise * (1 + 1e-9)}),
+                       emit_raw=True)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
