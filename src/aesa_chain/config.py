@@ -142,8 +142,9 @@ _SCHEMA = {
     "seed": _Leaf(0, _int, (lambda s: 0 <= s < 2**64, "lie in [0, 2**64)")),
     "adaptive": _Leaf(True, _bool),
     "steering_deg": _Leaf([0.0], _angles, (
-        lambda angles: max(map(abs, angles)) <= SECTOR_HALF_WIDTH_DEG,
-        f"lie within +/-{SECTOR_HALF_WIDTH_DEG} deg")),
+        lambda angles: (max(map(abs, angles)) <= SECTOR_HALF_WIDTH_DEG
+                        and len({f"{a:+.1f}" for a in angles}) == len(angles)),
+        f"lie within +/-{SECTOR_HALF_WIDTH_DEG} deg and differ at 0.1 deg, as maps are named")),
     "radar_heading_deg": _Leaf(252.0, _finite),
     "noise_power": _Leaf(1.0, _finite, _POSITIVE),
     "radar": {key: _Leaf(getattr(RadarParams(), _FIELD_OF.get(key, key)),
@@ -444,16 +445,6 @@ def _power_error(cfg: ExperimentConfig) -> str | None:
             else f"the chain sums that power over {cells} cells")
     return (f"{name}: a cell of the chain could reach a power of 10^{peak:.2f}, and {sink}; "
             f"a power of at most 10^{top:.2f} keeps that finite")
-
-
-def _raw_amplitude_error(cfg: ExperimentConfig) -> str | None:
-    """Where the raw samples that ``--emit-raw`` writes could overflow a float32, or None."""
-    name, amplitude = _loudest(cfg)
-    top = math.log10(np.finfo(np.float32).max)
-    if amplitude <= top:
-        return None
-    return (f"--emit-raw: {name}: a raw sample could reach an amplitude of 10^{amplitude:.2f}, "
-            f"and raw_ch*.aesg holds it as a float32, at most 10^{top:.2f}")
 
 
 def _canonical_tree(full: dict) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from .beamform import (BeamscanCurve, apply_beamformer, beamscan, conventional_weights,
                        covariance_from_snapshots, estimate_covariance, exclusion_mask,
                        mvdr_weights, rejection_db)
-from .config import ExperimentConfig, _raw_amplitude_error
+from .config import ExperimentConfig, _loudest
 from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks, music_spectrum,
                      pick_peaks, select_training_subset, target_angular_span)
 from .errors import ConfigError
@@ -33,7 +33,7 @@ from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
                    range_align)
 from .rdproc import _match_rows, _matched_filter, _rd_stream, _slow_time_dft, _workers
-from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell
+from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell, simulate_dwell
 from .version import __version__
 
 #: field-trial jammer rejection reference per steering angle (deg -> dB),
@@ -121,20 +121,31 @@ def _spectrum_rows(spectrum):
 
 
 def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentReport:
-    """Run the configured chain test and return its report; only ``emit_raw`` keeps the first
-    dwell's raw samples past its range-Doppler processing, for float32 grids they must fit."""
-    if emit_raw and (error := _raw_amplitude_error(cfg)):
-        raise ConfigError(error)
+    """Run the configured chain test and return its report; ``emit_raw`` first adds the raw
+    grids of dwell 0, simulated again for them (see ``_raw_grids``)."""
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
     geom = ArrayGeometry.demonstrator(cfg.radar.wavelength)
     report = ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256=cfg.hash(),
                               package_version=__version__, adaptive=cfg.adaptive,
                               geometry_rows=geometry_table(geom))
-    runner(cfg, report, emit_raw)
+    if emit_raw:
+        _raw_grids(report, cfg)
+    runner(cfg, report)
     return report
 
 
-def _raw_grids(report: ExperimentReport, params, cube: np.ndarray) -> None:
+def _raw_grids(report: ExperimentReport, cfg: ExperimentConfig) -> None:
+    """``raw_ch0.aesg`` to ``raw_ch5.aesg``: dwell 0 as the reference simulator gives it, cast
+    to the float32 pairs the grids hold, so the chain never keeps a raw cube for them.  A part
+    that is not finite as a float32 is a configuration error, named by the largest return."""
+    params = cfg.radar
+    raw = (_isar_dwell(params, cfg.isar.body, 0, cfg.seed, cfg.noise_power) if cfg.isar else
+           simulate_dwell(params, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed, cfg.clutter))
+    with np.errstate(over="ignore"):
+        cube = raw.values.astype(np.complex64)
+    if not np.isfinite(cube).all():
+        raise ConfigError(f"--emit-raw: {_loudest(cfg)[0]}: a raw sample of dwell 0 passes "
+                          f"the largest float32, which raw_ch*.aesg holds")
     fast_axis = GridAxis(start=params.tau_min, step=1.0 / params.sample_rate, unit="s")
     slow_axis = GridAxis(start=0.0, step=1.0 / params.prf, unit="s")
     for c, values in enumerate(cube):
@@ -168,19 +179,17 @@ def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
             values=_joint_db(m, peak), row_axis=row_axis, col_axis=col_axis)
 
 
-def _dwell(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> tuple:
+def _dwell(cfg: ExperimentConfig) -> tuple:
     """Simulate and process the configured dwell; returns (rd, clutter mask).
 
-    Unless ``emit_raw`` keeps the raw cube for its grids, the range-Doppler
-    cube is written over the raw cube's storage, so only one cube is held;
+    The range-Doppler cube is written over the raw cube's storage, so only
+    one cube is held (``--emit-raw`` simulates its own copy of the dwell);
     the cube's noise is drawn here while the front end runs.
     """
     raw, rng = _echo_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                            cfg.seed, cfg.clutter)
-    if emit_raw:
-        _raw_grids(report, cfg.radar, raw.values)
     rd = _rd_stream(raw, cfg.processing.window, cfg.processing.doppler_oversample,
-                    reuse_raw=not emit_raw,
+                    reuse_raw=True,
                     fill=lambda done: _add_noise(rng, raw.values, cfg.noise_power, done))
     return rd, _clutter_mask(cfg, rd.values.shape[1:])
 
@@ -213,10 +222,10 @@ def _music(cfg: ExperimentConfig, report: ExperimentReport, rd, det, cmask,
 # t1: detection and single-source direction finding
 
 
-def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
+def _run_t1(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     # a malformed truth-track file fails before the dwell is simulated
     tracks = load_tracks(cfg.truth_tracks) if cfg.truth_tracks is not None else None
-    rd, cmask = _dwell(cfg, report, emit_raw)
+    rd, cmask = _dwell(cfg)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
     detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(steer)))
@@ -260,8 +269,8 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 # t2: jammer cancellation
 
 
-def _run_t2(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    rd, cmask = _dwell(cfg, report, emit_raw)
+def _run_t2(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    rd, cmask = _dwell(cfg)
     proc = cfg.processing
     metrics = report.metrics
     metrics["steering_deg"] = list(cfg.steering_deg)
@@ -334,8 +343,8 @@ def _beamscan_rows(conv: BeamscanCurve, mvdr: BeamscanCurve):
 # t3: masked-target recovery and two-source direction finding
 
 
-def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
-    rd, cmask = _dwell(cfg, report, emit_raw)
+def _run_t3(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    rd, cmask = _dwell(cfg)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
 
@@ -393,13 +402,13 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 # t4: inverse-synthetic imaging
 
 
-def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> None:
+def _run_t4(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Dwell 0 runs here and centres the history's range window on the strongest range bin of
     its beamformed map, with no CFAR (see ``_image_window``); every other dwell is a task on
     the front end's threads that writes its own rows of the history.  The history, at its
     widest, then per worker a raw cube and a padded spectrum, where each dwell is simulated,
     beamformed and compressed, are allocated here (see ``rdproc``) and dropped before the
-    back end."""
+    back end.  No raw cube outlives its dwell: ``--emit-raw`` simulates dwell 0 again."""
     isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
     _check_isar_sequence(params, body, n, cfg.noise_power)
     n_p, n_fast, workers = params.n_pulses, params.n_fast, _workers(n - 1)
@@ -429,8 +438,6 @@ def _run_t4(cfg: ExperimentConfig, report: ExperimentReport, emit_raw: bool) -> 
 
     cube, spec = free.get()
     compress(0, cube, spec)
-    if emit_raw:  # float32 copies, the bytes written, as a task reuses the cube
-        _raw_grids(report, params, cube.astype(np.complex64))
     lo, hi = _image_window(cfg, spec[:, :params.n_range_bins])
     history = RangeProfileHistory(rows[:, :hi - lo], params.prf, params.range_axis()[lo:hi],
                                   params.wavelength)

@@ -22,14 +22,14 @@ channel at a time, and the t4 run on each dwell beamformed into one channel
 ``(oversample * n_pulses, nfft)`` spectrum, compressed, windowed and
 Doppler-transformed in place, and divided, fftshifted, into its slot of the
 cube, on up to ``MAX_WORKERS`` threads with the same bytes for any count.
-Every dwell-sized front-end array is allocated on the calling thread, not on
-a worker, whose malloc arena would keep it.  ``_rd_stream`` with
-``reuse_raw`` writes the map over the raw cube's storage, so a dwell holds
-one cube, not two.  That is safe because channels are taken and copied in
-order under one lock, so raw channels ``0..c`` are copied before slot ``c``
-is written, and slot ``c`` overlaps no later raw channel when ``oversample *
-n_r <= n_fast``, nor the t1-t3 noise draw (the ``fill``), which by then
-writes only later channels.
+Every dwell-sized front-end array is allocated on the calling thread, not on a
+worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``,
+as every t1-t3 dwell runs it, writes the map over the raw cube's storage, so a
+dwell holds one cube, not two; ``--emit-raw`` simulates dwell 0 again.  That
+is safe because channels are taken and copied in order under one lock, so raw
+channels ``0..c`` are copied before slot ``c`` is written, and slot ``c``
+overlaps no later raw channel when ``oversample * n_r <= n_fast``, nor the
+t1-t3 noise draw (the ``fill``), which by then writes only later channels.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history, the t4 window on dwell 0's rows.

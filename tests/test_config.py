@@ -75,6 +75,8 @@ MALFORMED = [
     (t1_tree(processing={"music_grid_step_deg": 45.0}), "processing.music_grid_step_deg"),
     ({"mode": "t2", "jammer": {"active": True}, "processing": {"cfar_train": 5000}},
      "processing.cfar_train"),
+    # two steerings whose map files share the name "+0.0"
+    ({"mode": "t2", "jammer": {"active": True}, "steering_deg": [0.04, 0.01]}, "steering_deg"),
 ]
 
 

@@ -277,26 +277,25 @@ def test_t4_runs_on_two_range_bins(tmp_path):
 
 
 def test_dump_geometry_and_emit_raw(tmp_path):
-    scenario = small_t1(tmp_path)
-    out = tmp_path / "out"
-    rc = main(["run", "--scenario", str(scenario), "--out", str(out),
-               "--dump-geometry", "--emit-raw"])
-    assert rc == 0
-    geometry = (out / "geometry.csv").read_text().splitlines()
-    assert len(geometry) == 49  # header + one row per element
-    assert geometry[0] == "x_m,y_m,subarray_id"
-    raw = sorted(p.name for p in out.glob("raw_ch*.aesg"))
-    assert raw == [f"raw_ch{c}.aesg" for c in range(6)]
-    cfg = load_config(scenario)
-    cube = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
-                          cfg.clutter).values
-    np.testing.assert_array_equal(read_grid(out / "raw_ch0.aesg").values,
-                                  cube[0].astype(np.complex64))
-
-
-def _empty_report(cfg):
-    return experiments.ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256="",
-                                        package_version="", adaptive=cfg.adaptive)
+    # the raw grids hold every channel of the reference simulator's dwell as float32,
+    # with a jammer and a clutter band too
+    for make in (small_t1, small_t2, small_mixed):
+        scenario = make(tmp_path)
+        out = tmp_path / make.__name__
+        rc = main(["run", "--scenario", str(scenario), "--out", str(out),
+                   "--dump-geometry", "--emit-raw"])
+        assert rc == 0
+        geometry = (out / "geometry.csv").read_text().splitlines()
+        assert len(geometry) == 49  # header + one row per element
+        assert geometry[0] == "x_m,y_m,subarray_id"
+        raw = sorted(p.name for p in out.glob("raw_ch*.aesg"))
+        assert raw == [f"raw_ch{c}.aesg" for c in range(6)]
+        cfg = load_config(scenario)
+        cube = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
+                              cfg.clutter).values
+        for c, name in enumerate(raw):
+            grid = read_grid(out / name).values
+            assert grid.tobytes() == cube[c].astype(np.complex64).tobytes(), (make, c)
 
 
 @pytest.mark.parametrize("make", (small_t1, small_t2))
@@ -326,13 +325,12 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     monkeypatch.setattr(experiments, "_rd_stream", recording_stream)
     monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
     cfg = load_config(make(tmp_path))
-    # the raw cube lives on only as the storage of the range-Doppler cube
-    run_experiment(cfg)
-    assert states and set(states) == {"shared"}
-    # the raw grids of --emit-raw are what keeps the cube
-    states.clear()
-    run_experiment(cfg, emit_raw=True)
-    assert states and set(states) == {"kept"}
+    # the raw cube lives on only as the storage of the range-Doppler cube, with
+    # --emit-raw too, whose raw grids come from a dwell simulated apart
+    for emit_raw in (False, True):
+        states.clear()
+        run_experiment(cfg, emit_raw=emit_raw)
+        assert states and set(states) == {"shared"}
 
 
 def small_mixed(tmp_path):
@@ -346,7 +344,8 @@ def small_mixed(tmp_path):
 def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, workers):
     # 1, 2, 4 or 6 threads share the 6 channels as 6, 3+3, 2+2+1+1 or 1 each,
     # while the calling thread draws the noise that each channel waits for;
-    # at oversample 2 the map does not fit the raw storage and gets a fresh cube
+    # the map is written over the raw storage, except at oversample 2, where it
+    # does not fit and gets a fresh cube
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     for make in (small_t1, small_t2, small_mixed):
         for oversample in (1, 2):
@@ -356,27 +355,21 @@ def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, wor
             raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power,
                                  cfg.seed, cfg.clutter)
             want = rd_map(raw, window=cfg.processing.window, oversample=oversample)
-            for emit_raw in (False, True):
-                report = _empty_report(cfg)
-                rd, _mask = experiments._dwell(cfg, report, emit_raw)
-                assert rd.values.tobytes() == want.values.tobytes(), (make, oversample)
-                np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
-                assert rd.values.flags.c_contiguous
-                reused = not emit_raw and oversample == 1
-                assert (rd.values.base is not None) == reused
-                if reused:
-                    assert rd.values.base.nbytes == raw.values.nbytes
-                if emit_raw:  # the raw grids still hold the simulated cube
-                    for c in range(6):
-                        grid = report.grids[f"raw_ch{c}.aesg"].values
-                        assert grid.tobytes() == raw.values[c].tobytes()
+            rd, _mask = experiments._dwell(cfg)
+            assert rd.values.tobytes() == want.values.tobytes(), (make, oversample)
+            np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
+            assert rd.values.flags.c_contiguous
+            reused = rd.values.base is not None
+            assert reused == (oversample == 1)
+            if reused:
+                assert rd.values.base.nbytes == raw.values.nbytes
 
 
 def test_full_swath_dwell_holds_one_cube():
     # the t1 map is written over the raw cube's storage one channel at a time,
     # so the peak is the raw cube plus one block's transforms, not two cubes
     cfg = load_config(CONFIG_DIR / "t1.yaml")
-    (rd, _mask), peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
+    (rd, _mask), peak = traced_peak(experiments._dwell, cfg)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
     assert peak < 1.5 * raw_nbytes
     assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
@@ -390,10 +383,28 @@ def test_dwell_peak_over_raw_is_two_spectra(monkeypatch, scenario, spectra):
     # has less room for the fixed costs (replica, window, the stages' checks)
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
     cfg = load_config(CONFIG_DIR / scenario)
-    _, peak = traced_peak(experiments._dwell, cfg, _empty_report(cfg), False)
+    _, peak = traced_peak(experiments._dwell, cfg)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
     spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
     assert peak - raw_nbytes <= spectra * spectrum_nbytes
+
+
+def test_emit_raw_peak_is_one_cube_and_its_float32_grids(tmp_path, monkeypatch):
+    # --emit-raw simulates dwell 0 apart and keeps only its complex64 grids, so a
+    # t1 run holds one raw cube, which its map overwrites, those grids and the
+    # threads' two padded spectra; 1.5 MiB covers the fixed costs, 0.7-1.1 MiB
+    # measured: the 256 KiB noise block and the ufunc buffers and scratch of the
+    # threads' transforms; were the grids taken from the chain's raw cube, the
+    # run would hold that cube and a 3.7 MiB map cube in place of the 2.2 MiB grids
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
+    cfg = load_config(small_t1(tmp_path))
+    run_experiment(cfg)  # so that the one-time caches are not counted
+    report, peak = traced_peak(run_experiment, cfg, emit_raw=True)
+    raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
+    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
+    assert peak < raw_nbytes + raw_nbytes // 2 + 2 * spectrum_nbytes + 1.5 * 2**20
+    grids = [g.values for name, g in report.grids.items() if name.startswith("raw_ch")]
+    assert len(grids) == 6 and sum(g.nbytes for g in grids) == raw_nbytes // 2
 
 
 def small_t4(n_dwells, **body):
@@ -403,36 +414,40 @@ def small_t4(n_dwells, **body):
 
 
 def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
-    # each dwell, dwell 0 under --emit-raw too, is simulated into one of
-    # `workers` raw cubes that the run allocates before its threads start and
-    # that a task takes from a queue and puts back, so at most one raw dwell
-    # per worker is ever alive; the raw grids of --emit-raw hold float32 copies
-    # of dwell 0, which share no memory with a reused cube
+    # each of the chain's dwells is simulated into one of `workers` raw cubes
+    # that the run allocates before its threads start and that a task takes
+    # from a queue and puts back, so at most one raw dwell per worker is ever
+    # alive; --emit-raw adds one simulation of dwell 0 into a fresh cube, whose
+    # float32 casts are the raw grids and share no memory with a reused cube
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(8)
-    lock, cubes = threading.Lock(), {}
+    lock, calls = threading.Lock(), []
     simulate = experiments._isar_dwell
 
     def recording_simulate(params, body, d, *args, out=None, **kwargs):
         raw = simulate(params, body, d, *args, out=out, **kwargs)
         with lock:
-            cubes[d] = (out, raw.values, raw.values.copy() if d == 0 else None)
+            calls.append((d, out, raw.values, raw.values.copy() if out is None else None))
         return raw
 
     monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
     for emit_raw in (False, True):
-        cubes.clear()
+        calls.clear()
         report = run_experiment(cfg, emit_raw=emit_raw)
-        assert sorted(cubes) == list(range(8))
-        assert all(out is not None and values is out for out, values, _ in cubes.values())
-        given = {id(out): out for out, _, _ in cubes.values()}
+        reused = [(d, out) for d, out, values, _ in calls if out is not None and values is out]
+        fresh = [(d, copy) for d, out, _, copy in calls if out is None]
+        assert len(calls) == 8 + emit_raw
+        assert sorted(d for d, _ in reused) == list(range(8))
+        assert [d for d, _ in fresh] == ([0] if emit_raw else [])
+        given = {id(out): out for _, out in reused}
         assert 1 <= len(given) <= experiments._workers(7)
-        grids = [grid.values for name, grid in report.grids.items() if name.startswith("raw_ch")]
-        assert len(grids) == (6 if emit_raw else 0)
+        grids = [report.grids[f"raw_ch{c}.aesg"].values for c in range(6) if emit_raw]
+        assert sorted(report.grids) == ["isar_image.aesg"] + [f"raw_ch{c}.aesg"
+                                                              for c in range(len(grids))]
         for c, grid in enumerate(grids):
             assert grid.dtype == np.complex64
             assert not any(np.shares_memory(grid, cube) for cube in given.values())
-            assert grid.tobytes() == cubes[0][2][c].astype(np.complex64).tobytes()
+            assert grid.tobytes() == fresh[0][1][c].astype(np.complex64).tobytes()
 
 
 def test_t4_few_compressed_dwells_alive(monkeypatch):
@@ -545,9 +560,8 @@ def test_t4_threads_allocate_no_dwell_sized_block(monkeypatch):
 
 
 def test_t4_emit_raw_keeps_dwell_0_and_every_other_byte(tmp_path, monkeypatch):
-    # dwell 0 of --emit-raw is simulated into a fresh cube, as its raw grids
-    # hold views of it: had a reused cube held it, a later dwell would have
-    # overwritten those grids before they were written
+    # --emit-raw simulates dwell 0 once more, into a fresh cube, for its raw
+    # grids, and leaves the chain's own dwells, and so every other byte, alone
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
     cfg = small_t4(6)
     for emit_raw in (False, True):
@@ -660,40 +674,42 @@ def test_t4_falls_back_to_strongest_range_bin():
         assert lo <= cfg.radar.range_bin_of(body.center_range_m) < hi, (body, cfg.seed)
 
 
-def test_emit_raw_refuses_raw_samples_past_float32(tmp_path, monkeypatch, caplog):
-    # raw samples of amplitude 1e100 would be written as infinite float32
-    # values: --emit-raw refuses the scenario before any dwell is simulated,
-    # naming the largest return, and the run without --emit-raw takes it
-    tree = {"mode": "t1", "noise_power": 1.0e200,
-            "radar": {"r_min_m": 4000.0, "r_max_m": 6000.0},
+def test_emit_raw_refuses_raw_samples_past_float32(tmp_path, caplog):
+    # --emit-raw checks the float32 dwell it writes: at a noise power of 1e200
+    # every raw part overflows, and at 8.9e76, where the summed rms amplitude of
+    # the returns still fits a float32, the Gaussian tail of the noise overflows
+    # about a tenth of them; either is a configuration error naming the largest
+    # return, raised with no overflow warning and before any file is written,
+    # while the run without --emit-raw takes the scenario
+    tree = {"mode": "t1", "radar": {"r_min_m": 4000.0, "r_max_m": 6000.0},
             "targets": [{"range_m": 5000.0, "azimuth_deg": 5.0, "snr_db": 25.0}]}
     scenario = tmp_path / "loud.yaml"
-    scenario.write_text(yaml.safe_dump(tree))
     argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
-    with monkeypatch.context() as mp:
-        mp.setattr(experiments, "_echo_dwell", None)
-        assert main(argv + ["--emit-raw"]) == 2
-    assert "--emit-raw: noise_power is too large" in caplog.text
+    for noise_power in (1.0e200, 8.9e76):
+        scenario.write_text(yaml.safe_dump({**tree, "noise_power": noise_power}))
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--emit-raw"]) == 2, noise_power
+        assert caplog.records[-1].getMessage().startswith(
+            "--emit-raw: noise_power is too large"), caplog.text
+        assert not (tmp_path / "o").exists()
     assert main(argv) == 0 and not list((tmp_path / "o").glob("raw_ch*"))
-    # the bound is the summed amplitude of the noise and the target at the
-    # largest float32: just inside it the dwell is simulated
-    radar = resolve_config(tree).radar
-    target = np.sqrt(10.0 ** 2.5 / (radar.replica_length * radar.n_pulses))
-    noise = (float(np.finfo(np.float32).max) / (1.0 + target)) ** 2
+    # a quiet run writes finite raw grids
+    report = run_experiment(resolve_config({**tree, "noise_power": 1.0}), emit_raw=True)
+    grids = [report.grids[f"raw_ch{c}.aesg"].values for c in range(6)]
+    assert all(np.isfinite(grid).all() for grid in grids)
 
-    class Simulated(Exception):
-        pass
 
-    def simulated(*args):
-        raise Simulated
-
-    monkeypatch.setattr(experiments, "_echo_dwell", simulated)
-    with pytest.raises(Simulated):
-        run_experiment(resolve_config({**tree, "noise_power": noise * (1 - 1e-9)}),
-                       emit_raw=True)
-    with pytest.raises(ConfigError, match="^--emit-raw: noise_power is too large"):
-        run_experiment(resolve_config({**tree, "noise_power": noise * (1 + 1e-9)}),
-                       emit_raw=True)
+def test_t2_steering_angles_need_distinct_map_names(tmp_path, caplog):
+    # t2 names each steering's map files to 0.1 deg, so 0.04 and 0.01 deg, both
+    # "+0.0", would write one pair of maps over the other: a configuration error
+    # by dotted path; -0.04 deg is "-0.0", a name of its own
+    argv = ["run", "--scenario", str(CONFIG_DIR / "t2.yaml"), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--steer=0.04,0.01,-0.04"]) == 2
+    assert "steering_deg must" in caplog.text and not (tmp_path / "o").exists()
+    tree = {"mode": "t2", "jammer": {"active": True}, "steering_deg": [0.04, -0.04]}
+    assert resolve_config(tree).steering_deg == (0.04, -0.04)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
