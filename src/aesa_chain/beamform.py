@@ -1,8 +1,12 @@
 """Conventional and minimum-variance adaptive beamforming on the RD cube.
 
 A snapshot is the 6-channel vector of one range-Doppler cell.  The sample
-covariance over a boolean mask of training cells is factored once; the diagonal
-loading is referenced to the smallest eigenvalue of that one eigendecomposition.
+covariance over a boolean mask of training cells, and the cell scatter matrix
+that ``beamscan`` reads, are summed by one kernel, ``_scatter``, over fixed
+blocks of ``SCATTER_CELLS`` cells, so no more than one block of snapshots is
+copied at a time and the rounding depends on no thread count.  The covariance
+is factored once; the diagonal loading is referenced to the smallest eigenvalue
+of that one eigendecomposition.
 Adaptive weights ``w0 = R^-1 v / (v^H R^-1 v)`` come from the same factors
 and are rescaled to unit norm so the white-noise floor at the beamformer
 output equals the per-channel floor, which keeps conventional and adaptive
@@ -26,6 +30,10 @@ DEFAULT_LOADING_DB = 10.0
 
 #: covariance condition number beyond which the solve is refused
 MAX_CONDITION = 1.0e12
+
+#: cells per block of the scatter sum; fixed, so that the sum's rounding is the
+#: same for any worker or BLAS thread count
+SCATTER_CELLS = 2**13
 
 
 def _set_box(mask: np.ndarray, row_span, col_span, value: bool) -> None:
@@ -82,25 +90,48 @@ class BeamformerWeights:
         self.values = v / norm
 
 
-def covariance_from_snapshots(snapshots: np.ndarray,
-                              loading_db: float = DEFAULT_LOADING_DB) -> CovarianceEstimate:
-    """Loaded sample covariance from a (n_channels, K) snapshot block.
+def _scatter(values: np.ndarray, mask: np.ndarray | None = None) -> tuple:
+    """``(S, k)``: the scatter matrix ``sum x x^H`` of the k snapshots of a
+    ``(n_channels, ...)`` array, the cells of its ``(n_channels, n_cells)``
+    view where ``mask`` (of the trailing shape) is True, or all of them.  The
+    sum runs over fixed blocks of ``SCATTER_CELLS`` cells in row-major order;
+    a block copies only its own snapshots, and one of no snapshot adds
+    nothing.  An array of at most ``SCATTER_CELLS`` cells is one product.  A
+    snapshot that is not finite, or a sum past the largest float, leaves the
+    diagonal of S not finite, without a warning (``_loaded`` refuses it)."""
+    x = values.reshape(values.shape[0], -1)
+    keep = None if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
+    s, k = np.zeros((x.shape[0],) * 2, dtype=complex), 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, x.shape[1], SCATTER_CELLS):
+            b = x[:, i:i + SCATTER_CELLS]
+            if keep is not None:
+                b = b[:, keep[i:i + SCATTER_CELLS]]
+            if b.shape[1]:
+                p = b @ b.conj().T
+                s = s + p if k else p  # the first product as it is: one block keeps its bytes
+                k += b.shape[1]
+    return s, k
+
+
+def _loaded(s: np.ndarray, k: int, loading_db: float) -> CovarianceEstimate:
+    """Loaded sample covariance ``S / k`` from the scatter matrix of k snapshots.
 
     The unloaded sample covariance is factored once, and the loading
     ``lambda_min * 10^(loading_db/10)`` is added to every eigenvalue (lambda_min
-    is the thermal floor when interference is low rank).  Fewer than twice
-    the channel count of snapshots (Reed, Mallett and Brennan) raise
-    ``EstimationError``; this is the chain's one snapshot floor.
+    is the thermal floor when interference is low rank).  An S that is not
+    finite (a snapshot that is not finite, or an overflow) raises ``ValueError``.
+    Fewer than twice the channel count of snapshots (Reed, Mallett and
+    Brennan) raise ``EstimationError``; this is the chain's one snapshot floor.
     """
-    x = np.asarray(snapshots, dtype=complex)
-    if x.ndim != 2 or not np.all(np.isfinite(x)):
-        raise ValueError("snapshots must be a finite 2-D (channels, K) array")
-    n_ch, k = x.shape
+    n_ch = s.shape[0]
+    if not np.isfinite(s).all():
+        raise ValueError("snapshots must be finite, and so must their scatter matrix")
     if k < 2 * n_ch:
         raise EstimationError(
             f"{k} snapshots are too few for covariance estimation (need >= {2 * n_ch})"
         )
-    r = x @ x.conj().T / k
+    r = s / k
     r = 0.5 * (r + r.conj().T)
     lam, vecs = np.linalg.eigh(r)
     delta = max(float(lam[0]), 0.0) * 10.0 ** (loading_db / 10.0)
@@ -110,19 +141,33 @@ def covariance_from_snapshots(snapshots: np.ndarray,
     return cov
 
 
+def covariance_from_snapshots(snapshots: np.ndarray,
+                              loading_db: float = DEFAULT_LOADING_DB) -> CovarianceEstimate:
+    """Loaded sample covariance from a (n_channels, K) snapshot block (see
+    ``_loaded``); a block of at most ``SCATTER_CELLS`` snapshots is one product."""
+    x = np.asarray(snapshots, dtype=complex)
+    if x.ndim != 2:
+        raise ValueError("snapshots must be a 2-D (channels, K) array")
+    return _loaded(*_scatter(x), loading_db)
+
+
 def estimate_covariance(rd: RDDatacube, mask: np.ndarray,
                         loading_db: float = DEFAULT_LOADING_DB) -> CovarianceEstimate:
     """Sample covariance over the training cells of the RD cube.
 
     ``mask`` is a boolean (n_range, n_doppler) array, True for a training
-    cell; the snapshots are ``rd.values[:, mask]`` in row-major cell order.
+    cell; the snapshots are those of ``rd.values[:, mask]``, in row-major cell
+    order, summed in blocks by ``_scatter`` without gathering them, so no copy
+    of the cube is made.  A mask of another shape, or a training cell that is
+    not finite, raises ``ValueError``; an empty mask, or fewer snapshots than
+    twice the channel count, raises ``EstimationError``.
     """
     if mask.shape != rd.values.shape[1:]:
         raise ValueError("training mask shape does not match the RD map")
-    snaps = rd.values[:, mask]
-    if snaps.size == 0:
+    s, k = _scatter(rd.values, mask)
+    if k == 0:
         raise EstimationError("training mask is empty")
-    return covariance_from_snapshots(snaps, loading_db=loading_db)
+    return _loaded(s, k, loading_db)
 
 
 def conventional_weights(azimuth_deg: float) -> BeamformerWeights:
@@ -185,13 +230,13 @@ def beamscan(rd: RDDatacube, azimuth_grid_deg,
     Conventional weights when ``cov`` is None, MVDR weights from ``cov``
     otherwise.  The energy at angle a equals ``sum_cells |w_a^H x|^2``,
     evaluated through the cell scatter matrix S as ``diag(W^H S W)`` so the
-    scan cost is independent of the map size.
+    scan cost is independent of the map size; S is summed in blocks by
+    ``_scatter``, which copies one block of the cube at a time, not the cube.
     """
     grid = np.asarray(azimuth_grid_deg, dtype=float)
     w = np.stack([(conventional_weights(az) if cov is None
                    else mvdr_weights(cov, az)).values for az in grid], axis=1)
-    x = rd.values.reshape(rd.values.shape[0], -1)
-    energy = np.einsum("ca,ca->a", w.conj(), (x @ x.conj().T) @ w).real
+    energy = np.einsum("ca,ca->a", w.conj(), _scatter(rd.values)[0] @ w).real
     return BeamscanCurve(azimuth_deg=grid, energy=energy)
 
 

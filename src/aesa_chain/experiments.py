@@ -121,16 +121,17 @@ def _spectrum_rows(spectrum):
 
 
 def run_experiment(cfg: ExperimentConfig, emit_raw: bool = False) -> ExperimentReport:
-    """Run the configured chain test and return its report; ``emit_raw`` first adds the raw
-    grids of dwell 0, simulated again for them (see ``_raw_grids``)."""
+    """Run the configured chain test and return its report; ``emit_raw`` then adds the raw
+    grids of dwell 0, simulated again for them once the chain has run (see ``_raw_grids``),
+    so that a scenario the runner refuses fails before the flag simulates anything."""
     runner = {"t1": _run_t1, "t2": _run_t2, "t3": _run_t3, "t4": _run_t4}[cfg.mode]
     geom = ArrayGeometry.demonstrator(cfg.radar.wavelength)
     report = ExperimentReport(mode=cfg.mode, seed=cfg.seed, config_sha256=cfg.hash(),
                               package_version=__version__, adaptive=cfg.adaptive,
                               geometry_rows=geometry_table(geom))
+    runner(cfg, report)
     if emit_raw:
         _raw_grids(report, cfg)
-    runner(cfg, report)
     return report
 
 
@@ -159,12 +160,18 @@ def _axis(values: np.ndarray, unit: str) -> GridAxis:
 
 
 def _joint_db(complex_map: np.ndarray, joint_peak: float) -> np.ndarray:
-    power = np.abs(complex_map) ** 2
+    """The map's power in dB below ``joint_peak``, floored at ``MAP_FLOOR_DB``: computed in
+    place in one float64 map and returned as the float32 the grid file holds."""
     ref = joint_peak**2
     if ref <= 0.0:
-        return np.full(complex_map.shape, MAP_FLOOR_DB)
-    return np.maximum(10.0 * np.log10(np.maximum(power / ref, 10.0 ** (MAP_FLOOR_DB / 10.0))),
-                      MAP_FLOOR_DB)
+        return np.full(complex_map.shape, MAP_FLOOR_DB, dtype=np.float32)
+    db = np.abs(complex_map)
+    np.square(db, out=db)
+    db /= ref
+    np.maximum(db, 10.0 ** (MAP_FLOOR_DB / 10.0), out=db)
+    np.log10(db, out=db)
+    db *= 10.0
+    return np.maximum(db, MAP_FLOOR_DB, out=db).astype(np.float32)
 
 
 def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:

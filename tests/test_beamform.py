@@ -1,4 +1,5 @@
 from collections import Counter, namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from aesa_chain import (BeamformerWeights, CovarianceEstimate,
                         exclusion_mask, music_spectrum,
                         mvdr_distortionless_weights, mvdr_weights, rd_map,
                         rejection_db, simulate_dwell, subarray_steering)
+from aesa_chain.beamform import SCATTER_CELLS, _scatter
 
 from helpers import (gaussian_elimination_solve, rmb_sinr_loss_moments,
                      subarray_steering_oracle)
@@ -243,6 +245,74 @@ def test_training_region_mask_and_counts():
         estimate_covariance(rd, np.zeros(shape, dtype=bool))
     with pytest.raises(ValueError, match="shape"):
         estimate_covariance(rd, wide[:, :-1])
+
+
+def block_cube(seed, n_rows=5, n_ch=6):
+    """A random (n_ch, n_rows, B) cube whose cells run past two block boundaries."""
+    rng = np.random.default_rng(seed)
+    shape = (n_ch, n_rows, SCATTER_CELLS // 2 + 7)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_scatter_matches_dense_oracle_across_blocks():
+    # the blocked sum equals one product over the selected snapshots, for
+    # masks that straddle block boundaries and leave whole blocks untrained
+    n = SCATTER_CELLS
+    for seed, n_ch in ((7, 6), (8, 4)):
+        x = block_cube(seed, n_ch=n_ch)
+        flat = x.reshape(n_ch, -1)
+        cells = flat.shape[1]
+        assert cells > 2 * n
+        rng = np.random.default_rng(seed)
+        straddle = np.zeros(cells, dtype=bool)
+        straddle[n - 5:n + 3] = True          # the first boundary
+        straddle[2 * n + 1:2 * n + 9] = True  # the last block only
+        hole = np.zeros(cells, dtype=bool)
+        hole[:20] = hole[-20:] = True         # the middle block holds no cell
+        for keep in (None, rng.random(cells) < 0.3, straddle, hole,
+                     np.zeros(cells, dtype=bool)):
+            mask = None if keep is None else keep.reshape(x.shape[1:])
+            s, k = _scatter(x, mask)
+            m = flat if keep is None else flat[:, keep]
+            ref = m @ m.conj().T
+            assert k == m.shape[1]
+            assert np.max(np.abs(s - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        # a window of one block is one product, byte for byte
+        w = flat[:, :n]
+        assert _scatter(w)[0].tobytes() == (w @ w.conj().T).tobytes()
+
+
+def test_estimate_covariance_refusals_across_blocks():
+    # the blocked sum keeps estimate_covariance's refusals: an empty mask and
+    # 11 snapshots spread over three blocks raise EstimationError; a training
+    # cell that is not finite, in any block, and a mask of another shape raise
+    # ValueError; a cell outside the mask is never read
+    x = block_cube(9)
+    rd = RDDatacube(values=x, range_axis=np.arange(x.shape[1]),
+                    velocity_axis=np.arange(x.shape[2]), params=SMALL)
+    shape = x.shape[1:]
+    with pytest.raises(EstimationError, match="empty"):
+        estimate_covariance(rd, np.zeros(shape, dtype=bool))
+    eleven = np.zeros(x[0].size, dtype=bool)
+    eleven[[0, 1, 2, SCATTER_CELLS - 1, SCATTER_CELLS, SCATTER_CELLS + 1,
+            2 * SCATTER_CELLS - 1, 2 * SCATTER_CELLS, 2 * SCATTER_CELLS + 1, -2, -1]] = True
+    with pytest.raises(EstimationError, match="11 snapshots"):
+        estimate_covariance(rd, eleven.reshape(shape))
+    with pytest.raises(ValueError, match="shape"):
+        estimate_covariance(rd, np.ones((shape[0], shape[1] - 1), dtype=bool))
+    train = np.ones(shape, dtype=bool)
+    train[-1, -1] = False
+    clean = estimate_covariance(rd, train)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)):
+        for cell in ((0, 3), (2, 40), (4, shape[1] - 2)):  # the first, middle and last block
+            y = x.copy()
+            y[3][cell] = bad
+            with pytest.raises(ValueError, match="finite"):
+                estimate_covariance(replace(rd, values=y), train)
+        y = x.copy()
+        y[3, -1, -1] = bad
+        outside = estimate_covariance(replace(rd, values=y), train)
+        assert outside.matrix.tobytes() == clean.matrix.tobytes()
 
 
 def test_apply_beamformer_contract():

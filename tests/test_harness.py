@@ -17,10 +17,10 @@ import yaml
 from scipy.fft import next_fast_len
 
 import aesa_chain
-from aesa_chain import (ConfigError, RadarParams, apply_beamformer, conventional_weights,
-                        experiments, isar, load_config, range_compress, rd_map, rdproc,
-                        read_grid, resolve_config, run_experiment, simulate_dwell,
-                        simulate_isar_sequence, write_report)
+from aesa_chain import (ConfigError, RadarParams, apply_beamformer, beamform,
+                        conventional_weights, experiments, isar, load_config, range_compress,
+                        rd_map, rdproc, read_grid, resolve_config, run_experiment,
+                        simulate_dwell, simulate_isar_sequence, write_report)
 from aesa_chain.cli import _steer_list, main
 
 from helpers import traced_peak
@@ -407,6 +407,36 @@ def test_emit_raw_peak_is_one_cube_and_its_float32_grids(tmp_path, monkeypatch):
     assert len(grids) == 6 and sum(g.nbytes for g in grids) == raw_nbytes // 2
 
 
+@pytest.mark.parametrize("mode", ["t2", "t3"])
+def test_adaptive_back_end_makes_no_cube_sized_copy(tmp_path, monkeypatch, mode):
+    # the covariances and the beamscan's scatter matrix are summed over blocks
+    # of SCATTER_CELLS cells, and each dB map is made in place and kept as the
+    # float32 its grid holds, so a run holds one cube, its float32 grids, three
+    # complex maps (t2: the last steering's two maps and the rejection's
+    # temporaries; t3: its two maps and the CFAR's), one block's snapshots and
+    # 256 KiB of fixed costs: measured 7.4 MiB (t2) and 6.8 MiB (t3), where
+    # gathering the training cells and conjugating them, two copies of about
+    # the cube, peaked at 11.8 and 12.4 MiB
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
+    if mode == "t2":
+        cfg = load_config(small_t2(tmp_path))
+    else:
+        tree = yaml.safe_load((CONFIG_DIR / "t3.yaml").read_text())
+        cfg = resolve_config({**tree, "radar": {"n_pulses": 64, "r_min_m": 1500.0,
+                                                "r_max_m": 3000.0}})
+    run_experiment(cfg)  # so that the one-time caches are not counted
+    report, peak = traced_peak(run_experiment, cfg)
+    if mode == "t3":
+        assert report.metrics["mvdr_target_detected"]  # and so MUSIC ran
+    grids = [g.values for g in report.grids.values()]
+    assert all(g.dtype == np.float32 for g in grids)
+    raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
+    map_nbytes = grids[0].size * 16
+    block_nbytes = 6 * beamform.SCATTER_CELLS * 16
+    assert peak <= raw_nbytes + sum(g.nbytes for g in grids) + 3 * map_nbytes + block_nbytes \
+        + 2**18
+
+
 def small_t4(n_dwells, **body):
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     return replace(cfg, isar=replace(cfg.isar, n_dwells=n_dwells,
@@ -699,6 +729,24 @@ def test_emit_raw_refuses_raw_samples_past_float32(tmp_path, caplog):
     report = run_experiment(resolve_config({**tree, "noise_power": 1.0}), emit_raw=True)
     grids = [report.grids[f"raw_ch{c}.aesg"].values for c in range(6)]
     assert all(np.isfinite(grid).all() for grid in grids)
+
+
+def test_emit_raw_refuses_malformed_track_file_before_any_simulation(tmp_path, monkeypatch):
+    # --emit-raw simulates dwell 0 again only once the chain has run, so with
+    # the flag, too, a malformed truth-track file is refused before any dwell
+    # is simulated
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dwell was simulated")
+
+    for simulator in ("_echo_dwell", "simulate_dwell", "_isar_dwell"):
+        monkeypatch.setattr(experiments, simulator, refuse)
+    row, column = MALFORMED_TRACKS[0]
+    (tmp_path / "tracks.csv").write_text(
+        "timestamp,name,range_m,azimuth_deg,heading_deg,length_m,beam_m\n"
+        f"{GOOD_TRACK}\n{row}\n")
+    cfg = load_config(small_t1(tmp_path, truth_tracks="tracks.csv"))
+    with pytest.raises(ConfigError, match=f"line 3, {column}"):
+        run_experiment(cfg, emit_raw=True)
 
 
 def test_t2_steering_angles_need_distinct_map_names(tmp_path, caplog):
