@@ -24,19 +24,17 @@ Doppler-transformed in place, and divided, fftshifted, into its slot of the
 cube, on up to ``MAX_WORKERS`` threads with the same bytes for any count.
 Every dwell-sized front-end array is allocated on the calling thread, not on a
 worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``,
-as every t1-t3 dwell runs it, writes the map over the raw cube's storage, so a
-dwell holds one cube, not two; ``--emit-raw`` simulates dwell 0 again.  That
-is safe because channels are taken and copied in order under one lock, so raw
-channels ``0..c`` are copied before slot ``c`` is written, and slot ``c``
-overlaps no later raw channel when ``oversample * n_r <= n_fast``, nor the
-t1-t3 noise draw (the ``fill``), which by then writes only later channels.
+as every t1-t3 dwell runs it, writes each channel's slot of the map at the
+head of that raw channel's own storage, so a dwell holds one cube, not two,
+and no slot touches another channel's samples; ``--emit-raw`` simulates
+dwell 0 again.
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history, the t4 window on dwell 0's rows.
 """
 
 import os
-import threading
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -72,7 +70,8 @@ class RDDatacube:
     """Range-Doppler cube, shape (n_channels, n_range_bins, n_doppler_bins).
 
     ``velocity_axis`` is the closing speed of each Doppler bin in m/s,
-    spanning +/- lambda * prf / 4 after fftshift.
+    spanning +/- lambda * prf / 4 after fftshift.  The chain's map may be a
+    channel-strided view of the raw cube's storage, each slot C-contiguous.
     """
 
     values: np.ndarray
@@ -220,14 +219,16 @@ def _workers(n_ch: int) -> int:
 
 
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
-               reuse_raw: bool, fill=lambda done: None) -> RDDatacube:
+               reuse_raw: bool, fill=None) -> RDDatacube:
     """``rd_map``; with ``reuse_raw`` the map is written over the storage of
-    ``raw.values``, which is then consumed, whenever the map fits in it (see
-    the module docstring); the bytes are the same either way, and for any
-    thread count.  ``fill(done)``, if given, completes ``raw.values`` in
-    channel order on the calling thread while the workers run, calling
-    ``done(c)`` once channel ``c`` is final; if it raises, the workers stop
-    and the error is raised once they have.
+    ``raw.values``, which is then consumed, whenever a slot fits in a raw
+    channel: the map is then a channel-strided view whose slot ``c`` heads raw
+    channel ``c``.  The bytes are the same either way, and for any thread
+    count.  ``fill(done)``, if given, completes ``raw.values`` on the calling
+    thread while the workers run, calling ``done(c)`` once channel ``c`` is
+    final, after which it writes that channel no more; without it every
+    channel is final.  The workers take the final channels from one queue; if
+    ``fill`` raises, they finish those already final, then the error is raised.
     """
     x = raw.values
     n_ch, n_fast, n_p = x.shape
@@ -235,45 +236,39 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     rd = doppler_process(range_compress(replace(raw, values=x[:0])),
                          window=window, oversample=oversample)
     n_r, n_dop = rd.values.shape[1:]
-    size = n_ch * n_r * n_dop
-    if reuse_raw and x.dtype == rd.values.dtype and size <= x.size:
-        rd.values = x.reshape(-1)[:size].reshape(n_ch, n_r, n_dop)
+    if reuse_raw and x.dtype == rd.values.dtype and n_r * n_dop <= n_fast * n_p:
+        rd.values = x.reshape(n_ch, n_fast * n_p)[:, :n_r * n_dop].reshape(n_ch, n_r, n_dop)
     else:
         rd.values = np.empty((n_ch, n_r, n_dop), dtype=rd.values.dtype)
     out, match, w = rd.values, _matched_filter(raw.params), _unit_window(window, n_p)
     bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(_workers(n_ch))]
-    lock, channels = threading.Lock(), iter(range(n_ch))
-    ready, failed = threading.Semaphore(0), threading.Event()
+    final = queue.SimpleQueue()
 
     def run(buf: np.ndarray) -> None:
-        """The next channel, copied under the lock, through one padded spectrum."""
+        """Each final channel from the queue, up to a None, through one padded spectrum."""
         rows, kept = buf[:n_p], buf[:, :n_r]
-        while True:
-            with lock:
-                c = next(channels, None)
-                if c is None:
-                    return
-                ready.acquire()
-                if failed.is_set():
-                    return
-                # a blocked transpose, about half the time of one strided copy
-                for j in range(0, n_fast, 64):
-                    rows[:, j:min(j + 64, n_fast)] = x[c, j:j + 64].T
+        for c in iter(final.get, None):
+            # a blocked transpose, about half the time of one strided copy
+            for j in range(0, n_fast, 64):
+                rows[:, j:min(j + 64, n_fast)] = x[c, j:j + 64].T
             kept[n_p:] = 0
             _match_rows(rows, match, n_fast)
-            rows[:, :n_r] *= w[:, None]
+            for p, wp in enumerate(w):
+                rows[p, :n_r] *= wp  # a scalar per row: no buffered-iteration block
             np.fft.fft(kept, axis=0, out=kept)
             _shift_scaled(kept.T, out[c])
 
     with ThreadPoolExecutor(len(bufs), thread_name_prefix="rd_stream") as pool:
         futures = [pool.submit(run, buf) for buf in bufs]
         try:
-            fill(lambda c: ready.release())
-        except BaseException:
-            failed.set()
-            raise
+            if fill is None:
+                for c in range(n_ch):
+                    final.put(c)
+            else:
+                fill(final.put)
         finally:
-            ready.release(n_ch + 1)  # every channel not yet final
+            for _ in bufs:
+                final.put(None)
         for future in futures:
             future.result()
     return rd

@@ -344,8 +344,8 @@ def small_mixed(tmp_path):
 def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, workers):
     # 1, 2, 4 or 6 threads share the 6 channels as 6, 3+3, 2+2+1+1 or 1 each,
     # while the calling thread draws the noise that each channel waits for;
-    # the map is written over the raw storage, except at oversample 2, where it
-    # does not fit and gets a fresh cube
+    # each slot of the map heads its own raw channel's storage, except at
+    # oversample 2, where a slot does not fit and the map gets a fresh cube
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     for make in (small_t1, small_t2, small_mixed):
         for oversample in (1, 2):
@@ -358,11 +358,14 @@ def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, wor
             rd, _mask = experiments._dwell(cfg)
             assert rd.values.tobytes() == want.values.tobytes(), (make, oversample)
             np.testing.assert_array_equal(rd.velocity_axis, want.velocity_axis)
-            assert rd.values.flags.c_contiguous
+            assert all(slot.flags.c_contiguous for slot in rd.values)
             reused = rd.values.base is not None
             assert reused == (oversample == 1)
             if reused:
-                assert rd.values.base.nbytes == raw.values.nbytes
+                channels = rd.values.base.reshape(raw.values.shape)
+                for c, slot in enumerate(rd.values):
+                    assert [np.shares_memory(slot, ch) for ch in channels] == \
+                        [k == c for k in range(len(channels))]
 
 
 def test_full_swath_dwell_holds_one_cube():

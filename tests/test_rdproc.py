@@ -131,9 +131,25 @@ def test_rd_map_peak_memory_is_one_cube():
     assert peak < 1.5 * nbytes
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_front_end_peak_over_its_spectra_is_a_divide_block_per_worker(monkeypatch, workers):
+    # past the map and each worker's padded spectrum, a worker holds at most
+    # one buffered block of its strided divide into the map (128 KiB), and its
+    # window multiply none; 64 KiB covers the replica, the window and the
+    # stages' checks
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
+    cfg = load_config(CONFIG_DIR / "t2.yaml")
+    raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
+                         cfg.clutter)
+    rd_map(raw)
+    rd, peak = traced_peak(rd_map, raw)
+    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
+    assert peak - rd.values.nbytes - workers * spectrum_nbytes <= workers * 2**17 + 2**16
+
+
 class _SlowFirstChannel(np.ndarray):
-    """A cube whose channel 0 takes 50 ms per read, so that a slot written
-    before raw channel 0 is wholly copied overwrites input still to be read."""
+    """A cube whose channel 0 takes 50 ms per read, so that the other workers
+    write their slots while raw channel 0 is still being copied."""
 
     def __getitem__(self, key):
         first = key[0] if isinstance(key, tuple) else key
@@ -162,11 +178,41 @@ def test_fused_front_end_matches_stages_for_any_worker_count(monkeypatch, fast_s
                 if not reuse_raw:
                     assert cube.tobytes() == raw.values.tobytes()
             if workers > 1 and oversample == 1:
-                # slot 1 overlaps the tail of raw channel 0, which is read last
+                # the other slots are written while raw channel 0 is still read
                 cube = raw.values.copy().view(_SlowFirstChannel)
                 rd = rdproc._rd_stream(replace(raw, values=cube), window, oversample, True)
                 assert np.shares_memory(rd.values, cube)
                 assert rd.values.tobytes() == want.values.tobytes()
+
+
+def test_slots_are_written_while_raw_channel_0_is_copied(monkeypatch, fast_switching):
+    # each slot heads its own raw channel, so no worker waits for another's
+    # copy: slot 1 is written over raw channel 1 before channel 0 is wholly read
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
+    reads, writes = [], {}
+
+    class TimedReads(_SlowFirstChannel):
+        def __getitem__(self, key):
+            item = super().__getitem__(key)
+            if self.ndim == 3 and isinstance(key, tuple) and key[0] == 0:
+                reads.append(time.monotonic())
+            return item
+
+    shift = rdproc._shift_scaled
+
+    def timed_shift(spec, out):
+        shift(spec, out)
+        writes[out.__array_interface__["data"][0]] = time.monotonic()
+
+    monkeypatch.setattr(rdproc, "_shift_scaled", timed_shift)
+    raw = _noise_dwell()
+    want = rd_map(raw)
+    cube = raw.values.copy().view(TimedReads)
+    rd = rdproc._rd_stream(replace(raw, values=cube), "hann", 1, reuse_raw=True)
+    assert np.asarray(rd.values).tobytes() == want.values.tobytes()
+    slot_1 = np.asarray(rd.values)[1]
+    assert np.shares_memory(slot_1, np.asarray(cube)[1])
+    assert writes[slot_1.__array_interface__["data"][0]] < max(reads)
 
 
 class _TransformFailed(Exception):
@@ -217,7 +263,7 @@ class _NoiseFailed(Exception):
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_fused_front_end_noise_failure_reaches_caller(monkeypatch, fast_switching, workers):
     # the noise draw, the stream's fill on the calling thread, raises once
-    # channel 2 is final: the workers waiting for channel 3 are released and
+    # channel 2 is final: the workers finish channels 0-2, take their None and
     # return, and the error reaches the caller once they have
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     raw, rng = scene._echo_dwell(SMALL, [], None, 2.0, 0, None)
