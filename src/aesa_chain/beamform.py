@@ -224,7 +224,8 @@ class BeamscanCurve:
 
 
 def beamscan(rd: RDDatacube, azimuth_grid_deg,
-             cov: CovarianceEstimate | None = None) -> BeamscanCurve:
+             cov: CovarianceEstimate | None = None,
+             scatter: np.ndarray | None = None) -> BeamscanCurve:
     """Total beamformed map energy as a function of steering azimuth.
 
     Conventional weights when ``cov`` is None, MVDR weights from ``cov``
@@ -232,11 +233,14 @@ def beamscan(rd: RDDatacube, azimuth_grid_deg,
     evaluated through the cell scatter matrix S as ``diag(W^H S W)`` so the
     scan cost is independent of the map size; S is summed in blocks by
     ``_scatter``, which copies one block of the cube at a time, not the cube.
+    ``scatter``, if given, is S as ``_scatter(rd.values)`` gave it, so that scans
+    of one cube share one sum.
     """
     grid = np.asarray(azimuth_grid_deg, dtype=float)
     w = np.stack([(conventional_weights(az) if cov is None
                    else mvdr_weights(cov, az)).values for az in grid], axis=1)
-    energy = np.einsum("ca,ca->a", w.conj(), _scatter(rd.values)[0] @ w).real
+    s = _scatter(rd.values)[0] if scatter is None else scatter
+    energy = np.einsum("ca,ca->a", w.conj(), s @ w).real
     return BeamscanCurve(azimuth_deg=grid, energy=energy)
 
 

@@ -19,6 +19,10 @@ from .errors import ConfigError
 from .geometry import subarray_steering_matrix
 from .rdproc import RDDatacube
 
+#: Doppler columns per block of ``cfar_detect``; fixed, though any width gives the
+#: same detections
+CFAR_COLUMNS = 16
+
 
 @dataclass
 class Detection:
@@ -67,24 +71,28 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     -------
     list of Detection
         Cells exceeding the adaptive threshold that are also strict local
-        maxima of their 3x3 neighbourhood.  Cells whose training window does
-        not fit inside the map are not evaluated.  A cell whose training
-        cells all have zero power (a noise-free map) has a zero threshold,
-        reported as ``threshold_db = -inf``.
+        maxima of their 3x3 neighbourhood, strongest first, cells of equal
+        power in row-major order.  Cells whose training window does not fit
+        inside the map are not evaluated.  A cell whose training cells all
+        have zero power (a noise-free map) has a zero threshold, reported as
+        ``threshold_db = -inf``.
 
-    The training sums are contiguous slices of one cumulative sum over range
-    and the threshold is scaled in place, so beyond the map the temporaries
-    are about two maps of floats (the cumulative sum and the threshold) and
-    the padded copy of ``_local_maxima``.
+    The map is taken in fixed blocks of ``CFAR_COLUMNS`` Doppler columns.  A
+    column's training sums are contiguous slices of one cumulative sum over its
+    range cells, and only the cells above their threshold take the 8-neighbour
+    test, which reads the map about them, one column past the block's edges
+    included, so the blocks give the bytes of one pass over the map, while the
+    temporaries (the cumulative sum, the threshold and one side's difference) are
+    about three blocks of floats.
     """
     p = np.asarray(power_map, dtype=float)
     if p.ndim != 2:
         raise ValueError("power map must be 2-D")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+    if p.size and not (p.min() >= 0.0 and np.isfinite(p.max())):
         raise ValueError("power map must be finite and non-negative")
     if n_train < 1 or n_guard < 0:
         raise ConfigError("need n_train >= 1 and n_guard >= 0")
-    n_r = p.shape[0]
+    n_r, n_d = p.shape
     half = n_train + n_guard
     cells = cfar_window_cells(n_train, n_guard)
     if cells > n_r:
@@ -93,27 +101,29 @@ def cfar_detect(power_map: np.ndarray, pfa: float, n_train: int = 16,
     alpha = ca_cfar_threshold_factor(pfa, n_cells)
 
     # evaluated rows half..n_r-half-1; threshold = alpha * (lead + lag) / n_cells
-    rows = slice(half, n_r - half)
-    threshold = _training_sum(p, n_train, n_guard)
-    threshold /= n_cells
-    threshold *= alpha
-    exceeds = p[rows] > threshold
-
-    is_peak = _local_maxima(p, np.greater)
-    hits = np.argwhere(exceeds & is_peak[rows])
     detections = []
-    for row, col in hits:
-        r = half + int(row)
-        d = int(col)
-        level = threshold[row, col]
-        detections.append(Detection(
-            range_bin=r,
-            doppler_bin=d,
-            range_m=float(range_axis[r]) if range_axis is not None else float("nan"),
-            radial_velocity=float(velocity_axis[d]) if velocity_axis is not None else float("nan"),
-            peak_power_db=float(10.0 * np.log10(p[r, d])),
-            threshold_db=float(10.0 * np.log10(level)) if level > 0.0 else -np.inf,
-        ))
+    for c0 in range(0, n_d, CFAR_COLUMNS):
+        block = p[:, c0:c0 + CFAR_COLUMNS]
+        threshold = _training_sum(block, n_train, n_guard)
+        threshold /= n_cells
+        threshold *= alpha
+        rows, cols = np.nonzero(block[half:n_r - half] > threshold)
+        peak = _beats_neighbours(p, rows + half, cols + c0)
+        for row, col in zip(rows[peak], cols[peak]):
+            r, d = half + int(row), c0 + int(col)
+            level = threshold[row, col]
+            detections.append(Detection(
+                range_bin=r,
+                doppler_bin=d,
+                range_m=float(range_axis[r]) if range_axis is not None else float("nan"),
+                radial_velocity=(float(velocity_axis[d]) if velocity_axis is not None
+                                 else float("nan")),
+                peak_power_db=float(10.0 * np.log10(p[r, d])),
+                threshold_db=float(10.0 * np.log10(level)) if level > 0.0 else -np.inf,
+            ))
+    # the blocks' hits in row-major order, then strongest first: the sort is
+    # stable, so cells of equal power keep that order
+    detections.sort(key=lambda det: (det.range_bin, det.doppler_bin))
     detections.sort(key=lambda det: det.peak_power_db, reverse=True)
     return detections
 
@@ -136,6 +146,22 @@ def _training_sum(p: np.ndarray, n_train: int, n_guard: int) -> np.ndarray:
     lag = half + n_guard + 1
     total += s[2 * half + 1:] - s[lag:lag + n_eval]
     return total
+
+
+def _beats_neighbours(p: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which of the cells ``(rows, cols)`` of a 2-D map, none in its first or last
+    row, are strictly greater than all 8 neighbours: ``_local_maxima(p,
+    np.greater)`` at those cells, where a column outside the map compares as
+    ``-inf``."""
+    value, n_c = p[rows, cols], p.shape[1]
+    peak = np.ones(len(rows), dtype=bool)
+    for dc in (-1, 0, 1):
+        c = cols + dc
+        inside = (c >= 0) & (c < n_c)
+        for dr in (-1, 0, 1):
+            if (dr, dc) != (0, 0):
+                peak[inside] &= value[inside] > p[rows[inside] + dr, c[inside]]
+    return peak
 
 
 def _local_maxima(values: np.ndarray, compare) -> np.ndarray:

@@ -16,14 +16,14 @@ intermediates.
 
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .beamform import (BeamscanCurve, apply_beamformer, beamscan, conventional_weights,
-                       covariance_from_snapshots, estimate_covariance, exclusion_mask,
-                       mvdr_weights, rejection_db)
+from .beamform import (BeamscanCurve, _scatter, apply_beamformer, beamscan,
+                       conventional_weights, covariance_from_snapshots, estimate_covariance,
+                       exclusion_mask, mvdr_weights, rejection_db)
 from .config import ExperimentConfig, _loudest
 from .detect import (_local_maxima, angular_error, cfar_detect, load_tracks, music_spectrum,
                      pick_peaks, select_training_subset, target_angular_span)
@@ -32,7 +32,8 @@ from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometr
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
                    range_align)
-from .rdproc import _match_rows, _matched_filter, _rd_stream, _slow_time_dft, _workers
+from .rdproc import (RDDatacube, _beam_stream, _fast_len, _match_rows, _matched_filter,
+                     _rd_rows, _rd_stream, _slow_time_dft, _workers)
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell, simulate_dwell
 from .version import __version__
 
@@ -187,7 +188,9 @@ def _map_grids(report: ExperimentReport, rd, steer: float, maps: dict) -> None:
 
 
 def _dwell(cfg: ExperimentConfig) -> tuple:
-    """Simulate and process the configured dwell; returns (rd, clutter mask).
+    """Simulate and process the configured dwell into its six-channel map, as t2
+    and t3 need it, their covariances training on the whole map; returns (rd,
+    clutter mask).  t1 needs no such map (see ``_beam_dwell``).
 
     The range-Doppler cube is written over the raw cube's storage, so only
     one cube is held (``--emit-raw`` simulates its own copy of the dwell);
@@ -230,12 +233,23 @@ def _music(cfg: ExperimentConfig, report: ExperimentReport, rd, det, cmask,
 
 
 def _run_t1(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    """Detect on the conventional beam, then find the direction at the strongest
+    detection from six-channel data formed for the MUSIC window's rows alone.
+
+    ``_beam_dwell`` gives the beam's map and its power, and keeps the raw cube;
+    ``_window_rd`` takes the window's rows from it, after which the cube is
+    dropped, before the snapshots are chosen.  No six-channel map is formed: a
+    subarrayed array detects on the sum beam and uses its subarray outputs at the
+    detected cell (Nickel, IEEE Radar Conf. 1995).
+    """
     # a malformed truth-track file fails before the dwell is simulated
     tracks = load_tracks(cfg.truth_tracks) if cfg.truth_tracks is not None else None
-    rd, cmask = _dwell(cfg)
     proc = cfg.processing
     steer = cfg.steering_deg[0]
-    detections = _cfar(cfg, rd, apply_beamformer(rd, conventional_weights(steer)))
+    rd, power, raw = _beam_dwell(cfg, conventional_weights(steer))
+    cmask = _clutter_mask(cfg, power.shape)
+    detections = cfar_detect(power, proc.pfa, proc.cfar_train, proc.cfar_guard,
+                             rd.range_axis, rd.velocity_axis)
     if cmask is not None:
         detections = [d for d in detections if not cmask[d.range_bin, d.doppler_bin]]
 
@@ -248,7 +262,9 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         det = detections[0]
         metrics["detection_range_m"] = det.range_m
         metrics["detection_velocity_mps"] = det.radial_velocity
-        cov, peaks = _music(cfg, report, rd, det, cmask, default_sources=1)
+        window, det, cmask = _window_rd(cfg, raw, rd, det, cmask)
+        del raw, rd, power  # the window is all MUSIC reads
+        cov, peaks = _music(cfg, report, window, det, cmask, default_sources=1)
         metrics["music_snapshots"] = cov.snapshot_count
         if not peaks.azimuths:  # no local maximum on the MUSIC grid: no bearing
             metrics["music_complete"] = False
@@ -270,6 +286,48 @@ def _run_t1(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                 metrics["within_target"] = span.within_target
             else:
                 metrics["track_name"] = "unassociated"
+
+
+def _beam_dwell(cfg: ExperimentConfig, weights) -> tuple:
+    """t1's front end: ``(rd, power, raw)``, the one-channel range-Doppler map of
+    the beam of ``weights``, its power and the raw cube, kept for ``_window_rd``.
+
+    While the calling thread draws the noise, one worker adds each final channel
+    into the beam (``_beam_stream``); the fused kernel then writes the beam's map
+    over the beam's storage.  The beam and the kernel's padded spectrum are one
+    block, and the power map is computed in the spectrum's storage, so that past
+    the raw cube the front end holds that block alone.
+    """
+    params, proc = cfg.radar, cfg.processing
+    raw, rng = _echo_dwell(params, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
+                           cfg.clutter)
+    n_beam, n_dop = params.n_fast * params.n_pulses, proc.doppler_oversample * params.n_pulses
+    block = np.empty(n_beam + n_dop * _fast_len(params.n_fast), dtype=complex)
+    beam = block[:n_beam].reshape(1, params.n_fast, params.n_pulses)
+    spec = block[n_beam:].reshape(n_dop, -1)
+    _beam_stream(raw.values, weights.values, beam[0],
+                 fill=lambda done: _add_noise(rng, raw.values, cfg.noise_power, done))
+    rd = _rd_stream(replace(raw, values=beam), proc.window, proc.doppler_oversample,
+                    reuse_raw=True, spectra=[spec])
+    power = spec.reshape(-1).view(float)[:rd.values[0].size].reshape(rd.values.shape[1:])
+    np.abs(rd.values[0], out=power)
+    np.square(power, out=power)
+    return rd, power, raw
+
+
+def _window_rd(cfg: ExperimentConfig, raw, rd, det, cmask) -> tuple:
+    """``(window, det, cmask)``: the six-channel range-Doppler rows of the MUSIC
+    window about ``det``, clipped to the map (``rdproc._rd_rows``), with the
+    detection and the clutter mask shifted to those rows."""
+    proc = cfg.processing
+    half = int(proc.music_window_bins[0])
+    rows = slice(max(det.range_bin - half, 0),
+                 min(det.range_bin + half + 1, len(rd.range_axis)))
+    window = RDDatacube(values=_rd_rows(raw, rows, proc.window, proc.doppler_oversample),
+                        range_axis=rd.range_axis[rows], velocity_axis=rd.velocity_axis,
+                        params=rd.params)
+    return (window, replace(det, range_bin=det.range_bin - rows.start),
+            None if cmask is None else cmask[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +369,9 @@ def _run_t2(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
     grid = np.arange(-SECTOR_HALF_WIDTH_DEG, SECTOR_HALF_WIDTH_DEG + BEAMSCAN_STEP_DEG / 2,
                      BEAMSCAN_STEP_DEG)
-    scan_conv = beamscan(rd, grid)
-    scan_mvdr = beamscan(rd, grid, cov=cov)
+    scatter, _k = _scatter(rd.values)  # one sum of the cube for both scans
+    scan_conv = beamscan(rd, grid, scatter=scatter)
+    scan_mvdr = beamscan(rd, grid, cov=cov, scatter=scatter)
 
     metrics["rejection_db"] = rejections
     metrics["average_rejection_db"] = float(np.mean(rejections))

@@ -16,18 +16,27 @@ kept lags ``0..n_fast - replica_length`` stay free of wrap-around.
 
 One kernel, ``_match_rows``, matched-filters a loaded padded spectrum in
 place: ``range_compress`` runs it on all channels at once, ``rd_map`` on one
-channel at a time, and the t4 run on each dwell beamformed into one channel
-(both steps are linear, so their order changes only the rounding).
+channel at a time, ``_rd_rows`` on the few range bins of a window, and the t1
+and t4 runs on each dwell beamformed into one channel (both steps are linear,
+so their order changes only the rounding).
 ``rd_map`` fuses the two stages: each channel is copied into one padded
 ``(oversample * n_pulses, nfft)`` spectrum, compressed, windowed and
 Doppler-transformed in place, and divided, fftshifted, into its slot of the
 cube, on up to ``MAX_WORKERS`` threads with the same bytes for any count.
 Every dwell-sized front-end array is allocated on the calling thread, not on a
 worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``,
-as every t1-t3 dwell runs it, writes each channel's slot of the map at the
+as every t2-t3 dwell runs it, writes each channel's slot of the map at the
 head of that raw channel's own storage, so a dwell holds one cube, not two,
 and no slot touches another channel's samples; ``--emit-raw`` simulates
 dwell 0 again.
+
+t1 forms no six-channel map.  ``_beam_stream`` sums the conventional beam of
+the raw cube, channel by channel as the noise draw finishes each, and
+``_rd_stream`` makes the beam's one-channel map, on which t1 detects; the
+MUSIC window then takes its six channels from ``_rd_rows``, which reads only
+the fast-time samples of the window's range bins (Nickel, IEEE Radar Conf.
+1995: a subarrayed array detects on the sum beam and estimates the direction
+from the subarray outputs at the detected cell).
 
 The slow-time transform is one helper, ``_slow_time_dft``; ISAR image
 formation calls it on the profile history, the t4 window on dwell 0's rows.
@@ -55,6 +64,9 @@ WINDOWS = {
 #: (19 MB on the full swath), so a dwell holds its cube and two spectra at most
 MAX_WORKERS = 2
 
+#: rows per block of ``_shift_scaled``'s copy
+SHIFT_ROWS = 64
+
 
 @dataclass
 class CompressedDwell:
@@ -80,11 +92,13 @@ class RDDatacube:
     params: RadarParams
 
 
-def _matched_filter(params: RadarParams) -> np.ndarray:
-    """The unit-energy conjugate replica spectrum at ``_fast_len(n_fast)``; the
-    lags ``0..n_fast - replica_length`` of the circular correlation are wrap-free."""
+def _matched_filter(params: RadarParams, n_fast: int | None = None) -> np.ndarray:
+    """The unit-energy conjugate replica spectrum at ``_fast_len(n_fast)`` (by default
+    ``params.n_fast``); the lags ``0..n_fast - replica_length`` of the circular
+    correlation are wrap-free."""
     replica = transmit_pulse(params)
-    return np.conj(np.fft.fft(replica, n=_fast_len(params.n_fast))) / np.sqrt(replica.size)
+    n = _fast_len(params.n_fast if n_fast is None else n_fast)
+    return np.conj(np.fft.fft(replica, n=n)) / np.sqrt(replica.size)
 
 
 def _fast_len(n: int) -> int:
@@ -146,17 +160,18 @@ def _unit_window(window: str, n: int) -> np.ndarray:
 
 
 def _shift_scaled(spec: np.ndarray, out: np.ndarray) -> None:
-    """``out = fftshift(spec) / sqrt(n)`` over a last axis of length ``n``, as
-    one division over a ``(2, n // 2)`` view of the swapped halves when ``n``
-    is even, else one per half; ``out`` must not overlap ``spec``."""
+    """``out = fftshift(spec) / sqrt(n)`` over the last axis, of length ``n``, of a
+    2-D ``spec``, ``SHIFT_ROWS`` rows at a time: the halves are copied swapped (a
+    blocked transpose when ``spec`` is a transposed view), then the rows are divided
+    in place, in their own order, so a C-contiguous ``out`` takes no ufunc buffer.
+    ``out`` must not overlap ``spec``."""
     n = spec.shape[-1]
     h, scale = n // 2, np.sqrt(n)
-    if n % 2 == 0:
-        halves = spec.shape[:-1] + (2, h)
-        np.divide(spec.reshape(halves)[..., ::-1, :], scale, out=out.reshape(halves))
-        return
-    np.divide(spec[..., n - h:], scale, out=out[..., :h])
-    np.divide(spec[..., :n - h], scale, out=out[..., h:])
+    for r in range(0, len(spec), SHIFT_ROWS):
+        rows, block = spec[r:r + SHIFT_ROWS], out[r:r + SHIFT_ROWS]
+        block[:, :h] = rows[:, n - h:]
+        block[:, h:] = rows[:, :n - h]
+        np.divide(block, scale, out=block)
 
 
 def _slow_time_dft(x: np.ndarray, window: str, prf: float, oversample: int = 1) -> tuple:
@@ -219,7 +234,7 @@ def _workers(n_ch: int) -> int:
 
 
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
-               reuse_raw: bool, fill=None) -> RDDatacube:
+               reuse_raw: bool, fill=None, spectra=None) -> RDDatacube:
     """``rd_map``; with ``reuse_raw`` the map is written over the storage of
     ``raw.values``, which is then consumed, whenever a slot fits in a raw
     channel: the map is then a channel-strided view whose slot ``c`` heads raw
@@ -229,6 +244,8 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     final, after which it writes that channel no more; without it every
     channel is final.  The workers take the final channels from one queue; if
     ``fill`` raises, they finish those already final, then the error is raised.
+    ``spectra``, if given, are the workers' padded ``(oversample * n_pulses,
+    _fast_len(n_fast))`` spectra, one per worker, allocated by the caller.
     """
     x = raw.values
     n_ch, n_fast, n_p = x.shape
@@ -241,7 +258,8 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     else:
         rd.values = np.empty((n_ch, n_r, n_dop), dtype=rd.values.dtype)
     out, match, w = rd.values, _matched_filter(raw.params), _unit_window(window, n_p)
-    bufs = [np.empty((n_dop, match.size), dtype=complex) for _ in range(_workers(n_ch))]
+    bufs = spectra or [np.empty((n_dop, match.size), dtype=complex)
+                       for _ in range(_workers(n_ch))]
     final = queue.SimpleQueue()
 
     def run(buf: np.ndarray) -> None:
@@ -272,3 +290,51 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
         for future in futures:
             future.result()
     return rd
+
+
+def _beam_stream(x: np.ndarray, weights: np.ndarray, out: np.ndarray, fill) -> None:
+    """``out = sum_c conj(weights[c]) * x[c]``, the beam of a ``(n_channels, n_fast,
+    n_pulses)`` cube, added up on one worker while ``fill(done)`` completes ``x`` on
+    the calling thread, as in ``_rd_stream``; ``fill`` must report the channels in
+    order, and the worker adds each in turn.  Each channel goes in fixed blocks of
+    at most 256 KiB of rows, through one scratch block allocated here, on the
+    calling thread.  If ``fill`` raises, the worker adds the channels already
+    final, then the error is raised."""
+    n_ch, n_fast, n_p = x.shape
+    w, step = np.conj(weights), max(1, 2**18 // (16 * n_p))
+    scratch, final = np.empty((min(step, n_fast), n_p), dtype=complex), queue.SimpleQueue()
+
+    def run() -> None:
+        for c in iter(final.get, None):
+            for j in range(0, n_fast, step):
+                rows = out[j:j + step]
+                if c == 0:
+                    np.multiply(x[c, j:j + step], w[c], out=rows)
+                else:
+                    term = np.multiply(x[c, j:j + step], w[c], out=scratch[:len(rows)])
+                    rows += term
+
+    with ThreadPoolExecutor(1, thread_name_prefix="beam_stream") as pool:
+        future = pool.submit(run)
+        try:
+            fill(final.put)
+        finally:
+            final.put(None)
+        future.result()
+
+
+def _rd_rows(raw: RawDatacube, rows: slice, window: str, oversample: int) -> np.ndarray:
+    """The ``(n_channels, len(rows), oversample * n_pulses)`` range-Doppler cells of
+    the range bins ``rows`` of every channel of ``raw``, from the fast-time samples
+    that those bins' lags read alone: ``_match_rows`` at that support's own
+    ``_fast_len``, then ``_slow_time_dft``.  They are ``rd_map(raw)``'s rows up to
+    the rounding of the shorter range transform."""
+    params, (r0, r1, _) = raw.params, rows.indices(raw.params.n_range_bins)
+    n_fast = r1 - r0 + params.replica_length - 1
+    match = _matched_filter(params, n_fast)
+    spec = np.empty((raw.values.shape[0], params.n_pulses, match.size), dtype=complex)
+    spec[..., :n_fast] = raw.values[:, r0:r0 + n_fast].transpose(0, 2, 1)
+    _match_rows(spec, match, n_fast)
+    values, _freqs = _slow_time_dft(spec[..., :r1 - r0].transpose(0, 2, 1), window,
+                                    params.prf, oversample)
+    return values

@@ -2,8 +2,10 @@
 
 Everything here is written from the definitions with explicit loops, not via
 the package's vectorized code paths, so implementation and oracle can
-disagree when one of them is wrong.  The optimiser reference is scipy's
-L-BFGS-B, against whose optimum the package's own BFGS is checked.
+disagree when one of them is wrong.  The byte oracles (``unblocked_cfar_oracle``,
+``loop_align_oracle``) are the earlier, simpler forms of a kernel that the package
+now runs in blocks.  The optimiser reference is scipy's L-BFGS-B, against whose
+optimum the package's own BFGS is checked.
 """
 
 import numpy as np
@@ -143,6 +145,50 @@ def cfar_oracle(power, pfa, n_train, n_guard):
             if peak:
                 hits.add((r, d))
     return hits
+
+
+def unblocked_cfar_oracle(power, pfa, n_train, n_guard, range_axis=None, velocity_axis=None):
+    """``cfar_detect`` in one pass over the whole map, the byte reference of its
+    blocked form: one cumulative sum over range, the threshold scaled in place, a
+    padded copy for the 8-neighbour test, the hits in row-major order and a
+    stable sort by power, so cells of equal power stay in row-major order."""
+    from aesa_chain.detect import Detection
+
+    p = np.asarray(power, dtype=float)
+    n_r, n_d = p.shape
+    half = n_train + n_guard
+    n_eval = n_r - 2 * half
+    n_cells = 2 * n_train
+    alpha = n_cells * (pfa ** (-1.0 / n_cells) - 1.0)
+    s = np.empty((n_r + 1, n_d))
+    s[0] = 0.0
+    np.cumsum(p, axis=0, out=s[1:])
+    threshold = s[n_train:n_train + n_eval] - s[:n_eval]
+    lag = half + n_guard + 1
+    threshold += s[2 * half + 1:] - s[lag:lag + n_eval]
+    threshold /= n_cells
+    threshold *= alpha
+    padded = np.pad(p, 1, mode="constant", constant_values=-np.inf)
+    is_peak = np.ones(p.shape, dtype=bool)
+    for dr in (0, 1, 2):
+        for dc in (0, 1, 2):
+            if (dr, dc) != (1, 1):
+                is_peak &= p > padded[dr:dr + n_r, dc:dc + n_d]
+    hits = np.argwhere((p[half:n_r - half] > threshold) & is_peak[half:n_r - half])
+    detections = []
+    for row, col in hits:
+        r, d = half + int(row), int(col)
+        level = threshold[row, col]
+        detections.append(Detection(
+            range_bin=r,
+            doppler_bin=d,
+            range_m=float(range_axis[r]) if range_axis is not None else float("nan"),
+            radial_velocity=float(velocity_axis[d]) if velocity_axis is not None else float("nan"),
+            peak_power_db=float(10.0 * np.log10(p[r, d])),
+            threshold_db=float(10.0 * np.log10(level)) if level > 0.0 else -np.inf,
+        ))
+    detections.sort(key=lambda det: det.peak_power_db, reverse=True)
+    return detections
 
 
 def music_spectrum_oracle(cov, az_grid_deg, n_sources):

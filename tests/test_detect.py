@@ -13,10 +13,12 @@ from aesa_chain import (ConfigError, CovarianceEstimate,
                         music_spectrum, pick_peaks, rd_map,
                         select_training_subset, simulate_dwell,
                         subarray_steering, target_angular_span)
+from aesa_chain import detect
 from aesa_chain.detect import _local_maxima, _parabolic_offset
 
 from helpers import (cfar_oracle, music_spectrum_oracle, single_source_crb_std_deg,
-                     subarray_steering_oracle, swerling1_ca_cfar_pd, traced_peak)
+                     subarray_steering_oracle, swerling1_ca_cfar_pd, traced_peak,
+                     unblocked_cfar_oracle)
 
 SMALL = RadarParams(r_min=1500.0, r_max=2100.0, n_pulses=64)
 
@@ -169,13 +171,47 @@ def test_cfar_pd_matches_swerling1_closed_form():
 
 
 def test_cfar_detect_peak_memory_on_full_swath_map():
-    # the 9174x128 map of the full swath: the training sums are slices of one
-    # cumulative sum and the threshold is scaled in place, so the temporaries
-    # stay near two maps and the padded copy (gathered slices took over five)
+    # the 9174x128 map of the full swath, in blocks of CFAR_COLUMNS columns: the
+    # training sums are slices of one cumulative sum and the threshold is scaled
+    # in place, so the temporaries are three blocks of floats (the cumulative
+    # sum, the threshold and one side's difference), the block's comparison and
+    # the hits' indices, plus the 1,174 detections: 4.2 blocks measured, where one
+    # pass over the map held 3.2 maps (the padded copy of the neighbour test too)
     p = np.random.default_rng(0).exponential(size=(9174, 128))
     cfar_detect(p, pfa=1e-3)
     _dets, peak = traced_peak(cfar_detect, p, pfa=1e-3)
-    assert peak < 3.5 * p.nbytes
+    assert peak < 5 * 9174 * detect.CFAR_COLUMNS * 8
+
+
+@st.composite
+def tied_cfar_cases(draw):
+    """A map of few power levels, so that cells, peaks and thresholds tie, with
+    equal peaks set in several rows and columns, and a CFAR window that fits."""
+    n_train = draw(st.integers(1, 6))
+    n_guard = draw(st.integers(0, 2))
+    n_range = draw(st.integers(2 * (n_train + n_guard) + 1, 80))
+    n_doppler = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.integers(0, draw(st.integers(1, 4)), size=(n_range, n_doppler)).astype(float)
+    n_peaks = draw(st.integers(0, 12))
+    p[rng.integers(0, n_range, n_peaks), rng.integers(0, n_doppler, n_peaks)] = 50.0
+    return p, n_train, n_guard
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(cfar_cases(), tied_cfar_cases()), st.sampled_from([1e-3, 0.05, 0.3]),
+       st.sampled_from([1, 2, 3, 16, 64]))
+def test_blocked_cfar_matches_unblocked_byte_oracle(case, pfa, columns):
+    """Any block width gives the one-pass detector's detections, field for field
+    and in its order, ties of power included."""
+    p, n_train, n_guard = case
+    range_axis = 10.0 * np.arange(p.shape[0])
+    velocity_axis = np.arange(p.shape[1]) - 0.5 * p.shape[1]
+    want = unblocked_cfar_oracle(p, pfa, n_train, n_guard, range_axis, velocity_axis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect, "CFAR_COLUMNS", columns)
+        got = cfar_detect(p, pfa, n_train, n_guard, range_axis, velocity_axis)
+    assert got == want
 
 
 def _detection(rbin, dbin):

@@ -300,9 +300,13 @@ def test_dump_geometry_and_emit_raw(tmp_path):
 
 @pytest.mark.parametrize("make", (small_t1, small_t2))
 def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
-    cubes, maps, states = [], [], []
+    # t2: the raw cube lives on only as the storage of the range-Doppler cube;
+    # t1: no six-channel map is made, only the beam's one-channel map, and the raw
+    # cube, kept for the MUSIC window, is dead once the window's rows are taken;
+    # with --emit-raw too, whose raw grids come from a dwell simulated apart
+    cubes, maps, channels, states = [], [], [], []
     simulate, stream = experiments._echo_dwell, experiments._rd_stream
-    cfar = experiments.cfar_detect
+    cfar, select = experiments.cfar_detect, experiments.select_training_subset
 
     def recording_simulate(*args, **kwargs):
         raw, rng = simulate(*args, **kwargs)
@@ -312,6 +316,7 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
     def recording_stream(*args, **kwargs):
         rd = stream(*args, **kwargs)
         maps.append(weakref.ref(rd.values))
+        channels.append(rd.values.shape[0])
         return rd
 
     def checking_cfar(*args, **kwargs):
@@ -321,16 +326,25 @@ def test_raw_cube_released_before_detection(tmp_path, monkeypatch, make):
                       else "shared" if np.shares_memory(raw, rd) else "kept")
         return cfar(*args, **kwargs)
 
+    def checking_select(*args, **kwargs):
+        states.append("dead" if cubes[-1]() is None else "alive")
+        return select(*args, **kwargs)
+
     monkeypatch.setattr(experiments, "_echo_dwell", recording_simulate)
     monkeypatch.setattr(experiments, "_rd_stream", recording_stream)
     monkeypatch.setattr(experiments, "cfar_detect", checking_cfar)
+    monkeypatch.setattr(experiments, "select_training_subset", checking_select)
     cfg = load_config(make(tmp_path))
-    # the raw cube lives on only as the storage of the range-Doppler cube, with
-    # --emit-raw too, whose raw grids come from a dwell simulated apart
     for emit_raw in (False, True):
         states.clear()
-        run_experiment(cfg, emit_raw=emit_raw)
-        assert states and set(states) == {"shared"}
+        channels.clear()
+        report = run_experiment(cfg, emit_raw=emit_raw)
+        if make is small_t2:
+            assert states and set(states) == {"shared"}
+            continue
+        assert "azimuth_estimate_deg" in report.metrics  # and so MUSIC ran
+        assert channels == [1]
+        assert states == ["kept", "dead"]
 
 
 def small_mixed(tmp_path):
@@ -368,44 +382,70 @@ def test_dwell_rd_cube_matches_rd_map(tmp_path, monkeypatch, fast_switching, wor
                         [k == c for k in range(len(channels))]
 
 
+def _t1_block_nbytes(radar) -> tuple:
+    """(beam, padded spectrum) bytes of the t1 front end's one block."""
+    return (radar.n_fast * radar.n_pulses * 16,
+            radar.n_pulses * next_fast_len(radar.n_fast) * 16)
+
+
 def test_full_swath_dwell_holds_one_cube():
-    # the t1 map is written over the raw cube's storage one channel at a time,
-    # so the peak is the raw cube plus one block's transforms, not two cubes
+    # t1 beamforms the raw cube as its channels are drawn and makes the beam's map
+    # over the beam's storage and its power over the spectrum's, so the peak is the
+    # raw cube and that one block, not two cubes; past them, 531 KiB measured: the
+    # 256 KiB noise block, the 256 KiB scratch of the beam's sum and, within 64
+    # KiB, the fixed costs
     cfg = load_config(CONFIG_DIR / "t1.yaml")
-    (rd, _mask), peak = traced_peak(experiments._dwell, cfg)
+    (rd, power, raw), peak = traced_peak(
+        experiments._beam_dwell, cfg, conventional_weights(cfg.steering_deg[0]))
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
-    assert peak < 1.5 * raw_nbytes
-    assert rd.values.base is not None and rd.values.base.nbytes == raw_nbytes
+    beam_nbytes, spectrum_nbytes = _t1_block_nbytes(cfg.radar)
+    assert peak <= raw_nbytes + beam_nbytes + spectrum_nbytes + 2 * 2**18 + 2**16
+    assert raw.values.nbytes == raw_nbytes
+    block = rd.values.base
+    while block.base is not None:
+        block = block.base
+    assert block.nbytes == beam_nbytes + spectrum_nbytes
+    assert np.shares_memory(power, block) and not np.shares_memory(power, rd.values)
+    assert rd.values.shape == (1,) + power.shape
 
 
-@pytest.mark.parametrize("scenario, spectra", [("t1.yaml", 2.2), ("t2.yaml", 3.0)],
-                         ids=["t1", "t2"])
-def test_dwell_peak_over_raw_is_two_spectra(monkeypatch, scenario, spectra):
-    # two threads hold one padded channel spectrum each, and nothing else of
-    # the channel's size: no compressed block, no Doppler copy; a short dwell
-    # has less room for the fixed costs (replica, window, the stages' checks)
+@pytest.mark.parametrize("scenario", ["t1.yaml", "t2.yaml"], ids=["t1", "t2"])
+def test_dwell_peak_over_raw_is_two_spectra(monkeypatch, scenario):
+    # t2: two threads hold one padded channel spectrum each, and nothing else of
+    # the channel's size: no compressed block, no Doppler copy; a short dwell has
+    # less room for the fixed costs (replica, window, the stages' checks): 3
+    # spectra.  t1: one worker, whatever the count, sums the beam, a channel's
+    # size, and the kernel makes its map through one padded spectrum, the two one
+    # block; past them, the 256 KiB noise block, the 256 KiB scratch of the sum
+    # and 64 KiB of fixed costs
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
     cfg = load_config(CONFIG_DIR / scenario)
-    _, peak = traced_peak(experiments._dwell, cfg)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
-    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
-    assert peak - raw_nbytes <= spectra * spectrum_nbytes
+    if scenario == "t1.yaml":
+        _, peak = traced_peak(experiments._beam_dwell, cfg,
+                              conventional_weights(cfg.steering_deg[0]))
+        assert peak - raw_nbytes <= sum(_t1_block_nbytes(cfg.radar)) + 2 * 2**18 + 2**16
+    else:
+        _, peak = traced_peak(experiments._dwell, cfg)
+        spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
+        assert peak - raw_nbytes <= 3.0 * spectrum_nbytes
 
 
 def test_emit_raw_peak_is_one_cube_and_its_float32_grids(tmp_path, monkeypatch):
-    # --emit-raw simulates dwell 0 apart and keeps only its complex64 grids, so a
-    # t1 run holds one raw cube, which its map overwrites, those grids and the
-    # threads' two padded spectra; 1.5 MiB covers the fixed costs, 0.7-1.1 MiB
-    # measured: the 256 KiB noise block and the ufunc buffers and scratch of the
-    # threads' transforms; were the grids taken from the chain's raw cube, the
-    # run would hold that cube and a 3.7 MiB map cube in place of the 2.2 MiB grids
+    # --emit-raw simulates dwell 0 apart, once the chain has dropped its raw cube,
+    # and keeps only its complex64 grids, so a t1 run holds one raw cube and, first,
+    # the chain's beam-and-spectrum block (1.5 MB), then the grids (2.2 MiB);
+    # 1.5 MiB covers the fixed costs, 0.4-1.0 MiB measured: the 256 KiB noise
+    # block, the scratch of the beam's sum, the CFAR's temporaries and the MUSIC
+    # window; were the grids taken from the chain's raw cube, the run would hold
+    # that cube, the block and the grids at once
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
     cfg = load_config(small_t1(tmp_path))
     run_experiment(cfg)  # so that the one-time caches are not counted
     report, peak = traced_peak(run_experiment, cfg, emit_raw=True)
     raw_nbytes = 6 * cfg.radar.n_fast * cfg.radar.n_pulses * 16
-    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
-    assert peak < raw_nbytes + raw_nbytes // 2 + 2 * spectrum_nbytes + 1.5 * 2**20
+    block_nbytes = sum(_t1_block_nbytes(cfg.radar))
+    assert peak < raw_nbytes + max(block_nbytes, raw_nbytes // 2) + 1.5 * 2**20
     grids = [g.values for name, g in report.grids.items() if name.startswith("raw_ch")]
     assert len(grids) == 6 and sum(g.nbytes for g in grids) == raw_nbytes // 2
 
@@ -438,6 +478,31 @@ def test_adaptive_back_end_makes_no_cube_sized_copy(tmp_path, monkeypatch, mode)
     block_nbytes = 6 * beamform.SCATTER_CELLS * 16
     assert peak <= raw_nbytes + sum(g.nbytes for g in grids) + 3 * map_nbytes + block_nbytes \
         + 2**18
+
+
+def test_t2_beamscans_share_one_scatter_sum(tmp_path, monkeypatch):
+    # the conventional and the MVDR scan read one sum of the cube's scatter
+    # matrix, the bytes of the sum each scan made for itself
+    sums, scatter = [], beamform._scatter
+
+    def counting_scatter(values, mask=None):
+        if mask is None:
+            sums.append(values.shape)
+        return scatter(values, mask)
+
+    monkeypatch.setattr(beamform, "_scatter", counting_scatter)
+    monkeypatch.setattr(experiments, "_scatter", counting_scatter)
+    cfg = load_config(small_t2(tmp_path))
+    report = run_experiment(cfg)
+    assert len(sums) == 1 and "beamscan.csv" in report.tables
+    rd, _mask = experiments._dwell(cfg)
+    grid = np.arange(-30.0, 30.5, 0.5)
+    cov = beamform.covariance_from_snapshots(rd.values[:, :40, 0])
+    s = scatter(rd.values)[0]
+    for kwargs in ({}, {"cov": cov}):
+        alone = beamform.beamscan(rd, grid, **kwargs).energy
+        shared = beamform.beamscan(rd, grid, scatter=s, **kwargs).energy
+        assert alone.tobytes() == shared.tobytes()
 
 
 def small_t4(n_dwells, **body):

@@ -132,19 +132,24 @@ def test_rd_map_peak_memory_is_one_cube():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_front_end_peak_over_its_spectra_is_a_divide_block_per_worker(monkeypatch, workers):
-    # past the map and each worker's padded spectrum, a worker holds at most
-    # one buffered block of its strided divide into the map (128 KiB), and its
-    # window multiply none; 64 KiB covers the replica, the window and the
-    # stages' checks
+def test_front_end_peak_over_its_spectra_is_a_replica_multiply_block_per_worker(
+        monkeypatch, workers):
+    # past the map and each worker's padded spectrum, a worker holds at most the
+    # buffer of its replica multiply, whose rows (750 points on t2) fall short of
+    # numpy's 8,192-element buffer: the whole rows that fit in it; its divide into
+    # the map and its window multiply hold none; 64 KiB covers the replica, the
+    # window and the stages' checks
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     cfg = load_config(CONFIG_DIR / "t2.yaml")
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
                          cfg.clutter)
     rd_map(raw)
     rd, peak = traced_peak(rd_map, raw)
-    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
-    assert peak - rd.values.nbytes - workers * spectrum_nbytes <= workers * 2**17 + 2**16
+    nfft = next_fast_len(cfg.radar.n_fast)
+    spectrum_nbytes = cfg.radar.n_pulses * nfft * 16
+    multiply_nbytes = 8192 // nfft * nfft * 16
+    assert peak - rd.values.nbytes - workers * spectrum_nbytes <= \
+        workers * multiply_nbytes + 2**16
 
 
 class _SlowFirstChannel(np.ndarray):
@@ -301,6 +306,44 @@ def test_fused_front_end_noise_failure_reaches_caller(monkeypatch, fast_switchin
     assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
     # no channel past the last final one was transformed
     assert len(copied) <= 3
+
+
+@pytest.mark.parametrize("failing_channel", [None, 2])
+def test_beam_stream_sums_each_channel_once_final(fast_switching, failing_channel):
+    # the worker adds each channel as the noise draw reports it final, in order,
+    # with the bytes of a left-to-right sum; a draw that raises reaches the caller
+    # once the channels already final are added, and no thread is left
+    raw, rng = scene._echo_dwell(SMALL, [], None, 2.0, 0, None)
+    w = conventional_weights(4.0).values
+    out = np.full(raw.values.shape[1:], np.nan, dtype=complex)
+
+    def fill(done):
+        def reporting_done(c):
+            done(c)
+            if c == failing_channel:
+                time.sleep(0.2)
+                raise _NoiseFailed
+        scene._add_noise(rng, raw.values, 2.0, reporting_done)
+
+    raised = []
+
+    def call():
+        try:
+            rdproc._beam_stream(raw.values, w, out, fill)
+        except _NoiseFailed as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert not [t for t in threading.enumerate() if t.name.startswith("beam_stream")]
+    last = 5 if failing_channel is None else failing_channel
+    assert len(raised) == (failing_channel is not None)
+    want = raw.values[0] * np.conj(w[0])
+    for c in range(1, last + 1):
+        want = want + raw.values[c] * np.conj(w[c])
+    assert out.tobytes() == want.tobytes()
 
 
 def test_fused_front_end_keeps_stage_checks():
