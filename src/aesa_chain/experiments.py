@@ -14,8 +14,6 @@ emitted byte.  All artifact numbers are recomputable from the emitted
 intermediates.
 """
 
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,8 +30,8 @@ from .geometry import N_SUBARRAYS, SECTOR_HALF_WIDTH_DEG, ArrayGeometry, geometr
 from .gridio import Grid, GridAxis, write_csv, write_grid
 from .isar import (RangeProfileHistory, cross_range_scale, form_image, icba_autofocus,
                    range_align)
-from .rdproc import (RDDatacube, _beam_stream, _fast_len, _match_rows, _matched_filter,
-                     _rd_rows, _rd_stream, _slow_time_dft, _workers)
+from .rdproc import (RDDatacube, _beam_stream, _drain, _fast_len, _match_rows,
+                     _matched_filter, _rd_rows, _rd_stream, _slow_time_dft, _workers)
 from .scene import _add_noise, _check_isar_sequence, _echo_dwell, _isar_dwell, simulate_dwell
 from .version import __version__
 
@@ -470,48 +468,44 @@ def _run_t3(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 def _run_t4(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Dwell 0 runs here and centres the history's range window on the strongest range bin of
-    its beamformed map, with no CFAR (see ``_image_window``); every other dwell is a task on
-    the front end's threads that writes its own rows of the history.  The history, at its
-    widest, then per worker a raw cube and a padded spectrum, where each dwell is simulated,
-    beamformed and compressed, are allocated here (see ``rdproc``) and dropped before the
-    back end.  No raw cube outlives its dwell: ``--emit-raw`` simulates dwell 0 again."""
+    its beamformed map, with no CFAR (see ``_image_window``); ``_drain`` runs every other
+    dwell, which writes its own rows of the history.  The history, at its widest, and per
+    thread a raw cube and a padded spectrum, where a dwell is simulated, beamformed and
+    compressed, are dropped before the back end; ``--emit-raw`` simulates dwell 0 again."""
     isar_cfg, params, body, n = cfg.isar, cfg.radar, cfg.isar.body, cfg.isar.n_dwells
     _check_isar_sequence(params, body, n, cfg.noise_power)
-    n_p, n_fast, workers = params.n_pulses, params.n_fast, _workers(n - 1)
+    n_p, n_fast = params.n_pulses, params.n_fast
     # F order: the window is a contiguous column slice, and the aligned history keeps the
     # order, which the autofocus reads without a copy (C order peaked at 15.3 MiB, not
     # 12.3); allocated before the buffer sets, below them in the heap, for a lower peak RSS
     rows = np.empty((n * n_p, min(2 * isar_cfg.window_halfwidth_bins + 1, params.n_range_bins)),
                     dtype=complex, order="F")
     match, w = _matched_filter(params), conventional_weights(cfg.steering_deg[0]).values.conj()
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put((np.empty((N_SUBARRAYS, n_fast, n_p), dtype=complex),
-                  np.empty((n_p, match.size), dtype=complex)))
+    sets = [(np.empty((N_SUBARRAYS, n_fast, n_p), dtype=complex),
+             np.empty((n_p, match.size), dtype=complex)) for _ in range(_workers(n - 1))]
 
     def compress(d: int, cube: np.ndarray, spec: np.ndarray) -> None:
         raw = _isar_dwell(params, body, d, cfg.seed, cfg.noise_power, out=cube)
         np.einsum("c,cfp->pf", w, raw.values, out=spec[:, :n_fast])
         _match_rows(spec, match, n_fast)
 
-    def dwell(d: int) -> None:
-        cube, spec = buffers = free.get()
-        try:
-            compress(d, cube, spec)
-            history.values[d * n_p:(d + 1) * n_p] = spec[:, lo:hi]
-        finally:
-            free.put(buffers)
+    def dwell(d: int, buffers: tuple) -> None:
+        cube, spec = buffers
+        compress(d, cube, spec)
+        history.values[d * n_p:(d + 1) * n_p] = spec[:, lo:hi]
 
-    cube, spec = free.get()
+    def later_dwells(put) -> None:
+        for d in range(1, n):
+            put(d)
+
+    cube, spec = sets[0]
     compress(0, cube, spec)
     lo, hi = _image_window(cfg, spec[:, :params.n_range_bins])
     history = RangeProfileHistory(rows[:, :hi - lo], params.prf, params.range_axis()[lo:hi],
                                   params.wavelength)
     history.values[:n_p] = spec[:, lo:hi]
-    free.put((cube, spec))
-    with ThreadPoolExecutor(workers, thread_name_prefix="isar_dwell") as pool:
-        list(pool.map(dwell, range(1, n)))  # an error cancels the dwells not yet started
-    del free, cube, spec, rows  # the front end's buffers, before the back end
+    _drain(later_dwells, dwell, sets, "isar_dwell")
+    del sets, cube, spec, rows  # the front end's buffers, before the back end
     aligned, shifts = range_align(history)
     del history  # the back end needs only the aligned history
     focus = icba_autofocus(aligned, isar_cfg.autofocus_order)

@@ -22,13 +22,11 @@ so their order changes only the rounding).
 ``rd_map`` fuses the two stages: each channel is copied into one padded
 ``(oversample * n_pulses, nfft)`` spectrum, compressed, windowed and
 Doppler-transformed in place, and divided, fftshifted, into its slot of the
-cube, on up to ``MAX_WORKERS`` threads with the same bytes for any count.
-Every dwell-sized front-end array is allocated on the calling thread, not on a
-worker, whose malloc arena would keep it.  ``_rd_stream`` with ``reuse_raw``,
-as every t2-t3 dwell runs it, writes each channel's slot of the map at the
-head of that raw channel's own storage, so a dwell holds one cube, not two,
-and no slot touches another channel's samples; ``--emit-raw`` simulates
-dwell 0 again.
+cube, on up to ``MAX_WORKERS`` threads of ``_drain`` with the same bytes for
+any count.  ``_rd_stream`` with ``reuse_raw``, as every t2-t3 dwell runs it,
+writes each channel's slot of the map at the head of that raw channel's own
+storage, so a dwell holds one cube, not two, and no slot touches another
+channel's samples; ``--emit-raw`` simulates dwell 0 again.
 
 t1 forms no six-channel map.  ``_beam_stream`` sums the conventional beam of
 the raw cube, channel by channel as the noise draw finishes each, and
@@ -44,6 +42,7 @@ formation calls it on the profile history, the t4 window on dwell 0's rows.
 
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -138,7 +137,8 @@ def _match_rows(spec: np.ndarray, match: np.ndarray, n_fast: int) -> None:
     transform, multiply by ``match`` and inverse-transform."""
     spec[..., n_fast:] = 0
     np.fft.fft(spec, out=spec)
-    spec *= match
+    for row in np.ndindex(spec.shape[:-1]):
+        spec[row] *= match  # a row at a time: no buffered-iteration block
     np.fft.ifft(spec, out=spec)
 
 
@@ -233,20 +233,47 @@ def _workers(n_ch: int) -> int:
     return min(cores or 1, MAX_WORKERS, max(n_ch, 1))
 
 
+def _drain(fill, work, buffers: list, name: str) -> None:
+    """The front end's one threading protocol.  ``fill(put)`` runs on the calling
+    thread; each of ``buffers`` has a thread of its own, named ``name`` and a number,
+    which runs ``work(item, buffer)`` on the items put, in turn.  The caller allocates
+    the buffers, as a thread's malloc arena would keep a dwell-sized block it freed.
+    Once a ``work`` raises, no thread starts another item.  When ``fill`` has
+    returned and every thread has stopped, the error of ``fill`` is raised, if any,
+    else that of a ``work``."""
+    items, failed = queue.SimpleQueue(), threading.Event()
+
+    def run(buffer) -> None:
+        for item in iter(items.get, None):
+            if not failed.is_set():
+                try:
+                    work(item, buffer)
+                except BaseException:
+                    failed.set()
+                    raise
+
+    with ThreadPoolExecutor(len(buffers), thread_name_prefix=name) as pool:
+        futures = [pool.submit(run, buffer) for buffer in buffers]
+        try:
+            fill(items.put)
+        finally:
+            for _ in buffers:
+                items.put(None)
+        for future in futures:
+            future.result()
+
+
 def _rd_stream(raw: RawDatacube, window: str, oversample: int,
                reuse_raw: bool, fill=None, spectra=None) -> RDDatacube:
     """``rd_map``; with ``reuse_raw`` the map is written over the storage of
     ``raw.values``, which is then consumed, whenever a slot fits in a raw
     channel: the map is then a channel-strided view whose slot ``c`` heads raw
     channel ``c``.  The bytes are the same either way, and for any thread
-    count.  ``fill(done)``, if given, completes ``raw.values`` on the calling
-    thread while the workers run, calling ``done(c)`` once channel ``c`` is
-    final, after which it writes that channel no more; without it every
-    channel is final.  The workers take the final channels from one queue; if
-    ``fill`` raises, they finish those already final, then the error is raised.
-    ``spectra``, if given, are the workers' padded ``(oversample * n_pulses,
-    _fast_len(n_fast))`` spectra, one per worker, allocated by the caller.
-    """
+    count.  ``fill(done)``, if given, completes ``raw.values``, calling
+    ``done(c)`` once channel ``c`` is final, after which it writes that channel
+    no more; without it every channel is final.  ``spectra``, made here if not
+    given, are the padded ``(oversample * n_pulses, _fast_len(n_fast))`` spectra,
+    one per thread."""
     x = raw.values
     n_ch, n_fast, n_p = x.shape
     # the stages on no channels make their checks and give the map's axes
@@ -260,67 +287,45 @@ def _rd_stream(raw: RawDatacube, window: str, oversample: int,
     out, match, w = rd.values, _matched_filter(raw.params), _unit_window(window, n_p)
     bufs = spectra or [np.empty((n_dop, match.size), dtype=complex)
                        for _ in range(_workers(n_ch))]
-    final = queue.SimpleQueue()
 
-    def run(buf: np.ndarray) -> None:
-        """Each final channel from the queue, up to a None, through one padded spectrum."""
+    def transform(c: int, buf: np.ndarray) -> None:
         rows, kept = buf[:n_p], buf[:, :n_r]
-        for c in iter(final.get, None):
-            # a blocked transpose, about half the time of one strided copy
-            for j in range(0, n_fast, 64):
-                rows[:, j:min(j + 64, n_fast)] = x[c, j:j + 64].T
-            kept[n_p:] = 0
-            _match_rows(rows, match, n_fast)
-            for p, wp in enumerate(w):
-                rows[p, :n_r] *= wp  # a scalar per row: no buffered-iteration block
-            np.fft.fft(kept, axis=0, out=kept)
-            _shift_scaled(kept.T, out[c])
+        # a blocked transpose, about half the time of one strided copy
+        for j in range(0, n_fast, 64):
+            rows[:, j:min(j + 64, n_fast)] = x[c, j:j + 64].T
+        kept[n_p:] = 0
+        _match_rows(rows, match, n_fast)
+        for p, wp in enumerate(w):
+            rows[p, :n_r] *= wp  # a scalar per row: no buffered-iteration block
+        np.fft.fft(kept, axis=0, out=kept)
+        _shift_scaled(kept.T, out[c])
 
-    with ThreadPoolExecutor(len(bufs), thread_name_prefix="rd_stream") as pool:
-        futures = [pool.submit(run, buf) for buf in bufs]
-        try:
-            if fill is None:
-                for c in range(n_ch):
-                    final.put(c)
-            else:
-                fill(final.put)
-        finally:
-            for _ in bufs:
-                final.put(None)
-        for future in futures:
-            future.result()
+    def every_channel(put) -> None:
+        for c in range(n_ch):
+            put(c)
+
+    _drain(fill or every_channel, transform, bufs, "rd_stream")
     return rd
 
 
 def _beam_stream(x: np.ndarray, weights: np.ndarray, out: np.ndarray, fill) -> None:
     """``out = sum_c conj(weights[c]) * x[c]``, the beam of a ``(n_channels, n_fast,
-    n_pulses)`` cube, added up on one worker while ``fill(done)`` completes ``x`` on
-    the calling thread, as in ``_rd_stream``; ``fill`` must report the channels in
-    order, and the worker adds each in turn.  Each channel goes in fixed blocks of
-    at most 256 KiB of rows, through one scratch block allocated here, on the
-    calling thread.  If ``fill`` raises, the worker adds the channels already
-    final, then the error is raised."""
+    n_pulses)`` cube, on one thread while ``fill(done)`` completes ``x`` in channel
+    order, as in ``_rd_stream``; each channel is added in fixed blocks of at most
+    256 KiB of rows, through one scratch block."""
     n_ch, n_fast, n_p = x.shape
     w, step = np.conj(weights), max(1, 2**18 // (16 * n_p))
-    scratch, final = np.empty((min(step, n_fast), n_p), dtype=complex), queue.SimpleQueue()
 
-    def run() -> None:
-        for c in iter(final.get, None):
-            for j in range(0, n_fast, step):
-                rows = out[j:j + step]
-                if c == 0:
-                    np.multiply(x[c, j:j + step], w[c], out=rows)
-                else:
-                    term = np.multiply(x[c, j:j + step], w[c], out=scratch[:len(rows)])
-                    rows += term
+    def add(c: int, scratch: np.ndarray) -> None:
+        for j in range(0, n_fast, step):
+            rows = out[j:j + step]
+            if c == 0:
+                np.multiply(x[c, j:j + step], w[c], out=rows)
+            else:
+                term = np.multiply(x[c, j:j + step], w[c], out=scratch[:len(rows)])
+                rows += term
 
-    with ThreadPoolExecutor(1, thread_name_prefix="beam_stream") as pool:
-        future = pool.submit(run)
-        try:
-            fill(final.put)
-        finally:
-            final.put(None)
-        future.result()
+    _drain(fill, add, [np.empty((min(step, n_fast), n_p), dtype=complex)], "beam_stream")
 
 
 def _rd_rows(raw: RawDatacube, rows: slice, window: str, oversample: int) -> np.ndarray:

@@ -513,8 +513,8 @@ def small_t4(n_dwells, **body):
 
 def test_t4_raw_dwells_alive_at_most_one_per_worker(monkeypatch):
     # each of the chain's dwells is simulated into one of `workers` raw cubes
-    # that the run allocates before its threads start and that a task takes
-    # from a queue and puts back, so at most one raw dwell per worker is ever
+    # that the run allocates before its threads start, one per thread, which
+    # owns it for every dwell it runs, so at most one raw dwell per worker is ever
     # alive; --emit-raw adds one simulation of dwell 0 into a fresh cube, whose
     # float32 casts are the raw grids and share no memory with a reused cube
     monkeypatch.setattr(experiments, "_workers", lambda n: min(2, n))
@@ -579,7 +579,7 @@ def test_t4_few_compressed_dwells_alive(monkeypatch):
 
     monkeypatch.setattr(experiments, "_isar_dwell", recording_simulate)
     monkeypatch.setattr(experiments, "_match_rows", recording_match_rows)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SnapshottingPool)
+    monkeypatch.setattr(rdproc, "ThreadPoolExecutor", SnapshottingPool)
     tracemalloc.start(5)
     try:
         run_experiment(cfg)

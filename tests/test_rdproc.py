@@ -1,10 +1,8 @@
-import queue
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,18 +64,21 @@ def test_range_compress_per_channel_into_used_buffers(monkeypatch):
             rdproc._match_rows(rows, match, n_fast)
             assert rows[:, :n_r].T.tobytes() == want.values[c].tobytes()
     # the t4 run reuses its raw cubes and spectra from dwell to dwell: filled
-    # with NaN each time they are put back, they leave the report as it was
+    # with NaN before each dwell that a thread runs in them, they leave the
+    # report as it was
     cfg = load_config(CONFIG_DIR / "t4.yaml")
     cfg = replace(cfg, isar=replace(cfg.isar, n_dwells=6))
     want = experiments.run_experiment(cfg)
+    drain = experiments._drain
 
-    class StaleQueue(queue.SimpleQueue):
-        def put(self, buffers, *args, **kwargs):
-            for buffer in buffers:
+    def stale_drain(fill, work, buffers, name):
+        def stale_work(item, buffer_set):
+            for buffer in buffer_set:
                 buffer.fill(np.nan)
-            super().put(buffers, *args, **kwargs)
+            work(item, buffer_set)
+        drain(fill, stale_work, buffers, name)
 
-    monkeypatch.setattr(experiments, "queue", SimpleNamespace(SimpleQueue=StaleQueue))
+    monkeypatch.setattr(experiments, "_drain", stale_drain)
     got = experiments.run_experiment(cfg)
     assert got.metrics == want.metrics
     assert got.grids["isar_image.aesg"].values.tobytes() == \
@@ -132,24 +133,20 @@ def test_rd_map_peak_memory_is_one_cube():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_front_end_peak_over_its_spectra_is_a_replica_multiply_block_per_worker(
-        monkeypatch, workers):
-    # past the map and each worker's padded spectrum, a worker holds at most the
-    # buffer of its replica multiply, whose rows (750 points on t2) fall short of
-    # numpy's 8,192-element buffer: the whole rows that fit in it; its divide into
-    # the map and its window multiply hold none; 64 KiB covers the replica, the
-    # window and the stages' checks
+def test_front_end_peak_over_its_spectra_is_fixed_costs(monkeypatch, workers):
+    # past the map and each worker's padded spectrum, no worker holds a buffer:
+    # its replica multiply, its window multiply and its divide into the map go a
+    # row at a time (a broadcast replica multiply staged a buffered-iteration
+    # block of 119 KiB per worker on t2); 64 KiB covers the replica, the window
+    # and the stages' checks
     monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(workers, n_ch))
     cfg = load_config(CONFIG_DIR / "t2.yaml")
     raw = simulate_dwell(cfg.radar, cfg.targets, cfg.jammer, cfg.noise_power, cfg.seed,
                          cfg.clutter)
     rd_map(raw)
     rd, peak = traced_peak(rd_map, raw)
-    nfft = next_fast_len(cfg.radar.n_fast)
-    spectrum_nbytes = cfg.radar.n_pulses * nfft * 16
-    multiply_nbytes = 8192 // nfft * nfft * 16
-    assert peak - rd.values.nbytes - workers * spectrum_nbytes <= \
-        workers * multiply_nbytes + 2**16
+    spectrum_nbytes = cfg.radar.n_pulses * next_fast_len(cfg.radar.n_fast) * 16
+    assert peak - rd.values.nbytes - workers * spectrum_nbytes <= 2**16
 
 
 class _SlowFirstChannel(np.ndarray):
@@ -344,6 +341,113 @@ def test_beam_stream_sums_each_channel_once_final(fast_switching, failing_channe
     for c in range(1, last + 1):
         want = want + raw.values[c] * np.conj(w[c])
     assert out.tobytes() == want.tobytes()
+
+
+class _WorkFailed(Exception):
+    pass
+
+
+def _put_range(n):
+    """A ``fill`` that puts the items ``0..n-1``."""
+    def fill(put):
+        for i in range(n):
+            put(i)
+    return fill
+
+
+def _drain_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("drain_test")]
+
+
+@pytest.mark.parametrize("n_buffers", [1, 2, 3])
+def test_drain_runs_each_item_once_in_a_buffer_of_its_own_thread(fast_switching, n_buffers):
+    # every item put runs once; each buffer is seen by one thread alone, and each
+    # thread sees one buffer alone; no thread is left once the call returns
+    lock, seen = threading.Lock(), []
+
+    def work(item, buffer):
+        with lock:
+            seen.append((item, id(buffer), threading.current_thread().name))
+
+    buffers = [np.empty(4) for _ in range(n_buffers)]
+    rdproc._drain(_put_range(40), work, buffers, "drain_test")
+    assert sorted(item for item, _, _ in seen) == list(range(40))
+    pairs = {(buffer, name) for _, buffer, name in seen}
+    assert len(pairs) == len({b for b, _ in pairs}) == len({n for _, n in pairs}) <= n_buffers
+    assert all(name.startswith("drain_test") for _, name in pairs)
+    assert not _drain_threads()
+
+
+@pytest.mark.parametrize("n_buffers", [1, 2, 3])
+def test_drain_starts_no_item_once_a_work_raises(fast_switching, n_buffers):
+    # item 1 raises at once while every other item takes 50 ms: the items
+    # already running finish, no thread starts another of the 20, and the error
+    # reaches the caller once every thread has stopped
+    lock, started = threading.Lock(), []
+
+    def work(item, buffer):
+        with lock:
+            started.append(item)
+        if item == 1:
+            raise _WorkFailed
+        time.sleep(0.05)
+
+    with pytest.raises(_WorkFailed):
+        rdproc._drain(_put_range(20), work, [None] * n_buffers, "drain_test")
+    assert 1 in started and len(started) <= n_buffers + 1
+    assert not _drain_threads()
+
+
+def test_drain_raises_the_fill_error_over_a_work_error(fast_switching):
+    # the work on item 0 raises while fill still runs; fill then raises too, and
+    # its error is the one that reaches the caller, once no thread is left
+    class FillFailed(Exception):
+        pass
+
+    worked = []
+
+    def fill(put):
+        put(0)
+        while not worked:
+            time.sleep(0.01)
+        time.sleep(0.05)
+        put(1)
+        raise FillFailed
+
+    def work(item, buffer):
+        worked.append(item)
+        raise _WorkFailed
+
+    with pytest.raises(FillFailed):
+        rdproc._drain(fill, work, [None, None], "drain_test")
+    assert worked == [0]
+    assert not _drain_threads()
+
+
+def test_fused_front_end_failure_stops_the_other_worker(monkeypatch, fast_switching):
+    # with 2 workers, the first channel inverse transform raises while the other
+    # worker's takes 50 ms: that worker finishes its channel and starts none of
+    # the channels still queued
+    monkeypatch.setattr(rdproc, "_workers", lambda n_ch: min(2, n_ch))
+    raw = _noise_dwell()
+    inverse, lock, calls = np.fft.ifft, threading.Lock(), []
+
+    def failing_ifft(a, *args, **kwargs):
+        if not a.size:  # the stages on no channels
+            return inverse(a, *args, **kwargs)
+        with lock:
+            calls.append(a.size)
+            first = len(calls) == 1
+        if first:
+            raise _TransformFailed
+        time.sleep(0.05)
+        return inverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", failing_ifft)
+    with pytest.raises(_TransformFailed):
+        rdproc._rd_stream(raw, "hann", 1, reuse_raw=True)
+    assert len(calls) <= 3 < raw.values.shape[0]
+    assert not [t for t in threading.enumerate() if t.name.startswith("rd_stream")]
 
 
 def test_fused_front_end_keeps_stage_checks():
